@@ -6,11 +6,12 @@ discrete jumps. Three drivers are provided.
 
 * Exact enumeration (`enumerate_trajectories`): a depth-limited tree over
   jump patterns on the dt grid. Branches whose conditional states coincide
-  (same direction, same pending-feedback queue) are merged, with their
-  probabilities summed; this is exact for every downstream use (averaged
-  projectors, averaged entanglement) and is what keeps the tree finite
-  when ideal feedback keeps restoring the initial state. A merged record
-  reports the event list of its earliest contributing pattern.
+  (same direction, same corrections pending in as many steps) are merged,
+  with their probabilities summed; this is exact for every downstream use
+  and keeps the tree finite when ideal feedback keeps restoring the initial
+  state. Each distinct state is interned once, with its spawn masses and
+  memoized successor and child ids, so a step is a table lookup. A merged
+  record keeps the events of its fewest-jump pattern (earliest on ties).
 
 * Monte Carlo sampling (`sample_trajectories`): standard wavefunction
   stepping, one uniform draw per step, channels resolved by cumulative
@@ -181,6 +182,14 @@ def _mass_fraction(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _function_of_generator(model: OpenSystemModel):
+    """f -> f(G) for the decay generator G, through its clipped eigenvalues."""
+    lam, V = np.linalg.eigh(model.decay_generator)
+    lam = np.clip(lam, 0.0, None)
+    Vd = dagger(V)
+    return lambda f: (V * f(lam)[None, :]) @ Vd
+
+
 class StepOperators:
     """Precomputed per-step matrices for one (model, dt, policy) combination."""
 
@@ -189,20 +198,13 @@ class StepOperators:
         self.model = model
         self.dt = float(dt)
         self.policy = policy if (policy is not None and policy.enabled) else None
+        self.immediate_feedback = self.policy is not None and self.policy.delay == 0.0
+        self.queued_feedback = self.policy is not None and self.policy.delay > 0.0
 
-        G = model.decay_generator
-        lam, V = np.linalg.eigh(G)
-        lam = np.clip(lam, 0.0, None)
-        Vd = dagger(V)
-
-        def func_of_g(vals):
-            return (V * vals[None, :]) @ Vd
-
-        self.no_jump = func_of_g(np.exp(-lam * dt / 2.0))
-        self.no_jump_half = func_of_g(np.exp(-lam * dt / 4.0))
-        self.weight_root = func_of_g(np.sqrt(_mass_fraction(lam * dt)))  # W
-        dim = model.dim
-        self.first_order_no_jump = np.eye(dim, dtype=np.complex128) - 0.5 * dt * G
+        func_of_g = _function_of_generator(model)
+        self.no_jump = func_of_g(lambda lam: np.exp(-lam * dt / 2.0))
+        self.no_jump_half = func_of_g(lambda lam: np.exp(-lam * dt / 4.0))
+        self.weight_root = func_of_g(lambda lam: np.sqrt(_mass_fraction(lam * dt)))  # W
 
         self.slots = [ch.slot for ch in model.channels]
         self.unitaries_embedded = {}
@@ -217,52 +219,20 @@ class StepOperators:
         self.weight_mats = []     # M_k = gamma_k dt W L+ L W
         self.jump_maps = []       # sqrt(gamma_k dt) N_half L N_half
         self.jump_maps_fb = []    # immediate feedback: U folded in; else jump_maps
-        self.literal_jumps = []   # sqrt(gamma_k dt) L
-        fb_immediate = self.policy is not None and self.policy.delay == 0.0
         for ch, L in zip(model.channels, model.embedded_ops):
             g = ch.rate * dt
             W = self.weight_root
             self.weight_mats.append(g * (W @ dagger(L) @ L @ W))
-            core = self.no_jump_half @ L @ self.no_jump_half
-            self.jump_maps.append(math.sqrt(g) * core)
-            if fb_immediate:
+            self.jump_maps.append(math.sqrt(g) * (self.no_jump_half @ L @ self.no_jump_half))
+            if self.immediate_feedback:
                 u = self.unitaries_embedded[ch.slot]
-                self.jump_maps_fb.append(
-                    math.sqrt(g) * (self.no_jump_half @ u @ L @ self.no_jump_half)
-                )
+                self.jump_maps_fb.append(math.sqrt(g) * (self.no_jump_half @ u @ L @ self.no_jump_half))
             else:
                 self.jump_maps_fb.append(self.jump_maps[-1])
-            self.literal_jumps.append(math.sqrt(g) * L)
-
-        # two-jumps-in-one-step sector (exact enumeration only): weight roots
-        # sqrt(g_k g_l / 2) dt L_l L_k and mid-step placed state maps. Keeping
-        # this sector makes the per-step splitting second order in dt.
-        K = len(model.channels)
-        self.pair_index = [(k, l) for k in range(K) for l in range(K)]
-        self.pair_weight_ops = {}
-        self.pair_maps = {}
-        self.pair_maps_fb = {}
-        for k, l in self.pair_index:
-            Lk, Ll = model.embedded_ops[k], model.embedded_ops[l]
-            gk, gl = model.channels[k].rate, model.channels[l].rate
-            scale = math.sqrt(gk * gl / 2.0) * dt
-            self.pair_weight_ops[(k, l)] = scale * (Ll @ Lk)
-            core = Ll @ Lk
-            if fb_immediate:
-                uk = self.unitaries_embedded[model.channels[k].slot]
-                ul = self.unitaries_embedded[model.channels[l].slot]
-                core_fb = ul @ Ll @ uk @ Lk
-            else:
-                core_fb = core
-            self.pair_maps[(k, l)] = scale * (self.no_jump_half @ core @ self.no_jump_half)
-            self.pair_maps_fb[(k, l)] = scale * (self.no_jump_half @ core_fb @ self.no_jump_half)
 
     @property
     def n_channels(self) -> int:
         return len(self.model.channels)
-
-    def spawn_uses_queue(self) -> bool:
-        return self.policy is not None and self.policy.delay > 0.0
 
     def due_step(self, jump_step_index: int) -> int:
         assert self.policy is not None
@@ -276,8 +246,11 @@ def no_jump_step(model: OpenSystemModel, psi: np.ndarray, dt: float, first_order
     the truncated operator 1 - (dt/2) G instead.
     """
     psi = as_vector(psi)
-    ops = StepOperators(model, dt)
-    op = ops.first_order_no_jump if first_order else ops.no_jump
+    _check_rate_resolution(model, dt)
+    if first_order:
+        op = np.eye(model.dim, dtype=np.complex128) - 0.5 * dt * model.decay_generator
+    else:
+        op = _function_of_generator(model)(lambda lam: np.exp(-lam * dt / 2.0))
     out = op @ psi
     return out, float(np.vdot(out, out).real)
 
@@ -302,9 +275,11 @@ def apply_feedback(policy: FeedbackPolicy, psi: np.ndarray, slot: int, layout) -
 
 def kraus_defect(model: OpenSystemModel, dt: float) -> float:
     """Operator norm of Pi0+ Pi0 + sum_k Pi1k+ Pi1k - 1 for the first-order set."""
-    ops = StepOperators(model, dt)
-    total = dagger(ops.first_order_no_jump) @ ops.first_order_no_jump
-    for J in ops.literal_jumps:
+    _check_rate_resolution(model, dt)
+    first_order = np.eye(model.dim, dtype=np.complex128) - 0.5 * dt * model.decay_generator
+    total = dagger(first_order) @ first_order
+    for ch, L in zip(model.channels, model.embedded_ops):
+        J = math.sqrt(ch.rate * dt) * L  # literal jump operator
         total = total + dagger(J) @ J
     defect = total - np.eye(model.dim)
     return float(np.max(np.abs(np.linalg.eigvalsh(defect))))
@@ -329,7 +304,7 @@ class EnumerationResult:
 def _canonical_keys(states: np.ndarray, pending: np.ndarray) -> np.ndarray:
     """Quantized phase-fixed directions plus the pending-feedback queue.
 
-    Rows that agree within ~1e-9 per component hash identically; distinct
+    Rows that agree within ~1e-9 per component key identically; distinct
     branch classes in every model here differ by at least ~gamma*dt.
     """
     mags = np.abs(states)
@@ -343,41 +318,31 @@ def _canonical_keys(states: np.ndarray, pending: np.ndarray) -> np.ndarray:
     return np.concatenate([re, im, pending], axis=1)
 
 
-_HASH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _grown(arr: np.ndarray, rows: int) -> np.ndarray:
+    """``arr`` with room for ``rows`` rows (capacity doubles); new rows hold -1."""
+    if arr.shape[0] >= rows:
+        return arr
+    out = np.full((max(rows, 2 * arr.shape[0]),) + arr.shape[1:], -1, dtype=arr.dtype)
+    out[: arr.shape[0]] = arr
+    return out
 
 
-def _hash_multipliers(width: int):
-    if width not in _HASH_CACHE:
-        gen = np.random.Generator(np.random.PCG64(0xC0FFEE ^ width))
-        m1 = gen.integers(1, 2**62, width, dtype=np.int64) | 1
-        m2 = gen.integers(1, 2**62, width, dtype=np.int64) | 1
-        _HASH_CACHE[width] = (m1, m2)
-    return _HASH_CACHE[width]
-
-
-def _group_rows(keys: np.ndarray):
-    """Group identical integer rows via a 128-bit hash; first index wins.
-
-    Returns (inverse group ids, representative row per group, n_groups).
-    """
-    m1, m2 = _hash_multipliers(keys.shape[1])
-    h1 = keys @ m1  # int64 arithmetic wraps mod 2**64, which is fine for hashing
-    h2 = keys @ m2
-    order = np.lexsort((h2, h1))
-    h1o, h2o = h1[order], h2[order]
-    boundary = np.empty(order.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (h1o[1:] != h1o[:-1]) | (h2o[1:] != h2o[:-1])
-    gid_sorted = np.cumsum(boundary) - 1
-    inverse = np.empty(order.size, dtype=np.int64)
-    inverse[order] = gid_sorted
-    starts = np.nonzero(boundary)[0]
-    rep = np.minimum.reduceat(order, starts)
-    return inverse, rep, starts.size
+_EMPTY = np.iinfo(np.int64).max  # free pending-queue entry
 
 
 class _ExactEngine:
-    """Branch-merged tree enumeration on the dt grid."""
+    """Branch-merged tree enumeration on the dt grid over interned states.
+
+    A state's id keys its direction and its pending-feedback queue, a sorted
+    row of (steps until due) * n_slots + slot codes (corrections due together
+    act on distinct slots or repeat one, so they commute). Its table entry,
+    filled when it first carries a class, holds the no-jump probability, the
+    spawn mass of each map per unit weight, and the successor and child ids
+    (-1: culled) with due corrections applied. A class is an (id, weight,
+    count, node) entry; merged classes keep the fewest-jump member's count
+    and events, ties going to the earliest row (parents, then children in
+    map order).
+    """
 
     def __init__(self, model, psi0, config: UnravelingConfig, policy: FeedbackPolicy | None):
         if policy is not None and policy.enabled and policy.efficiency < 1.0:
@@ -388,45 +353,153 @@ class _ExactEngine:
         psi0 = as_vector(psi0)
         if abs(np.vdot(psi0, psi0).real - 1.0) > 1e-10:
             raise ValueError("initial state must be normalized")
-        self.ops = StepOperators(model, config.dt, policy)
+        self.ops = ops = StepOperators(model, config.dt, policy)
         self.config = config
-        self.model = model
+        K = ops.n_channels
+
+        # spawn maps: the K single jumps, then the two-jumps-in-one-step
+        # sector (k then l) with weight roots sqrt(g_k g_l / 2) dt L_l L_k and
+        # mid-step placed state maps. Keeping this sector makes the per-step
+        # splitting second order in dt.
+        self.chans = [(k,) for k in range(K)] + [(k, l) for k in range(K) for l in range(K)]
+        self.needed = np.array([len(c) for c in self.chans])
         d = model.dim
-        self.states = psi0[None, :].astype(np.complex128)
+        self.weight_mats = np.reshape(ops.weight_mats, (K, d, d))
+        pair_weight_ops = []
+        maps = list(ops.jump_maps_fb)
+        for k, l in self.chans[K:]:
+            Lk, Ll = model.embedded_ops[k], model.embedded_ops[l]
+            scale = math.sqrt(model.channels[k].rate * model.channels[l].rate / 2.0) * config.dt
+            pair_weight_ops.append(scale * (Ll @ Lk))
+            if ops.immediate_feedback:
+                uk = ops.unitaries_embedded[model.channels[k].slot]
+                ul = ops.unitaries_embedded[model.channels[l].slot]
+                Ll, Lk = ul @ Ll, uk @ Lk
+            maps.append(scale * (ops.no_jump_half @ Ll @ Lk @ ops.no_jump_half))
+        self.pair_weight_ops = np.reshape(pair_weight_ops, (K * K, d, d))
+        self.maps = np.reshape(maps, (len(maps), d, d))
+
+        # a class's queue holds at most one entry per jump it counts; each
+        # map's jumps add entries, right-aligned in two columns
+        self.queue_len = max(config.max_jumps, 2) if ops.queued_feedback else 0
+        self.n_slots = model.layout.n_subsystems
+        due = (ops.due_step(0) - 1) * self.n_slots if self.queue_len else 0
+        self.map_entries = np.array(
+            [[_EMPTY] * (2 - len(c)) + [due + ops.slots[k] for k in c] for c in self.chans]
+        )
+
+        # state table, one row per id; succ stays -1 until the row is filled
+        J = len(maps)
+        self.table_states = np.empty((0, d), dtype=np.complex128)
+        self.table_queues = np.empty((0, self.queue_len), dtype=np.int64)
+        self.stay, self.succ = np.empty(0), np.empty(0, dtype=np.int64)
+        self.mass, self.child = np.empty((0, J)), np.empty((0, J), dtype=np.int64)
+        self.index: dict[bytes, int] = {}  # key -> id of its latest entry
+        self.size = 0
+
+        self.ids = self._intern(psi0[None, :], np.full((1, self.queue_len), _EMPTY))
         self.weights = np.ones(1)
         self.counts = np.zeros(1, dtype=np.int64)
-        # pending queue columns: PENDING_CAP pairs of (due_step, slot), -1 = empty
-        self.pending = -np.ones((1, 2 * _PENDING_CAP), dtype=np.int64)
         self.nodes: list[tuple[int, float, int, int]] = []  # (parent, time, slot, channel)
         self.node_of = np.array([-1], dtype=np.int64)
         self.truncation_mass = 0.0
         self.culled_mass = 0.0
 
-    # -- queue helpers ----------------------------------------------------
+    @property
+    def states(self) -> np.ndarray:
+        return np.take(self.table_states, self.ids, axis=0)
 
-    def _apply_due_corrections(self, step: int):
-        if self.ops.policy is None:
+    # -- state table --------------------------------------------------------
+
+    def _intern(self, states: np.ndarray, queues: np.ndarray) -> np.ndarray:
+        """Ids of the rows' states, adding the ones whose key is new."""
+        keys = list(map(bytes, _canonical_keys(states, queues)))
+        first = {}
+        for i, key in enumerate(keys):
+            if key not in self.index:
+                first.setdefault(key, i)
+        rows = list(first.values())
+        self.index.update(zip(first, self._add(states[rows], queues[rows])))
+        return np.array([self.index[key] for key in keys], dtype=np.int64)
+
+    def _add(self, states: np.ndarray, queues: np.ndarray) -> np.ndarray:
+        """New table entries for the rows' states; returns their ids."""
+        ids = np.arange(self.size, self.size + len(states))
+        self.size += len(states)
+        for name in ("table_states", "table_queues", "stay", "succ", "mass", "child"):
+            setattr(self, name, _grown(getattr(self, name), self.size))
+        self.table_states[ids] = states
+        self.table_queues[ids] = queues
+        return ids
+
+    def _apply_due_corrections(self, states: np.ndarray, queues: np.ndarray):
+        """Apply the corrections due now (0 steps left, so code = slot)."""
+        while queues.shape[1]:
+            rows = np.nonzero(queues[:, 0] < self.n_slots)[0]
+            if rows.size == 0:
+                return
+            for slot, u in self.ops.unitaries_embedded.items():
+                sel = rows[queues[rows, 0] == slot]
+                states[sel] = states[sel] @ u.T
+            queues[rows, :-1] = queues[rows, 1:]
+            queues[rows, -1] = _EMPTY
+
+    def _fill(self, ids: np.ndarray):
+        """Fill the table entries of the ids in ``ids`` that have none yet."""
+        new = ids[self.succ[ids] < 0]
+        if new.size == 0:
             return
-        front = self.pending[:, 0]
-        rows = np.nonzero((front >= 0) & (front <= step))[0]
-        for r in rows:
-            while self.pending[r, 0] >= 0 and self.pending[r, 0] <= step:
-                slot = int(self.pending[r, 1])
-                self.states[r] = self.ops.unitaries_embedded[slot] @ self.states[r]
-                self.pending[r, :-2] = self.pending[r, 2:]
-                self.pending[r, -2:] = -1
+        ops, K, m = self.ops, self.ops.n_channels, new.size
+        psi = self.table_states[new]
+        # per-channel raw masses (sum exactly to 1 - |N psi|^2) less the
+        # two-jump sector split off them; pair masses are >= 0, so one clip
+        # after the subtractions equals a clip after each
+        singles = np.clip(((psi.conj() @ self.weight_mats) * psi).sum(axis=2).real, 0.0, None)
+        raw2 = psi @ self.pair_weight_ops.transpose(0, 2, 1)
+        pairs = np.einsum("pbi,pbi->pb", raw2.conj(), raw2).real
+        for l in range(K):
+            singles = singles - pairs[l::K]  # the pairs (k, l), k = 0..K-1
+        self.mass[new] = np.concatenate([np.clip(singles, 0.0, None), pairs]).T
 
-    def _fill_queue(self, pending_row: np.ndarray, due: int, slots_seq) -> np.ndarray:
-        row = pending_row.copy()
-        for slot in slots_seq:
-            free = np.nonzero(row[0::2] < 0)[0]
-            if free.size == 0:
-                raise RuntimeError(
-                    "pending-feedback queue overflow; delay too long for the jump rate"
-                )
-            row[2 * free[0]] = due
-            row[2 * free[0] + 1] = slot
-        return row
+        adv = psi @ ops.no_jump.T
+        adv2 = np.einsum("bi,bi->b", adv.conj(), adv).real
+        # a stored state serves every visit, so its no-jump probability is
+        # taken relative to its own norm, whose rounding would compound per step
+        stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
+        raw = psi @ self.maps.transpose(0, 2, 1)
+        nrm2 = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
+        alive = nrm2 > _NORM_FLOOR
+        # queues one step older; a child adds one entry per jump, and a
+        # class whose queue has no room for them has too many jumps to spawn
+        queues = self.table_queues[new]
+        queues[queues != _EMPTY] -= self.n_slots
+        if self.queue_len:
+            alive &= (queues[:, -self.needed] == _EMPTY).T
+        maps, rows = np.nonzero(alive)
+        kid_queues = queues[rows]
+        if self.queue_len:
+            kid_queues[:, -2:] = np.minimum(kid_queues[:, -2:], self.map_entries[maps])
+            kid_queues.sort(axis=1)
+        states = np.concatenate(
+            [adv / np.sqrt(adv2)[:, None], raw[maps, rows] / np.sqrt(nrm2[maps, rows])[:, None]]
+        )
+        queues = np.concatenate([queues, kid_queues])
+        self._apply_due_corrections(states, queues)
+        reached = self._intern(states, queues)
+        # a successor keyed like its own state without equalling it relaxes
+        # more slowly than the key resolves; it gets a new entry (which takes
+        # over the key), or its class would stop evolving
+        moving = np.nonzero((reached[:m] == new) & (abs(states[:m] - psi).max(axis=1) > 1e-14))[0]
+        if moving.size:
+            reached[moving] = self._add(states[moving], queues[moving])
+            keys = map(bytes, _canonical_keys(states[moving], queues[moving]))
+            self.index.update(zip(keys, reached[moving]))
+
+        self.stay[new] = stay
+        self.succ[new] = reached[:m]
+        child = np.full(alive.shape, -1, dtype=np.int64)
+        child[maps, rows] = reached[m:]
+        self.child[new] = child.T
 
     # -- main sweep --------------------------------------------------------
 
@@ -443,132 +516,61 @@ class _ExactEngine:
             raise ValueError("grid steps out of range")
         curves = {label: np.empty(len(grid)) for label in observables}
         grid_pos = 0
-        ops, cfg = self.ops, self.config
-        K = ops.n_channels
-        spawn_queue = ops.spawn_uses_queue()
-
         for step in range(n_steps + 1):
-            self._apply_due_corrections(step)
             while grid_pos < len(grid) and grid[grid_pos] == step:
+                states = self.states
                 for label, fn in observables.items():
-                    curves[label][grid_pos] = fn(self.states, self.weights, self.counts)
+                    curves[label][grid_pos] = fn(states, self.weights, self.counts)
                 grid_pos += 1
             if step == n_steps:
                 break
-
-            B = self.states.shape[0]
-            use_fb_map = ops.policy is not None and not spawn_queue
-            cand_states = []
-            cand_weights = []
-            cand_parent = []
-            cand_channels = []  # per block: tuple of channel indices (length 1 or 2)
-            cand_pending = []
-
-            # per-channel raw masses (sum exactly to 1 - |N psi|^2) and the
-            # two-jump sector subtracted from them
-            raw_mass = np.empty((K, B))
-            for k in range(K):
-                qk = ((self.states.conj() @ ops.weight_mats[k]) * self.states).sum(axis=1).real
-                raw_mass[k] = np.clip(qk * self.weights, 0.0, None)
-            pair_mass = {}
-            for k, l in ops.pair_index:
-                raw2 = self.states @ ops.pair_weight_ops[(k, l)].T
-                m = np.einsum("bi,bi->b", raw2.conj(), raw2).real * self.weights
-                pair_mass[(k, l)] = m
-                raw_mass[k] = np.clip(raw_mass[k] - m, 0.0, None)
-
-            def queue_rows(rows, slots_seq):
-                due = ops.due_step(step)
-                return np.stack(
-                    [
-                        self._fill_queue(self.pending[r], due, slots_seq)
-                        for r in rows
-                    ]
-                )
-
-            def spawn_block(mass, smap, chans, needed):
-                eligible = self.counts <= cfg.max_jumps - needed
-                self.truncation_mass += float(mass[~eligible].sum())
-                rows = np.nonzero(eligible & (mass > 0.0))[0]
-                if rows.size == 0:
-                    return
-                raw = self.states[rows] @ smap.T
-                nrm2 = np.einsum("bi,bi->b", raw.conj(), raw).real
-                ok = nrm2 > _NORM_FLOOR
-                if not np.all(ok):
-                    self.culled_mass += float(mass[rows[~ok]].sum())
-                    rows, raw, nrm2 = rows[ok], raw[ok], nrm2[ok]
-                    if rows.size == 0:
-                        return
-                cand_states.append(raw / np.sqrt(nrm2)[:, None])
-                cand_weights.append(mass[rows])
-                cand_parent.append(rows)
-                cand_channels.append(chans)
-                if spawn_queue:
-                    cand_pending.append(queue_rows(rows, [ops.slots[c] for c in chans]))
-                else:
-                    cand_pending.append(self.pending[rows])
-
-            for k in range(K):
-                smap = ops.jump_maps_fb[k] if use_fb_map else ops.jump_maps[k]
-                spawn_block(raw_mass[k], smap, (k,), 1)
-            for k, l in ops.pair_index:
-                smap = ops.pair_maps_fb[(k, l)] if use_fb_map else ops.pair_maps[(k, l)]
-                spawn_block(pair_mass[(k, l)], smap, (k, l), 2)
-
-            # parents advance through the no-jump map
-            adv = self.states @ ops.no_jump.T
-            nrm2 = np.einsum("bi,bi->b", adv.conj(), adv).real
-            self.weights = self.weights * nrm2
-            self.states = adv / np.sqrt(nrm2)[:, None]
-
-            if cand_states:
-                t_mid = (step + 0.5) * cfg.dt
-                block_sizes = [len(p) for p in cand_parent]
-                block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
-                all_states = np.concatenate([self.states] + cand_states)
-                all_weights = np.concatenate([self.weights] + cand_weights)
-                all_pending = np.concatenate([self.pending] + cand_pending)
-                parent_map = np.concatenate(cand_parent)
-
-                keys = _canonical_keys(all_states, all_pending)
-                inverse, rep, n_groups = _group_rows(keys)
-                group_w = np.bincount(inverse, weights=all_weights, minlength=n_groups)
-
-                new_counts = np.empty(n_groups, dtype=np.int64)
-                new_nodes = np.empty(n_groups, dtype=np.int64)
-                old = rep < B
-                idx_old = rep[old]
-                new_counts[old] = self.counts[idx_old]
-                new_nodes[old] = self.node_of[idx_old]
-                for g in np.nonzero(~old)[0]:
-                    r = rep[g] - B
-                    p = parent_map[r]
-                    chans = cand_channels[block_of[r]]
-                    node = int(self.node_of[p])
-                    for c in chans:
-                        self.nodes.append((node, t_mid, ops.slots[c], int(c)))
-                        node = len(self.nodes) - 1
-                    new_counts[g] = self.counts[p] + len(chans)
-                    new_nodes[g] = node
-                self.states = all_states[rep]
-                self.weights = group_w
-                self.counts = new_counts
-                self.node_of = new_nodes
-                self.pending = all_pending[rep]
-
-            # cull negligible classes (their mass is reported, not lost silently)
-            tiny = self.weights < cfg.cull_floor
-            if np.any(tiny):
-                self.culled_mass += float(self.weights[tiny].sum())
-                keep = ~tiny
-                self.states = self.states[keep]
-                self.weights = self.weights[keep]
-                self.counts = self.counts[keep]
-                self.node_of = self.node_of[keep]
-                self.pending = self.pending[keep]
-
+            self._step(step)
         return curves
+
+    def _step(self, step: int):
+        cfg = self.config
+        ids, counts = self.ids, self.counts
+        B = ids.size
+        self._fill(ids)
+
+        # (map, class) arrays; flat indices run through maps, then classes
+        mass = np.take(self.mass, ids, axis=0).T * self.weights
+        child = np.take(self.child, ids, axis=0).T
+        eligible = counts <= cfg.max_jumps - self.needed[:, None]
+        self.truncation_mass += float(mass[~eligible].sum())
+        spawn = eligible & (mass > 0.0)
+        culled = spawn & (child < 0)
+        self.culled_mass += float(mass[culled].sum())
+        flat = np.flatnonzero(spawn & ~culled)
+        maps = flat // B
+        rows = flat - maps * B
+
+        all_ids = np.concatenate([np.take(self.succ, ids), np.take(child, flat)])
+        all_weights = np.concatenate([self.weights * np.take(self.stay, ids), np.take(mass, flat)])
+        all_counts = np.concatenate([counts, counts[rows] + self.needed[maps]])
+        # merge by id; each class is represented by its fewest-jump row,
+        # ties going to the earliest, and classes follow their representatives
+        n = all_ids.size
+        order = all_counts * n + np.arange(n)
+        rank = np.full(self.size, np.iinfo(np.int64).max)
+        np.minimum.at(rank, all_ids, order)
+        rep = np.nonzero(rank[all_ids] == order)[0]
+        rank[all_ids[rep]] = np.arange(rep.size)
+        weights = np.bincount(rank[all_ids], weights=all_weights, minlength=rep.size)
+
+        # cull negligible classes (their mass is reported, not lost silently)
+        tiny = weights < cfg.cull_floor
+        self.culled_mass += float(weights[tiny].sum())
+        rep, self.weights = rep[~tiny], weights[~tiny]
+        self.ids, self.counts = all_ids[rep], all_counts[rep]
+        # a child representing a class records its jumps as new event nodes
+        node_of = np.concatenate([self.node_of, self.node_of[rows]])
+        t_mid = (step + 0.5) * cfg.dt
+        for r in rep[rep >= B]:
+            for c in self.chans[maps[r - B]]:
+                self.nodes.append((int(node_of[r]), t_mid, self.ops.slots[c], int(c)))
+                node_of[r] = len(self.nodes) - 1
+        self.node_of = node_of[rep]
 
     def _events_for(self, node: int) -> tuple[JumpEvent, ...]:
         out = []
@@ -580,16 +582,15 @@ class _ExactEngine:
 
     def records(self) -> list[TrajectoryRecord]:
         order = np.argsort(-self.weights, kind="stable")
-        out = []
-        for i in order:
-            out.append(
-                TrajectoryRecord(
-                    events=self._events_for(int(self.node_of[i])),
-                    state=self.states[i].copy(),
-                    probability=float(min(self.weights[i], 1.0)),
-                )
+        states = self.states
+        return [
+            TrajectoryRecord(
+                events=self._events_for(int(self.node_of[i])),
+                state=states[i],
+                probability=float(self.weights[i]),
             )
-        return out
+            for i in order
+        ]
 
 
 def enumerate_trajectories(
@@ -689,7 +690,6 @@ class _BaseSampler:
         if not 0 <= config.rng_seed <= _MASK64:
             raise ValueError(f"rng_seed must lie in [0, 2**64), got {config.rng_seed}")
         self.ops = StepOperators(model, config.dt, policy)
-        self.queued_feedback = self.ops.spawn_uses_queue()
 
     def _block_rows(self) -> int:
         return _SAMPLE_CHUNK
@@ -735,7 +735,7 @@ class _BaseSampler:
             grid_pos = 0
 
             for step in range(n_steps + 1):
-                if self.queued_feedback:
+                if ops.queued_feedback:
                     self._apply_due_corrections(states, pend_due, pend_slot, pend_len, step)
                 while grid_pos < len(grid) and grid[grid_pos] == step:
                     for lab, fn in observables.items():
@@ -782,7 +782,7 @@ class _BaseSampler:
                         states[rows] = self._normalize(y, self._weight(y))
                         counts[rows] += 1
                         slot = ops.slots[k]
-                        if self.queued_feedback:
+                        if ops.queued_feedback:
                             if np.any(pend_len[rows] >= _PENDING_CAP):
                                 raise RuntimeError("pending-feedback queue overflow")
                             pend_due[rows, pend_len[rows]] = ops.due_step(step)

@@ -154,6 +154,15 @@ def test_feedback_policy_rejects_non_unitary():
         FeedbackPolicy(unitaries={}, efficiency=1.5)
 
 
+def test_single_step_helpers_skip_step_operators(monkeypatch):
+    # no_jump_step and kraus_defect need no feedback or pair sector
+    monkeypatch.setattr(trajectories, "StepOperators", None)
+    model = build_qubit_pair(1.0)
+    no_jump_step(model, bell2(), 1e-3)
+    no_jump_step(model, bell2(), 1e-3, first_order=True)
+    assert kraus_defect(model, 1e-3) < 1e-5
+
+
 def test_kraus_completeness_quadratic_scaling():
     model = build_qubit_pair(1.0)
     dts = np.array([1e-2, 1e-3, 1e-4])
@@ -207,6 +216,51 @@ def test_rate_resolution_guard():
     model = build_qubit_pair(1.0)
     with pytest.raises(ValueError, match="gamma_max"):
         enumerate_trajectories(model, bell2(), UnravelingConfig(dt=0.1, t_max=1.0))
+
+
+def test_enumerate_class_census():
+    # interning must neither split nor over-merge branch classes
+    deg = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    res = enumerate_trajectories(deg, code_bell3(), UnravelingConfig(dt=5e-3, t_max=1.0))
+    assert len(res.records) == 803
+    assert np.bincount([r.n_jumps for r in res.records]).tolist() == [1, 400, 401, 1]
+    ho = build_qutrit_pair(CascadeSpec.harmonic_oscillator(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=5.0, max_jumps=40)
+    res = enumerate_trajectories(ho, code_bell3(), cfg, FeedbackPolicy.qutrit_cyclic())
+    assert len(res.records) == 67
+
+
+def test_enumerate_delayed_feedback_merge_keeps_fewest_jumps():
+    # once a delayed correction lands, the corrected branch rejoins the
+    # no-jump class, which must keep counting zero jumps; booked under the
+    # jump count of the merged branch it would be truncated
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    policy = FeedbackPolicy.qutrit_cyclic(delay=0.005)
+    cfg = UnravelingConfig(dt=5e-3, t_max=0.2, max_jumps=4)
+    res = enumerate_trajectories(model, code_bell3(), cfg, policy)
+    assert res.truncation_mass < 1e-4
+    assert res.records[0].n_jumps == 0
+    # merged classes count the jumps of their fewest-jump member
+    assert np.bincount([r.n_jumps for r in res.records]).tolist() == [1, 4, 13, 12, 8]
+    total = res.total_probability + res.truncation_mass + res.culled_mass
+    assert abs(total - 1.0) < 1e-9
+
+
+def test_enumerate_slowly_relaxing_state_keeps_evolving():
+    # the no-jump state of sqrt(a)|00> + sqrt(1-a)|11> relaxes towards |00>;
+    # late on, one step moves it by less than the branch-key resolution, and
+    # it must keep following the closed form rather than freeze
+    a, t = 0.1, 20.0
+    psi0 = normalized(
+        math.sqrt(a) * product_basis_state(LAY2, (0, 0))
+        + math.sqrt(1 - a) * product_basis_state(LAY2, (1, 1))
+    )
+    cfg = UnravelingConfig(dt=5e-3, t_max=t, max_jumps=2)
+    nj = next(r for r in enumerate_trajectories(build_qubit_pair(1.0), psi0, cfg).records
+              if r.n_jumps == 0)
+    y = math.sqrt(1 - a) * math.exp(-t)
+    assert abs(abs(nj.state[3]) / (y / math.sqrt(a + y * y)) - 1.0) < 1e-9
+    assert abs(nj.probability / (a + y * y) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(
