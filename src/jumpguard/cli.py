@@ -188,7 +188,7 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
     summary = {
         "scenario": result.scenario,
         "scalars": result.scalars,
-        "truncation_mass": result.metadata.get("truncation_mass", 0.0),
+        "truncation_mass": result.metadata["truncation_mass"],
         "sampling_sigma_max": sampling,
         "warnings": all_warnings,
     }

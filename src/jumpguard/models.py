@@ -250,13 +250,7 @@ def lindblad_rhs(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (model.dim, model.dim):
         raise ValueError(f"state dimension {rho.shape} does not match model dim {model.dim}")
-    out = np.zeros_like(rho)
-    if model.hamiltonian is not None:
-        out += -1j * (model.hamiltonian @ rho - rho @ model.hamiltonian)
-    for ch, L in zip(model.channels, model.embedded_ops):
-        LdL = dagger(L) @ L
-        out += ch.rate * (L @ rho @ dagger(L) - 0.5 * (LdL @ rho + rho @ LdL))
-    return out
+    return (_superoperator(model) @ rho.reshape(-1)).reshape(rho.shape)
 
 
 def _superoperator(model: OpenSystemModel) -> np.ndarray:

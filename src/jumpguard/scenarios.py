@@ -6,6 +6,12 @@ formation and negativity never mix silently), scalar summaries, and
 metadata with truncation/sampling diagnostics. All randomness derives from
 the single configured seed.
 
+Every trajectory curve is the record average of one per-row observable
+f(states, counts) -> value per row, defined once below and handed unchanged
+to whichever driver runs (exact enumeration weights rows by probability,
+the samplers by 1/n). ``metadata["truncation_mass"]`` maps the label of each
+exact run to its truncated plus culled mass, and is empty without one.
+
 Scenarios:
 
 * ``bell-monitoring``   - two monitored qubits sharing (|10> + |01>)/sqrt(2):
@@ -41,6 +47,7 @@ from .models import (
     OpenSystemModel,
     ThermalSpec,
     build_qubit_pair,
+    build_qutrit_cascade,
     build_qutrit_pair,
     evolve_master,
     thermal_channels,
@@ -203,24 +210,89 @@ def _ucfg(cfg: ScenarioConfig, dt: float, n_steps: int, **overrides) -> Unraveli
     return UnravelingConfig(**kw)
 
 
-def _config_echo(cfg: ScenarioConfig) -> dict:
+def _metadata(cfg: ScenarioConfig, warnings=()) -> dict:
+    """Config echo, warnings and the lost mass of every exact run by label."""
     echo = dataclasses.asdict(cfg)
     echo["nbar"] = list(cfg.nbar)
-    return echo
+    return {"config": echo, "warnings": list(warnings), "truncation_mass": {}}
 
 
-def _bell_state_2q() -> np.ndarray:
-    layout = make_layout((2, 2))
+def _bell_pair(d: int, a: int, b: int) -> np.ndarray:
+    """(|a b> + |b a>) / sqrt(2) on two d-level systems."""
+    layout = make_layout((d, d))
+    return normalized(product_basis_state(layout, (a, b)) + product_basis_state(layout, (b, a)))
+
+
+def _superposition(layout, alpha: float, a: tuple, b: tuple) -> np.ndarray:
+    """sqrt(alpha)|a> + sqrt(1 - alpha)|b>, normalized."""
     return normalized(
-        product_basis_state(layout, (1, 0)) + product_basis_state(layout, (0, 1))
+        math.sqrt(alpha) * product_basis_state(layout, a)
+        + math.sqrt(1.0 - alpha) * product_basis_state(layout, b)
     )
 
 
-def _code_bell_3q() -> np.ndarray:
-    layout = make_layout((3, 3))
-    return normalized(
-        product_basis_state(layout, (1, 2)) + product_basis_state(layout, (2, 1))
-    )
+# ---------------------------------------------------------------------------
+# per-row observables and the one curve driver
+# ---------------------------------------------------------------------------
+
+_NEG = Measure.NEGATIVITY.value
+_EOF = Measure.ENTANGLEMENT_OF_FORMATION.value
+_ENTROPY = Measure.ENTROPY_OF_ENTANGLEMENT.value
+_PROB = "probability"
+
+
+def _negativity(layout):
+    """Negativity per row of state vectors or (density sampler) matrices."""
+
+    def f(states, counts):
+        if states.ndim == 3:
+            return ent.negativity_batch_density(states, layout)
+        return ent.negativity_batch_pure(states, layout)
+
+    return f
+
+
+def _entropy(layout):
+    return lambda states, counts: ent.entropy_batch_pure(states, layout)
+
+
+def _eof(states, counts):
+    return ent.eof_batch_pure_2q(states)
+
+
+def _jumps(k: int):
+    """Indicator of the rows that recorded exactly ``k`` jumps."""
+    return lambda states, counts: (counts == k).astype(float)
+
+
+def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
+                t_max=None, grid_points=None, **overrides) -> list[Curve]:
+    """Trajectory averages of per-row observables over the configured grid.
+
+    ``observables`` maps label -> (measure, f), f(states, counts) giving one
+    value per record row. A density-matrix ``x0`` runs the density sampler;
+    otherwise ``mode`` (default ``cfg.mode``) 'exact' runs exact enumeration,
+    whose truncated plus culled mass is recorded under the first label, and
+    any other mode the wavefunction sampler. ``overrides`` adjust the
+    :class:`UnravelingConfig`.
+    """
+    dt, n_steps = _resolve_steps(cfg, t_max)
+    gsteps = _grid_steps(n_steps, grid_points or cfg.grid_points)
+    ucfg = _ucfg(cfg, dt, n_steps, **overrides)
+    fns = {label: f for label, (_, f) in observables.items()}
+    sem = {}
+    if x0.ndim == 1 and (mode or cfg.mode) == "exact":
+        mean, engine = run_exact_grid(model, x0, ucfg, policy, gsteps, fns)
+        metadata["truncation_mass"][next(iter(fns))] = engine.truncation_mass + engine.culled_mass
+    else:
+        driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
+        out = driver(model, x0, ucfg, policy, gsteps, fns)
+        mean, sem = out.mean, out.sem
+    times = gsteps * dt
+    return [
+        Curve(label, measure, times, mean[label], sem.get(label))
+        for label, (measure, _) in observables.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -232,47 +304,17 @@ def run_bell_monitoring(cfg: ScenarioConfig) -> ScenarioResult:
     """Monitored qubit pair: E_F of the unmonitored state, the trajectory
     average E_2, and the no-jump probability P_NJ over the time grid."""
     model = build_qubit_pair(cfg.gamma)
-    psi0 = _bell_state_2q()
-    dt, n_steps = _resolve_steps(cfg)
-    gsteps = _grid_steps(n_steps, cfg.grid_points)
-    times = gsteps * dt
-
+    psi0 = _bell_pair(2, 1, 0)
+    metadata = _metadata(cfg)
+    observables = {"E_2": (_EOF, _eof), "P_NJ": (_PROB, _jumps(0))}
+    e2, pnj = _run_curves(cfg, metadata, model, psi0, observables)
+    times = e2.times
     rho_grid = evolve_master(model, np.outer(psi0, psi0.conj()), times)
     ef_master = np.array([ent.eof_2q(r) for r in rho_grid])
 
-    ucfg = _ucfg(cfg, dt, n_steps)
-    observables_exact = {
-        "E_2": lambda s, w, c: float((ent.eof_batch_pure_2q(s) * w).sum()),
-        "P_NJ": lambda s, w, c: float(w[c == 0].sum()),
-    }
-    metadata = {"config": _config_echo(cfg), "warnings": []}
-    sems = {}
-    if cfg.mode == "exact":
-        curves_raw, engine = run_exact_grid(model, psi0, ucfg, None, gsteps, observables_exact)
-        metadata["truncation_mass"] = engine.truncation_mass
-        metadata["culled_mass"] = engine.culled_mass
-    else:
-        sampled = run_sampled_grid(
-            model,
-            psi0,
-            ucfg,
-            None,
-            gsteps,
-            {
-                "E_2": lambda s, c: ent.eof_batch_pure_2q(s),
-                "P_NJ": lambda s, c: (c == 0).astype(float),
-            },
-        )
-        curves_raw = sampled.mean
-        sems = sampled.sem
-
-    curves = [
-        Curve("E_F", Measure.ENTANGLEMENT_OF_FORMATION.value, times, ef_master),
-        Curve("E_2", Measure.ENTANGLEMENT_OF_FORMATION.value, times, curves_raw["E_2"], sems.get("E_2")),
-        Curve("P_NJ", "probability", times, curves_raw["P_NJ"], sems.get("P_NJ")),
-    ]
+    curves = [Curve("E_F", _EOF, times, ef_master), e2, pnj]
     scalars = {
-        "p_nj_final": float(curves_raw["P_NJ"][-1]),
+        "p_nj_final": float(pnj.values[-1]),
         "p_nj_analytic_final": math.exp(-cfg.gamma * times[-1]),
     }
     return ScenarioResult(cfg.scenario, curves, scalars, metadata)
@@ -296,13 +338,10 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     gamma = cfg.gamma
     model = build_qubit_pair(gamma)
     layout = model.layout
-    psi0 = normalized(
-        math.sqrt(alpha) * product_basis_state(layout, (0, 0))
-        + math.sqrt(1.0 - alpha) * product_basis_state(layout, (1, 1))
-    )
+    psi0 = _superposition(layout, alpha, (0, 0), (1, 1))
     t_star = math.log((1.0 - alpha) / alpha) / (2.0 * gamma) if alpha < 0.5 else 0.0
 
-    metadata = {"config": _config_echo(cfg), "warnings": []}
+    metadata = _metadata(cfg)
     scalars = {
         "t_star": t_star,
         "p_ok_analytic": 2.0 * alpha,
@@ -315,54 +354,30 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
         nj = next(r for r in res.records if r.n_jumps == 0)
         scalars["p_ok"] = nj.probability
         scalars["entropy_at_t_star"] = ent.entanglement_entropy(nj.state, layout)
-        metadata["truncation_mass"] = res.truncation_mass
+        metadata["truncation_mass"]["t_star"] = res.truncation_mass + res.culled_mass
     else:
         scalars["p_ok"] = 1.0
         scalars["entropy_at_t_star"] = ent.entanglement_entropy(psi0, layout)
-        metadata["truncation_mass"] = 0.0
 
+    no_jump = _jumps(0)
     if cfg.mode == "sampled" and t_star > 0.0:
-        dt_star, n_star = _resolve_steps(cfg, t_max=t_star)
-        sampled = run_sampled_grid(
-            model,
-            psi0,
-            _ucfg(cfg, dt_star, n_star),
-            None,
-            [n_star],
-            {"no_jump": lambda s, c: (c == 0).astype(float)},
-        )
-        p_emp = float(sampled.mean["no_jump"][0])
+        sampled, = _run_curves(cfg, metadata, model, psi0, {"no_jump": (_PROB, no_jump)},
+                               t_max=t_star, grid_points=2)
+        p_emp = float(sampled.values[-1])
         scalars["p_ok_sampled"] = p_emp
         scalars["p_ok_sampled_sigma"] = math.sqrt(max(p_emp * (1 - p_emp), 1e-12) / cfg.n_samples)
 
-    # curves over the configured horizon (exact engine; cheap for two qubits)
-    dt, n_steps = _resolve_steps(cfg)
-    gsteps = _grid_steps(n_steps, cfg.grid_points)
-    times = gsteps * dt
-
-    def nj_entropy(s, w, c):
-        rows = np.nonzero(c == 0)[0]
-        if rows.size == 0:
-            return 0.0
-        return float(ent.entropy_batch_pure(s[rows[:1]], layout)[0])
-
-    curves_raw, engine = run_exact_grid(
-        model,
-        psi0,
-        _ucfg(cfg, dt, n_steps),
-        None,
-        gsteps,
-        {
-            "P_NJ": lambda s, w, c: float(w[c == 0].sum()),
-            "entropy_NJ": nj_entropy,
-        },
-    )
-    pnj_analytic = alpha + (1.0 - alpha) * np.exp(-2.0 * gamma * times)
-    curves = [
-        Curve("P_NJ", "probability", times, curves_raw["P_NJ"]),
-        Curve("P_NJ_analytic", "probability", times, pnj_analytic),
-        Curve("entropy_NJ", Measure.ENTROPY_OF_ENTANGLEMENT.value, times, curves_raw["entropy_NJ"]),
-    ]
+    # curves over the configured horizon (exact engine; cheap for two qubits);
+    # the no-jump entropy is the no-jump-weighted average over P_NJ
+    entropy = _entropy(layout)
+    pnj, entropy_nj = _run_curves(cfg, metadata, model, psi0, {
+        "P_NJ": (_PROB, no_jump),
+        "entropy_NJ": (_ENTROPY, lambda s, c: no_jump(s, c) * entropy(s, c)),
+    }, mode="exact")
+    entropy_nj.values = np.divide(entropy_nj.values, pnj.values,
+                                  out=np.zeros_like(pnj.values), where=pnj.values > 0)
+    pnj_analytic = alpha + (1.0 - alpha) * np.exp(-2.0 * gamma * pnj.times)
+    curves = [pnj, Curve("P_NJ_analytic", _PROB, pnj.times, pnj_analytic), entropy_nj]
     return ScenarioResult(cfg.scenario, curves, scalars, metadata)
 
 
@@ -383,72 +398,27 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     """
     gamma = cfg.gamma
     layout3 = make_layout((3, 3))
-    psi0_3 = _code_bell_3q()
-    dt, n_steps = _resolve_steps(cfg)
-    gsteps = _grid_steps(n_steps, cfg.grid_points)
-    times = gsteps * dt
-
-    metadata = {"config": _config_echo(cfg), "warnings": [], "truncation_mass": {}}
-    curves: list[Curve] = []
+    psi0_3 = _bell_pair(3, 1, 2)
+    neg3, entropy3 = _negativity(layout3), _entropy(layout3)
+    metadata = _metadata(cfg)
 
     # qubit references
     model2 = build_qubit_pair(gamma)
-    psi0_2 = _bell_state_2q()
+    psi0_2 = _bell_pair(2, 1, 0)
     layout2 = model2.layout
+    qubit = _run_curves(cfg, metadata, model2, psi0_2,
+                        {"E_2": (_EOF, _eof), "E_2_neg": (_NEG, _negativity(layout2))})
+    times = qubit[0].times
     rho_grid = evolve_master(model2, np.outer(psi0_2, psi0_2.conj()), times)
-    curves.append(
-        Curve("E_F", Measure.ENTANGLEMENT_OF_FORMATION.value, times,
-              np.array([ent.eof_2q(r) for r in rho_grid]))
-    )
-    curves.append(
-        Curve("E_F_neg", Measure.NEGATIVITY.value, times,
-              np.array([ent.negativity(r, layout2) for r in rho_grid]))
-    )
-
-    def exact_run(model, psi0, policy, observables, label_for_mass, max_jumps=None):
-        ucfg = _ucfg(cfg, dt, n_steps, max_jumps=max_jumps or cfg.max_jumps)
-        out, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, observables)
-        metadata["truncation_mass"][label_for_mass] = engine.truncation_mass + engine.culled_mass
-        return out
-
-    def sampled_run(model, psi0, policy, observables):
-        ucfg = _ucfg(cfg, dt, n_steps)
-        return run_sampled_grid(model, psi0, ucfg, policy, gsteps, observables)
-
-    obs2_exact = {
-        "neg": lambda s, w, c: float((ent.negativity_batch_pure(s, layout2) * w).sum()),
-        "eof": lambda s, w, c: float((ent.eof_batch_pure_2q(s) * w).sum()),
-    }
-    obs2_sampled = {
-        "neg": lambda s, c: ent.negativity_batch_pure(s, layout2),
-        "eof": lambda s, c: ent.eof_batch_pure_2q(s),
-    }
-    if cfg.mode == "exact":
-        out2 = exact_run(model2, psi0_2, None, obs2_exact, "E_2")
-        curves.append(Curve("E_2", Measure.ENTANGLEMENT_OF_FORMATION.value, times, out2["eof"]))
-        curves.append(Curve("E_2_neg", Measure.NEGATIVITY.value, times, out2["neg"]))
-    else:
-        out2 = sampled_run(model2, psi0_2, None, obs2_sampled)
-        curves.append(
-            Curve("E_2", Measure.ENTANGLEMENT_OF_FORMATION.value, times,
-                  out2.mean["eof"], out2.sem["eof"])
-        )
-        curves.append(
-            Curve("E_2_neg", Measure.NEGATIVITY.value, times, out2.mean["neg"], out2.sem["neg"])
-        )
+    curves = [
+        Curve("E_F", _EOF, times, np.array([ent.eof_2q(r) for r in rho_grid])),
+        Curve("E_F_neg", _NEG, times, np.array([ent.negativity(r, layout2) for r in rho_grid])),
+    ] + qubit
 
     # qutrit curve family
     model_deg = build_qutrit_pair(CascadeSpec.degenerate(gamma))
     model_ho = build_qutrit_pair(CascadeSpec.harmonic_oscillator(gamma))
     fb_ideal = FeedbackPolicy.qutrit_cyclic()
-    obs3_exact = {
-        "neg": lambda s, w, c: float((ent.negativity_batch_pure(s, layout3) * w).sum()),
-        "entropy": lambda s, w, c: float((ent.entropy_batch_pure(s, layout3) * w).sum()),
-    }
-    obs3_sampled = {
-        "neg": lambda s, c: ent.negativity_batch_pure(s, layout3),
-        "entropy": lambda s, c: ent.entropy_batch_pure(s, layout3),
-    }
 
     # With feedback the jump count recurs indefinitely; the branch classes
     # stay few (they are indexed by the net level skew), so a deep jump
@@ -461,24 +431,10 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
         ("E_3fho", model_ho, fb_ideal, False, fb_depth),
     ]
     for label, model, policy, with_entropy, depth in family:
-        if cfg.mode == "exact":
-            out = exact_run(model, psi0_3, policy, obs3_exact, label, max_jumps=depth)
-            curves.append(Curve(label, Measure.NEGATIVITY.value, times, out["neg"]))
-            if with_entropy:
-                curves.append(
-                    Curve(label + "_entropy", Measure.ENTROPY_OF_ENTANGLEMENT.value,
-                          times, out["entropy"])
-                )
-        else:
-            out = sampled_run(model, psi0_3, policy, obs3_sampled)
-            curves.append(
-                Curve(label, Measure.NEGATIVITY.value, times, out.mean["neg"], out.sem["neg"])
-            )
-            if with_entropy:
-                curves.append(
-                    Curve(label + "_entropy", Measure.ENTROPY_OF_ENTANGLEMENT.value,
-                          times, out.mean["entropy"], out.sem["entropy"])
-                )
+        observables = {label: (_NEG, neg3)}
+        if with_entropy:
+            observables[label + "_entropy"] = (_ENTROPY, entropy3)
+        curves += _run_curves(cfg, metadata, model, psi0_3, observables, policy, max_jumps=depth)
 
     # Delayed feedback smears the post-correction state over a continuum of
     # jump-time offsets, so pattern classes never recombine and exact
@@ -486,30 +442,17 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     tau = cfg.resolved_tau
     if tau > 0:
         fb_tau = FeedbackPolicy.qutrit_cyclic(delay=tau)
-        out = sampled_run(model_deg, psi0_3, fb_tau, obs3_sampled)
-        curves.append(
-            Curve("E_3f_tau", Measure.NEGATIVITY.value, times,
-                  out.mean["neg"], out.sem["neg"])
-        )
+        curves += _run_curves(cfg, metadata, model_deg, psi0_3, {"E_3f_tau": (_NEG, neg3)},
+                              fb_tau, mode="sampled")
         metadata["tau_run"] = {"driver": "pure-sampled", "n_samples": cfg.n_samples, "tau": tau}
 
     # inefficient detection: density-matrix sampling is the only driver.
     if cfg.eta < 1.0:
         fb_eta = FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta)
         eta_samples = min(cfg.n_samples, 3000)
-        ucfg_eta = _ucfg(cfg, dt, n_steps, n_samples=eta_samples)
         rho0 = np.outer(psi0_3, psi0_3.conj())
-        out = run_density_grid(
-            model_deg,
-            rho0,
-            ucfg_eta,
-            fb_eta,
-            gsteps,
-            {"neg": lambda r, c: ent.negativity_batch_density(r, layout3)},
-        )
-        curves.append(
-            Curve("E_3f_eta", Measure.NEGATIVITY.value, times, out.mean["neg"], out.sem["neg"])
-        )
+        curves += _run_curves(cfg, metadata, model_deg, rho0, {"E_3f_eta": (_NEG, neg3)},
+                              fb_eta, n_samples=eta_samples)
         metadata["eta_run"] = {
             "driver": "density-sampled",
             "n_samples": eta_samples,
@@ -529,15 +472,10 @@ def _cavity_model(cfg: ScenarioConfig) -> tuple[OpenSystemModel, np.ndarray]:
     """Atom (stable) times three-level cavity with oscillator cascade decay."""
     layout = make_layout((2, 3))
     ops = CascadeSpec.harmonic_oscillator(cfg.gamma)
-    from .models import build_qutrit_cascade
-
     (op, rate), = build_qutrit_cascade(ops)
     model = OpenSystemModel(layout=layout, channels=(DecayChannel(1, op, rate),))
     alpha = cfg.resolved_alpha
-    psi0 = normalized(
-        math.sqrt(alpha) * product_basis_state(layout, (1, 1))
-        + math.sqrt(1.0 - alpha) * product_basis_state(layout, (0, 2))
-    )
+    psi0 = _superposition(layout, alpha, (1, 1), (0, 2))
     return model, psi0
 
 
@@ -558,7 +496,7 @@ def cavity_closed_forms(alpha: float, gamma: float, times: np.ndarray) -> dict[s
     p0 = alpha * e1 + (1.0 - alpha) * e1**2
     p = alpha + 2.0 * (1.0 - alpha) * e1
     p1 = p * (1.0 - e1)
-    root = math.sqrt(max(alpha * (1.0 - alpha), 0.0))
+    root = np.sqrt(np.maximum(alpha * (1.0 - alpha), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         e_nj = np.where(p0 > 0, root * e1**1.5 / p0, 0.0)
         e_oj = np.where(p > 0, math.sqrt(2.0) * root * np.sqrt(e1) / p, 0.0)
@@ -603,29 +541,23 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
         notes.append("alpha > 1/2: less population in the decaying branch than the protected one")
     if cfg.mode == "sampled":
         notes.append("cavity-2x3 curves come from exact enumeration; 'sampled' mode request ignored")
+    metadata = _metadata(cfg, notes)
 
-    dt, n_steps = _resolve_steps(cfg)
-    gsteps = _grid_steps(n_steps, cfg.grid_points)
-    times = gsteps * dt
+    engine_e, engine_p0, engine_p1 = _run_curves(cfg, metadata, model, psi0, {
+        "E_2x3": (_NEG, _negativity(layout)),
+        "P_chi0": (_PROB, _jumps(0)),
+        "P_chi1": (_PROB, _jumps(1)),
+    }, mode="exact")
+    times = engine_e.times
     closed = cavity_closed_forms(alpha, gamma, times)
-
-    observables = {
-        "E_2x3": lambda s, w, c: float((ent.negativity_batch_pure(s, layout) * w).sum()),
-        "P_chi0": lambda s, w, c: float(w[c == 0].sum()),
-        "P_chi1": lambda s, w, c: float(w[c == 1].sum()),
-    }
-    curves_raw, engine = run_exact_grid(
-        model, psi0, _ucfg(cfg, dt, n_steps), None, gsteps, observables
-    )
-
     curves = [
-        Curve("E_2x3", Measure.NEGATIVITY.value, times, curves_raw["E_2x3"]),
-        Curve("E_2x3_analytic", Measure.NEGATIVITY.value, times, closed["E_2x3"]),
-        Curve("E_2x2_analytic", Measure.NEGATIVITY.value, times, closed["E_2x2"]),
-        Curve("P_chi0", "probability", times, curves_raw["P_chi0"]),
-        Curve("P_chi0_analytic", "probability", times, closed["P_chi0"]),
-        Curve("P_chi1", "probability", times, curves_raw["P_chi1"]),
-        Curve("P_chi1_analytic", "probability", times, closed["P_chi1"]),
+        engine_e,
+        Curve("E_2x3_analytic", _NEG, times, closed["E_2x3"]),
+        Curve("E_2x2_analytic", _NEG, times, closed["E_2x2"]),
+        engine_p0,
+        Curve("P_chi0_analytic", _PROB, times, closed["P_chi0"]),
+        engine_p1,
+        Curve("P_chi1_analytic", _PROB, times, closed["P_chi1"]),
     ]
 
     # state-level cross-checks at a few interior times
@@ -635,6 +567,7 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     for t in check_times:
         dt_c, n_c = _resolve_steps(cfg, t_max=t)
         res = enumerate_trajectories(model, psi0, _ucfg(cfg, dt_c, n_c))
+        metadata["truncation_mass"][f"check_t{t:g}"] = res.truncation_mass + res.culled_mass
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
         nj = next(r for r in res.records if r.n_jumps == 0)
         oj = [r for r in res.records if r.n_jumps == 1]
@@ -656,26 +589,13 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
 
     alphas = np.linspace(0.0, 1.0, cfg.alpha_points)
     tgrid = np.linspace(0.0, cfg.t_max, cfg.surface_time_points)
-    nj_surface = np.empty((alphas.size, tgrid.size))
-    oj_surface = np.empty_like(nj_surface)
-    diff_surface = np.empty_like(nj_surface)
-    for i, a in enumerate(alphas):
-        c = cavity_closed_forms(float(a), gamma, tgrid)
-        nj_surface[i] = c["E_NJ"] * c["P_chi0"]
-        oj_surface[i] = c["E_OJ"] * c["P_chi1"]
-        diff_surface[i] = c["E_2x3"] - c["E_2x2"]
+    c = cavity_closed_forms(alphas[:, None], gamma, tgrid[None, :])
     surfaces = {
-        "surface_nj_contribution": (alphas, tgrid, nj_surface),
-        "surface_oj_contribution": (alphas, tgrid, oj_surface),
-        "surface_2x3_minus_2x2": (alphas, tgrid, diff_surface),
+        "surface_nj_contribution": (alphas, tgrid, c["E_NJ"] * c["P_chi0"]),
+        "surface_oj_contribution": (alphas, tgrid, c["E_OJ"] * c["P_chi1"]),
+        "surface_2x3_minus_2x2": (alphas, tgrid, c["E_2x3"] - c["E_2x2"]),
     }
 
-    metadata = {
-        "config": _config_echo(cfg),
-        "warnings": notes,
-        "truncation_mass": engine.truncation_mass,
-        "culled_mass": engine.culled_mass,
-    }
     return ScenarioResult(cfg.scenario, curves, scalars, metadata, surfaces)
 
 
@@ -697,19 +617,12 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     gamma = cfg.gamma
     dim = THERMAL_CAVITY_DIM
     layout = make_layout((2, dim))
-    psi0 = normalized(
-        math.sqrt(alpha) * product_basis_state(layout, (1, 1))
-        + math.sqrt(1.0 - alpha) * product_basis_state(layout, (0, 2))
-    )
-    guard = np.zeros(dim)
-    guard[dim - 1] = 1.0
-    guard_proj = np.kron(np.ones(2), guard)  # diagonal weights of the guard level
+    psi0 = _superposition(layout, alpha, (1, 1), (0, 2))
+    neg = _negativity(layout)
+    # population of the guard level, the last cavity level
+    guard_population = lambda s, c: (np.abs(s.reshape(len(s), 2, dim)[:, :, -1]) ** 2).sum(axis=1)
 
-    dt, n_steps = _resolve_steps(cfg)
-    gsteps = _grid_steps(n_steps, cfg.grid_points)
-    times = gsteps * dt
-
-    metadata = {"config": _config_echo(cfg), "warnings": []}
+    metadata = _metadata(cfg)
     if cfg.mode == "exact":
         metadata["warnings"].append(
             "cavity-thermal always runs trajectory sampling; 'exact' mode request ignored"
@@ -723,24 +636,13 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
             for op, rate in thermal_channels(gamma, ThermalSpec(nbar), dim)
         )
         model = OpenSystemModel(layout=layout, channels=channels)
-        ucfg = _ucfg(cfg, dt, n_steps, rng_seed=cfg.seed + i)
-        out = run_sampled_grid(
-            model,
-            psi0,
-            ucfg,
-            None,
-            gsteps,
-            {
-                "neg": lambda s, c: ent.negativity_batch_pure(s, layout),
-                "guard": lambda s, c: (np.abs(s) ** 2 * guard_proj[None, :]).sum(axis=1),
-            },
-        )
         tag = f"{nbar:g}"
-        curves.append(
-            Curve(f"E_2x3_nbar_{tag}", Measure.NEGATIVITY.value, times,
-                  out.mean["neg"], out.sem["neg"])
-        )
-        guard_max = float(out.mean["guard"].max())
+        curve, guard_curve = _run_curves(cfg, metadata, model, psi0, {
+            f"E_2x3_nbar_{tag}": (_NEG, neg),
+            "guard": (_PROB, guard_population),
+        }, mode="sampled", rng_seed=cfg.seed + i)
+        curves.append(curve)
+        guard_max = float(guard_curve.values.max())
         scalars[f"guard_population_nbar_{tag}"] = guard_max
         if guard_max > 1e-3:
             metadata["warnings"].append(
@@ -766,8 +668,5 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    try:
-        runner = _RUNNERS[cfg.scenario]
-    except KeyError:
-        raise ScenarioError(f"unknown scenario '{cfg.scenario}'") from None
-    return runner(cfg)
+    # ScenarioConfig has already rejected unknown scenario names
+    return _RUNNERS[cfg.scenario](cfg)

@@ -42,7 +42,7 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .linalg import as_matrix, as_vector, dagger, embed, make_layout
 from .models import OpenSystemModel
 
 MAX_GAMMA_DT = 1e-2
-_PENDING_CAP = 8
 _SAMPLE_CHUNK = 16384
 _NORM_FLOOR = 1e-250
 
@@ -318,16 +317,38 @@ def _canonical_keys(states: np.ndarray, pending: np.ndarray) -> np.ndarray:
     return np.concatenate([re, im, pending], axis=1)
 
 
-def _grown(arr: np.ndarray, rows: int) -> np.ndarray:
-    """``arr`` with room for ``rows`` rows (capacity doubles); new rows hold -1."""
-    if arr.shape[0] >= rows:
+def _grown(arr: np.ndarray, size: int, axis: int = 0, fill=-1) -> np.ndarray:
+    """``arr`` with room for ``size`` entries along ``axis`` (capacity
+    doubles); new entries hold ``fill``."""
+    if arr.shape[axis] >= size:
         return arr
-    out = np.full((max(rows, 2 * arr.shape[0]),) + arr.shape[1:], -1, dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
+    shape = list(arr.shape)
+    shape[axis] = max(size, 2 * arr.shape[axis])
+    out = np.full(shape, fill, dtype=arr.dtype)
+    out[tuple(slice(n) for n in arr.shape)] = arr
     return out
 
 
 _EMPTY = np.iinfo(np.int64).max  # free pending-queue entry
+
+
+def _pop_due_corrections(states, queues, limit, n_slots, unitaries, apply):
+    """Apply and dequeue the pending corrections whose codes lie below ``limit``.
+
+    A code is (due step) * n_slots + slot; column 0 holds each row's next
+    correction and one entry per row is popped per pass, so a row's
+    corrections act in queue order. ``apply(U, rows)`` maps the state rows.
+    """
+    while queues.shape[1]:
+        rows = np.nonzero(queues[:, 0] < limit)[0]
+        if rows.size == 0:
+            return
+        for slot, u in unitaries.items():
+            sel = rows[queues[rows, 0] % n_slots == slot]
+            if sel.size:
+                states[sel] = apply(u, states[sel])
+        queues[rows, :-1] = queues[rows, 1:]
+        queues[rows, -1] = _EMPTY
 
 
 class _ExactEngine:
@@ -432,18 +453,6 @@ class _ExactEngine:
         self.table_queues[ids] = queues
         return ids
 
-    def _apply_due_corrections(self, states: np.ndarray, queues: np.ndarray):
-        """Apply the corrections due now (0 steps left, so code = slot)."""
-        while queues.shape[1]:
-            rows = np.nonzero(queues[:, 0] < self.n_slots)[0]
-            if rows.size == 0:
-                return
-            for slot, u in self.ops.unitaries_embedded.items():
-                sel = rows[queues[rows, 0] == slot]
-                states[sel] = states[sel] @ u.T
-            queues[rows, :-1] = queues[rows, 1:]
-            queues[rows, -1] = _EMPTY
-
     def _fill(self, ids: np.ndarray):
         """Fill the table entries of the ids in ``ids`` that have none yet."""
         new = ids[self.succ[ids] < 0]
@@ -484,7 +493,9 @@ class _ExactEngine:
             [adv / np.sqrt(adv2)[:, None], raw[maps, rows] / np.sqrt(nrm2[maps, rows])[:, None]]
         )
         queues = np.concatenate([queues, kid_queues])
-        self._apply_due_corrections(states, queues)
+        # codes count steps until due, so the ones due now are below n_slots
+        _pop_due_corrections(states, queues, self.n_slots, self.n_slots,
+                             ops.unitaries_embedded, lambda u, psis: psis @ u.T)
         reached = self._intern(states, queues)
         # a successor keyed like its own state without equalling it relaxes
         # more slowly than the key resolves; it gets a new entry (which takes
@@ -506,8 +517,10 @@ class _ExactEngine:
     def run(self, grid_steps=(), observables=None):
         """Sweep to t_max; evaluate ``observables`` at each grid step.
 
-        observables: dict label -> fn(states, weights, counts) -> float.
-        Returns {label: np.ndarray over grid_steps}.
+        observables: dict label -> per-row fn(states, counts) -> float array,
+        called on every class row and reduced here as the weighted sum
+        sum(fn(states, counts) * weights). Returns {label: np.ndarray over
+        grid_steps}.
         """
         observables = observables or {}
         grid = sorted(set(int(g) for g in grid_steps))
@@ -520,7 +533,7 @@ class _ExactEngine:
             while grid_pos < len(grid) and grid[grid_pos] == step:
                 states = self.states
                 for label, fn in observables.items():
-                    curves[label][grid_pos] = fn(states, self.weights, self.counts)
+                    curves[label][grid_pos] = float((fn(states, self.counts) * self.weights).sum())
                 grid_pos += 1
             if step == n_steps:
                 break
@@ -622,7 +635,10 @@ def enumerate_trajectories(
 def run_exact_grid(model, psi0, config, policy, grid_steps, observables):
     """Scenario-facing sweep: observable curves over a step grid.
 
-    Returns (curves, engine) so callers can read truncation diagnostics.
+    Observables are per-row functions fn(states, counts) -> float array, as
+    for the samplers; each curve value is the probability-weighted sum over
+    the classes. Returns (curves, engine) so callers can read truncation
+    diagnostics.
     """
     engine = _ExactEngine(model, psi0, config, policy)
     curves = engine.run(grid_steps, observables)
@@ -641,11 +657,10 @@ class SampleResult:
 
 @dataclass
 class SampledCurves:
-    """Per-grid mean and standard error of each observable, plus diagnostics."""
+    """Per-grid mean and standard error of each observable."""
 
     mean: dict[str, np.ndarray]
     sem: dict[str, np.ndarray]
-    extras: dict[str, float] = field(default_factory=dict)
 
 
 _MASK64 = (1 << 64) - 1
@@ -678,7 +693,9 @@ class _BaseSampler:
     vectors or density matrices) through ``_apply`` (A psi or A rho A^+ per row),
     ``_weight`` (norm squared or trace), ``_normalize`` (scales freshly
     computed rows to unit weight in place) and ``_expect`` (<M> per row),
-    and the initial row ``x0``.
+    and the initial row ``x0``. Observables are per-row functions
+    fn(states, counts) -> float array, averaged over the trajectories with
+    weight 1/n_samples each.
     """
 
     eta = 1.0
@@ -694,21 +711,6 @@ class _BaseSampler:
     def _block_rows(self) -> int:
         return _SAMPLE_CHUNK
 
-    def _apply_due_corrections(self, states, pend_due, pend_slot, pend_len, step):
-        # one queue entry per row per pass, so each row's corrections stay FIFO
-        while True:
-            due = np.nonzero(pend_due[:, 0] <= step)[0]
-            if due.size == 0:
-                return
-            for slot, u_emb in self.ops.unitaries_embedded.items():
-                rows = due[pend_slot[due, 0] == slot]
-                if rows.size:
-                    states[rows] = self._apply(u_emb, states[rows])
-            pend_due[due, :-1] = pend_due[due, 1:]
-            pend_due[due, -1] = np.inf
-            pend_slot[due, :-1] = pend_slot[due, 1:]
-            pend_len[due] -= 1
-
     def run(self, grid_steps=(), observables=None, collect_records=False):
         observables = observables or {}
         grid = sorted(set(int(g) for g in grid_steps))
@@ -716,6 +718,7 @@ class _BaseSampler:
         n_steps = cfg.n_steps
         n = cfg.n_samples
         K = ops.n_channels
+        n_slots = self.model.layout.n_subsystems
         eta = self.eta
         acc = {lab: np.zeros(len(grid)) for lab in observables}
         acc2 = {lab: np.zeros(len(grid)) for lab in observables}
@@ -729,14 +732,14 @@ class _BaseSampler:
             states = np.repeat(self.x0[None], m, axis=0)
             counts = np.zeros(m, dtype=np.int64)
             events = [[] for _ in range(m)] if collect_records else None
-            pend_due = np.full((m, _PENDING_CAP), np.inf)
-            pend_slot = np.zeros((m, _PENDING_CAP), dtype=np.int64)
-            pend_len = np.zeros(m, dtype=np.int64)
+            # FIFO queues of (due step) * n_slots + slot codes, widened on demand
+            pending = np.full((m, 0), _EMPTY, dtype=np.int64)
             grid_pos = 0
 
             for step in range(n_steps + 1):
                 if ops.queued_feedback:
-                    self._apply_due_corrections(states, pend_due, pend_slot, pend_len, step)
+                    _pop_due_corrections(states, pending, (step + 1) * n_slots, n_slots,
+                                         ops.unitaries_embedded, self._apply)
                 while grid_pos < len(grid) and grid[grid_pos] == step:
                     for lab, fn in observables.items():
                         vals = fn(states, counts)
@@ -783,11 +786,9 @@ class _BaseSampler:
                         counts[rows] += 1
                         slot = ops.slots[k]
                         if ops.queued_feedback:
-                            if np.any(pend_len[rows] >= _PENDING_CAP):
-                                raise RuntimeError("pending-feedback queue overflow")
-                            pend_due[rows, pend_len[rows]] = ops.due_step(step)
-                            pend_slot[rows, pend_len[rows]] = slot
-                            pend_len[rows] += 1
+                            depth = (pending[rows] != _EMPTY).sum(axis=1)
+                            pending = _grown(pending, int(depth.max()) + 1, axis=1, fill=_EMPTY)
+                            pending[rows, depth] = ops.due_step(step) * n_slots + slot
                         if events is not None:
                             for i in rows:
                                 events[i].append(JumpEvent(time=t_mid, slot=slot, channel=k))
@@ -903,12 +904,14 @@ def sample_density_trajectories(
 
 
 def run_sampled_grid(model, psi0, config, policy, grid_steps, observables) -> SampledCurves:
+    """Wavefunction Monte Carlo mean and SEM of per-row fn(states, counts) observables."""
     sampler = _PureSampler(model, psi0, config, policy)
     curves, _ = sampler.run(grid_steps, observables)
     return curves
 
 
 def run_density_grid(model, rho0, config, policy, grid_steps, observables) -> SampledCurves:
+    """Density-matrix Monte Carlo mean and SEM of per-row fn(rhos, counts) observables."""
     sampler = _DensitySampler(model, rho0, config, policy)
     curves, _ = sampler.run(grid_steps, observables)
     return curves

@@ -118,17 +118,14 @@ def test_ac05_full_protection():
         dt = 1e-3
         tol = 10.0 * dt
         gsteps = list(range(0, 5001, 100))
-        obs = {"neg": lambda s, w, c: float((ent.negativity_batch_pure(s, LAY3) * w).sum())}
+        obs = {"neg": lambda s, c: ent.negativity_batch_pure(s, LAY3)}
         cfg = UnravelingConfig(dt=dt, t_max=5.0, max_jumps=4)
         curves, engine = run_exact_grid(model, psi0, cfg, policy, gsteps, obs)
         assert engine.truncation_mass < 1e-4
         assert np.max(np.abs(curves["neg"] - 0.5)) < tol
 
         cfg_s = UnravelingConfig(dt=dt, t_max=5.0, n_samples=10_000, rng_seed=2024)
-        sampled = run_sampled_grid(
-            model, psi0, cfg_s, policy, gsteps,
-            {"neg": lambda s, c: ent.negativity_batch_pure(s, LAY3)},
-        )
+        sampled = run_sampled_grid(model, psi0, cfg_s, policy, gsteps, obs)
         bound = tol + 3.0 * sampled.sem["neg"]
         assert np.all(np.abs(sampled.mean["neg"] - 0.5) <= bound)
 

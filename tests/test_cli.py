@@ -65,6 +65,24 @@ def test_run_singlet_json_p_ok(tmp_path):
     assert abs(summary["scalars"]["p_ok"] - 0.5) < 1e-9
 
 
+@pytest.mark.parametrize("scenario, extra, labels", [
+    ("bell-monitoring", [], {"E_2"}),
+    ("bell-monitoring", ["--mode", "sampled"], set()),
+    ("singlet-conversion", [], {"P_NJ", "t_star"}),
+    ("qutrit-protection", [], {"E_2", "E_3", "E_3f", "E_3ho", "E_3fho"}),
+    ("cavity-2x3", [], {"E_2x3", "check_t0.2", "check_t0.5"}),
+    ("cavity-thermal", [], set()),
+])
+def test_summary_truncation_mass_by_exact_run(tmp_path, scenario, extra, labels):
+    # one schema for every scenario: exact-run label -> truncated + culled mass
+    out = tmp_path / "out"
+    argv = ["run", scenario, "--t-max", "0.5", "--grid-points", "3", "--samples", "200"]
+    assert main(argv + extra + ["--out-dir", str(out)]) == 0
+    masses = json.loads((out / "summary.json").read_text())["truncation_mass"]
+    assert set(masses) == labels
+    assert all(isinstance(m, float) and 0.0 <= m <= 1.0 for m in masses.values())
+
+
 def test_range_violation_exit_code_2(tmp_path, capsys):
     rc = main(["run", "singlet-conversion", "--alpha", "0.7", "--out-dir", str(tmp_path)])
     assert rc == 2

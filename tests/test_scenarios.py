@@ -121,6 +121,30 @@ def test_qutrit_truncation_reported(qutrit_result):
         assert masses[label] < 1e-4
 
 
+@pytest.mark.parametrize("scenario, dt, n_compared", [
+    ("bell-monitoring", 1e-3, 2),
+    ("qutrit-protection", 5e-3, 8),
+])
+def test_sampled_mode_matches_exact_mode(scenario, dt, n_compared):
+    # the same curves, measure by measure, whichever driver computes them
+    exact, sampled = (
+        run_scenario(ScenarioConfig(scenario=scenario, mode=mode, t_max=1.0, dt=dt,
+                                    grid_points=5, n_samples=2000))
+        for mode in ("exact", "sampled")
+    )
+    assert [(c.label, c.measure) for c in sampled.curves] == [
+        (c.label, c.measure) for c in exact.curves
+    ]
+    compared = 0
+    for ce, cs in zip(exact.curves, sampled.curves):
+        if (ce.sem is None) == (cs.sem is None):
+            continue  # same driver kind in both runs
+        sem = cs.sem if cs.sem is not None else ce.sem
+        assert np.all(np.abs(ce.values - cs.values) <= 10 * dt + 4 * sem), ce.label
+        compared += 1
+    assert compared == n_compared
+
+
 def test_cavity_closed_forms_limits():
     t = np.array([0.0, 0.5, 2.0])
     c = cavity_closed_forms(0.5, 1.0, t)

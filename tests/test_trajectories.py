@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from jumpguard import trajectories
-from jumpguard.linalg import make_layout, normalized, product_basis_state
+from jumpguard.linalg import basis_state, make_layout, normalized, product_basis_state
 from jumpguard.models import (
     CascadeSpec,
     DecayChannel,
     OpenSystemModel,
+    ThermalSpec,
     build_qubit_pair,
     build_qutrit_cascade,
     build_qutrit_pair,
+    build_thermal_oscillator,
     evolve_master,
 )
 from jumpguard.trajectories import (
@@ -457,6 +459,22 @@ def test_delayed_feedback_keeps_states_pure_and_entangled():
     })
     # protection with a small delay is still close to maximal at gamma t = 2
     assert 0.3 < out.mean["neg"][0] <= 0.5 + 1e-12
+
+
+def test_long_delay_queue_grows_without_changing_records():
+    # a thermal ladder jumps up to 18 times per trajectory within gamma t = 2,
+    # so a 0.5 delay keeps many corrections pending at once; identity
+    # corrections must leave every record equal to the run without feedback
+    model = build_thermal_oscillator(1.0, ThermalSpec(1.0), 4)
+    psi0 = basis_state(4, 2)
+    cfg = UnravelingConfig(dt=2.5e-3, t_max=2.0, n_samples=200, rng_seed=7)
+    policy = FeedbackPolicy(unitaries={0: np.eye(4)}, delay=0.5)
+    plain = sample_trajectories(model, psi0, cfg).records
+    queued = sample_trajectories(model, psi0, cfg, policy).records
+    assert max(r.n_jumps for r in plain) > 8
+    for ra, rb in zip(plain, queued, strict=True):
+        assert ra.events == rb.events
+        assert np.array_equal(ra.state, rb.state)
 
 
 def test_pure_sampler_rejects_inefficiency():
