@@ -192,6 +192,8 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
         "sampling_sigma_max": sampling,
         "warnings": all_warnings,
     }
+    # driver and sample count of qutrit-protection's non-ideal feedback curves
+    summary.update({k: result.metadata[k] for k in ("tau_run", "eta_run") if k in result.metadata})
     _atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     outputs.append("summary.json")
 

@@ -24,9 +24,12 @@ discrete jumps. Three drivers are provided.
   of trajectory order and of the block or batch size.
 
 * Density-matrix sampling (`sample_density_trajectories`): required when
-  detection efficiency eta < 1. Recorded jumps update the state
-  projectively (and trigger feedback); unrecorded jumps are folded into
-  the smooth map, mixing the observer's conditional state.
+  detection efficiency eta < 1. The same sampler steps rows that hold
+  vec(rho) in row-major order, on which a map A acts as A (x) A*, so each
+  map is one matrix product per block of rows. Recorded jumps update the
+  state projectively and trigger feedback; unrecorded jumps fold into the
+  no-record map N (x) N* + (1 - eta) sum_k S_k (x) S_k*, which mixes the
+  observer's conditional state.
 
 Per step of length dt the no-jump update is the exact exponential
 exp(-1/2 G dt) with G = sum_k gamma_k L_k+ L_k, so the no-jump probability
@@ -170,6 +173,24 @@ def _check_rate_resolution(model: OpenSystemModel, dt: float):
         )
 
 
+def _initial_state(x0, dim: int, ndim: int) -> np.ndarray:
+    """``x0`` as a complex array, checked before any step: a normalized state
+    vector (``ndim`` 1) or a unit-trace, Hermitian, positive semidefinite
+    density matrix (``ndim`` 2) on the model's ``dim``-dimensional space."""
+    x0 = np.asarray(x0, dtype=np.complex128)
+    what, unit = ("initial density matrix", "trace") if ndim == 2 else ("initial state", "norm")
+    if x0.shape != (dim,) * ndim:
+        raise ValueError(f"{what} must have shape {(dim,) * ndim}, got {x0.shape}")
+    if ndim == 2 and np.max(np.abs(x0 - dagger(x0))) > 1e-10:
+        raise ValueError("initial density matrix is not Hermitian")
+    if ndim == 2 and np.linalg.eigvalsh(x0)[0] < -1e-10:
+        raise ValueError("initial density matrix is not positive semidefinite")
+    value = np.trace(x0).real if ndim == 2 else np.vdot(x0, x0).real
+    if abs(value - 1.0) > 1e-10:
+        raise ValueError(f"{what} must have unit {unit}, got {value:.12g}")
+    return x0
+
+
 def _mass_fraction(u: np.ndarray) -> np.ndarray:
     """(1 - exp(-u)) / u, stable at u -> 0."""
     out = np.empty_like(u)
@@ -216,12 +237,14 @@ class StepOperators:
                 )
 
         self.weight_mats = []     # M_k = gamma_k dt W L+ L W
+        self.split_maps = []      # B_k = sqrt(gamma_k dt) L W, so M_k = B_k+ B_k
         self.jump_maps = []       # sqrt(gamma_k dt) N_half L N_half
         self.jump_maps_fb = []    # immediate feedback: U folded in; else jump_maps
         for ch, L in zip(model.channels, model.embedded_ops):
             g = ch.rate * dt
             W = self.weight_root
             self.weight_mats.append(g * (W @ dagger(L) @ L @ W))
+            self.split_maps.append(math.sqrt(g) * (L @ W))
             self.jump_maps.append(math.sqrt(g) * (self.no_jump_half @ L @ self.no_jump_half))
             if self.immediate_feedback:
                 u = self.unitaries_embedded[ch.slot]
@@ -332,21 +355,22 @@ def _grown(arr: np.ndarray, size: int, axis: int = 0, fill=-1) -> np.ndarray:
 _EMPTY = np.iinfo(np.int64).max  # free pending-queue entry
 
 
-def _pop_due_corrections(states, queues, limit, n_slots, unitaries, apply):
+def _pop_due_corrections(states, queues, limit, n_slots, corrections):
     """Apply and dequeue the pending corrections whose codes lie below ``limit``.
 
     A code is (due step) * n_slots + slot; column 0 holds each row's next
     correction and one entry per row is popped per pass, so a row's
-    corrections act in queue order. ``apply(U, rows)`` maps the state rows.
+    corrections act in queue order. ``corrections`` maps slot -> the
+    transposed row map, applied as ``rows @ corrections[slot]``.
     """
     while queues.shape[1]:
         rows = np.nonzero(queues[:, 0] < limit)[0]
         if rows.size == 0:
             return
-        for slot, u in unitaries.items():
+        for slot, ut in corrections.items():
             sel = rows[queues[rows, 0] % n_slots == slot]
             if sel.size:
-                states[sel] = apply(u, states[sel])
+                states[sel] = states[sel] @ ut
         queues[rows, :-1] = queues[rows, 1:]
         queues[rows, -1] = _EMPTY
 
@@ -371,9 +395,7 @@ class _ExactEngine:
                 "exact enumeration supports efficiency 1 only; "
                 "use sample_density_trajectories for eta < 1"
             )
-        psi0 = as_vector(psi0)
-        if abs(np.vdot(psi0, psi0).real - 1.0) > 1e-10:
-            raise ValueError("initial state must be normalized")
+        psi0 = _initial_state(psi0, model.dim, ndim=1)
         self.ops = ops = StepOperators(model, config.dt, policy)
         self.config = config
         K = ops.n_channels
@@ -495,7 +517,7 @@ class _ExactEngine:
         queues = np.concatenate([queues, kid_queues])
         # codes count steps until due, so the ones due now are below n_slots
         _pop_due_corrections(states, queues, self.n_slots, self.n_slots,
-                             ops.unitaries_embedded, lambda u, psis: psis @ u.T)
+                             {slot: u.T for slot, u in ops.unitaries_embedded.items()})
         reached = self._intern(states, queues)
         # a successor keyed like its own state without equalling it relaxes
         # more slowly than the key resolves; it gets a new entry (which takes
@@ -686,30 +708,59 @@ def _step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     return (_splitmix64(keys + offset) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-class _BaseSampler:
+class _Sampler:
     """Vectorized Monte Carlo unraveling over blocks of trajectory rows.
 
-    The loop is shared; subclasses fix the row representation (state
-    vectors or density matrices) through ``_apply`` (A psi or A rho A^+ per row),
-    ``_weight`` (norm squared or trace), ``_normalize`` (scales freshly
-    computed rows to unit weight in place) and ``_expect`` (<M> per row),
-    and the initial row ``x0``. Observables are per-row functions
-    fn(states, counts) -> float array, averaged over the trajectories with
-    weight 1/n_samples each.
+    A row is a state vector psi, or a row-major vec(rho) when ``x0`` is a
+    density matrix. Every per-step map A acts on rows through its lift: A
+    itself on state vectors and A (x) A* on vec(rho), where it gives
+    vec(A rho A^+); rows are mapped as ``rows @ lift(A).T``. A row's weight
+    is |psi|^2 or tr rho. Recorded jumps (a fraction eta of the physical
+    ones) update the row projectively and trigger feedback; unrecorded jumps
+    fold into the no-record map N (x) N* + (1 - eta) sum_k S_k (x) S_k*.
+    Observables are per-row functions fn(states, counts) -> float array,
+    density rows reshaped to (n, d, d), averaged with weight 1/n_samples.
     """
 
-    eta = 1.0
-
-    def __init__(self, model, config: UnravelingConfig, policy: FeedbackPolicy | None):
-        self.model = model
+    def __init__(self, model, x0, config: UnravelingConfig, policy: FeedbackPolicy | None):
         self.config = config
-        self.policy = policy if (policy is not None and policy.enabled) else None
         if not 0 <= config.rng_seed <= _MASK64:
             raise ValueError(f"rng_seed must lie in [0, 2**64), got {config.rng_seed}")
-        self.ops = StepOperators(model, config.dt, policy)
+        self.ops = ops = StepOperators(model, config.dt, policy)
+        self.eta = eta = ops.policy.efficiency if ops.policy is not None else 1.0
+        self.d = d = model.dim
+        self.density = x0.ndim == 2
+        if eta < 1.0 and not self.density:
+            raise ValueError("pure-state sampling supports efficiency 1 only; "
+                             "use sample_density_trajectories for eta < 1")
+        self.x0 = x0.reshape(-1)
+        lift = (lambda A: np.kron(A, A.conj())) if self.density else (lambda A: A)
 
-    def _block_rows(self) -> int:
-        return _SAMPLE_CHUNK
+        # transposed row maps: rows @ map
+        no_jump = lift(ops.no_jump)
+        self.advance = (no_jump + (1.0 - eta) * sum(map(lift, ops.jump_maps))).T
+        # tr(N rho N^+) as one product with vec(rho), needed when the
+        # advance also holds the unrecorded jumps
+        self.no_jump_trace = no_jump[:: d + 1].sum(axis=0) if eta < 1.0 else None
+        self.jumps = np.concatenate([lift(S).T for S in ops.jump_maps_fb], axis=1)
+        self.splits = np.concatenate([lift(B).T for B in ops.split_maps], axis=1)
+        self.corrections = {slot: lift(u).T for slot, u in ops.unitaries_embedded.items()}
+
+    def _weight(self, rows):
+        """|psi|^2 or tr rho along the last axis."""
+        if self.density:
+            return rows.real[..., :: self.d + 1].sum(axis=-1)
+        re_im = rows.view(np.float64)
+        return np.einsum("...i,...i->...", re_im, re_im)
+
+    def _normalize(self, rows, weight):
+        """Scale freshly computed rows to unit weight in place."""
+        re_im = rows.view(np.float64)
+        re_im *= (1.0 / (weight if self.density else np.sqrt(weight)))[:, None]
+        return rows
+
+    def _states(self, rows):
+        return rows.reshape(-1, self.d, self.d) if self.density else rows
 
     def run(self, grid_steps=(), observables=None, collect_records=False):
         observables = observables or {}
@@ -718,12 +769,11 @@ class _BaseSampler:
         n_steps = cfg.n_steps
         n = cfg.n_samples
         K = ops.n_channels
-        n_slots = self.model.layout.n_subsystems
-        eta = self.eta
-        acc = {lab: np.zeros(len(grid)) for lab in observables}
-        acc2 = {lab: np.zeros(len(grid)) for lab in observables}
+        n_slots = ops.model.layout.n_subsystems
+        D = self.x0.size  # row length
+        acc = {lab: np.zeros((2, len(grid))) for lab in observables}  # sums of f and f^2
         records: list[TrajectoryRecord] = []
-        block = self._block_rows()
+        block = max(1, _SAMPLE_CHUNK * self.d // D)
 
         for lo in range(0, n, block):
             hi = min(lo + block, n)
@@ -739,144 +789,56 @@ class _BaseSampler:
             for step in range(n_steps + 1):
                 if ops.queued_feedback:
                     _pop_due_corrections(states, pending, (step + 1) * n_slots, n_slots,
-                                         ops.unitaries_embedded, self._apply)
+                                         self.corrections)
                 while grid_pos < len(grid) and grid[grid_pos] == step:
                     for lab, fn in observables.items():
-                        vals = fn(states, counts)
-                        acc[lab][grid_pos] += vals.sum()
-                        acc2[lab][grid_pos] += (vals * vals).sum()
+                        vals = fn(self._states(states), counts)
+                        acc[lab][:, grid_pos] += vals.sum(), (vals * vals).sum()
                     grid_pos += 1
                 if step == n_steps:
                     break
 
-                # N^+ N = 1 - dt W G W, so the no-jump norm gives the total
+                # N^+ N = 1 - dt W G W, so the no-jump weight gives the total
                 # (recorded) jump probability of the step
-                adv = self._apply(ops.no_jump, states)
-                stay = self._weight(adv)
-                q_tot = eta * (1.0 - stay)
+                adv = states @ self.advance
+                weight = self._weight(adv)
+                stay = weight if self.no_jump_trace is None else (states @ self.no_jump_trace).real
+                q_tot = self.eta * (1.0 - stay)
                 u = _step_uniforms(keys, step)
                 jumpers = np.nonzero(u < q_tot)[0]
                 pre = states[jumpers]
-                if eta < 1.0:
-                    # unrecorded jumps fold into the smooth no-record map
-                    for Sk in ops.jump_maps:
-                        adv += (1.0 - eta) * self._apply(Sk, states)
-                    stay = self._weight(adv)
-                states = self._normalize(adv, stay)
+                states = self._normalize(adv, weight)
 
                 if jumpers.size:
-                    cum = np.cumsum(
-                        np.stack([self._expect(M, pre) for M in ops.weight_mats], axis=1),
-                        axis=1,
-                    )
+                    split = self._weight((pre @ self.splits).reshape(jumpers.size, K, D))
+                    cum = np.cumsum(split, axis=1)
                     ok = cum[:, -1] > 0.0
                     jumpers, pre, cum = jumpers[ok], pre[ok], cum[ok]
                     # rescale the draw so the channel split uses the same
                     # floating-point total as the jump decision did
                     r = u[jumpers] * (cum[:, -1] / q_tot[jumpers])
                     chosen = np.minimum((r[:, None] >= cum).sum(axis=1), K - 1)
-                    t_mid = (step + 0.5) * cfg.dt
-                    for k in range(K):
-                        sel = chosen == k
-                        if not np.any(sel):
-                            continue
-                        rows = jumpers[sel]
-                        y = self._apply(ops.jump_maps_fb[k], pre[sel])
-                        states[rows] = self._normalize(y, self._weight(y))
-                        counts[rows] += 1
-                        slot = ops.slots[k]
-                        if ops.queued_feedback:
-                            depth = (pending[rows] != _EMPTY).sum(axis=1)
-                            pending = _grown(pending, int(depth.max()) + 1, axis=1, fill=_EMPTY)
-                            pending[rows, depth] = ops.due_step(step) * n_slots + slot
-                        if events is not None:
-                            for i in rows:
-                                events[i].append(JumpEvent(time=t_mid, slot=slot, channel=k))
+                    y = (pre @ self.jumps).reshape(-1, K, D)[np.arange(chosen.size), chosen]
+                    states[jumpers] = self._normalize(y, self._weight(y))
+                    counts[jumpers] += 1
+                    slots = np.asarray(ops.slots)[chosen]
+                    if ops.queued_feedback:
+                        depth = (pending[jumpers] != _EMPTY).sum(axis=1)
+                        pending = _grown(pending, depth.max(initial=0) + 1, axis=1, fill=_EMPTY)
+                        pending[jumpers, depth] = ops.due_step(step) * n_slots + slots
+                    if events is not None:
+                        t_mid = (step + 0.5) * cfg.dt
+                        for i, slot, k in zip(jumpers, slots.tolist(), chosen.tolist()):
+                            events[i].append(JumpEvent(time=t_mid, slot=slot, channel=k))
 
             if collect_records:
-                w = 1.0 / n
-                for i in range(m):
-                    records.append(TrajectoryRecord(tuple(events[i]), states[i].copy(), w))
+                records += [TrajectoryRecord(tuple(ev), x.copy(), 1.0 / n)
+                            for ev, x in zip(events, self._states(states))]
 
-        mean = {lab: acc[lab] / n for lab in observables}
-        sem = {
-            lab: np.sqrt(np.clip(acc2[lab] / n - mean[lab] ** 2, 0.0, None) / n)
-            for lab in observables
-        }
+        mean = {lab: a[0] / n for lab, a in acc.items()}
+        sem = {lab: np.sqrt(np.clip(a[1] / n - mean[lab] ** 2, 0.0, None) / n)
+               for lab, a in acc.items()}
         return SampledCurves(mean=mean, sem=sem), records
-
-
-class _PureSampler(_BaseSampler):
-    """Wavefunction Monte Carlo: each row is a normalized state vector."""
-
-    def __init__(self, model, psi0, config, policy):
-        super().__init__(model, config, policy)
-        if self.policy is not None and self.policy.efficiency < 1.0:
-            raise ValueError(
-                "pure-state sampling supports efficiency 1 only; "
-                "use sample_density_trajectories for eta < 1"
-            )
-        psi0 = as_vector(psi0)
-        if abs(np.vdot(psi0, psi0).real - 1.0) > 1e-10:
-            raise ValueError("initial state must be normalized")
-        self.x0 = psi0
-
-    @staticmethod
-    def _apply(A, psis):
-        return psis @ A.T
-
-    @staticmethod
-    def _weight(psis):
-        re_im = psis.view(np.float64)
-        return np.einsum("bi,bi->b", re_im, re_im)
-
-    @staticmethod
-    def _normalize(psis, weight):
-        re_im = psis.view(np.float64)
-        re_im *= (1.0 / np.sqrt(weight))[:, None]
-        return psis
-
-    @staticmethod
-    def _expect(M, psis):
-        return ((psis.conj() @ M) * psis).sum(axis=1).real
-
-
-class _DensitySampler(_BaseSampler):
-    """Density-matrix Monte Carlo for inefficient detection (eta <= 1).
-
-    Recorded jumps (probability eta per physical jump) update the state
-    projectively and trigger feedback; unrecorded jumps are folded into the
-    smooth no-record map, so the conditional state mixes.
-    """
-
-    def __init__(self, model, rho0, config, policy):
-        super().__init__(model, config, policy)
-        rho0 = as_matrix(rho0)
-        if abs(np.trace(rho0).real - 1.0) > 1e-10:
-            raise ValueError("initial density matrix must have unit trace")
-        self.x0 = rho0
-        self.eta = self.policy.efficiency if self.policy is not None else 1.0
-
-    def _block_rows(self) -> int:
-        return max(1, _SAMPLE_CHUNK // max(1, self.model.dim))
-
-    @staticmethod
-    def _apply(A, rhos):
-        return A @ rhos @ dagger(A)
-
-    @staticmethod
-    def _weight(rhos):
-        return np.einsum("nii->n", rhos).real
-
-    @staticmethod
-    def _normalize(rhos, weight):
-        re_im = rhos.view(np.float64)
-        re_im *= (1.0 / weight)[:, None, None]
-        return rhos
-
-    @staticmethod
-    def _expect(M, rhos):
-        return np.einsum("nij,ji->n", rhos, M).real
 
 
 def sample_trajectories(
@@ -886,9 +848,8 @@ def sample_trajectories(
     policy: FeedbackPolicy | None = None,
 ) -> SampleResult:
     """Monte Carlo wavefunction records; weight 1/n_samples each."""
-    sampler = _PureSampler(model, psi0, config, policy)
-    _, records = sampler.run(collect_records=True)
-    return SampleResult(records=records)
+    sampler = _Sampler(model, _initial_state(psi0, model.dim, ndim=1), config, policy)
+    return SampleResult(records=sampler.run(collect_records=True)[1])
 
 
 def sample_density_trajectories(
@@ -898,20 +859,17 @@ def sample_density_trajectories(
     policy: FeedbackPolicy | None = None,
 ) -> SampleResult:
     """Inefficient-monitoring records: density matrices conditioned on recorded jumps."""
-    sampler = _DensitySampler(model, rho0, config, policy)
-    _, records = sampler.run(collect_records=True)
-    return SampleResult(records=records)
+    sampler = _Sampler(model, _initial_state(rho0, model.dim, ndim=2), config, policy)
+    return SampleResult(records=sampler.run(collect_records=True)[1])
 
 
 def run_sampled_grid(model, psi0, config, policy, grid_steps, observables) -> SampledCurves:
     """Wavefunction Monte Carlo mean and SEM of per-row fn(states, counts) observables."""
-    sampler = _PureSampler(model, psi0, config, policy)
-    curves, _ = sampler.run(grid_steps, observables)
-    return curves
+    sampler = _Sampler(model, _initial_state(psi0, model.dim, ndim=1), config, policy)
+    return sampler.run(grid_steps, observables)[0]
 
 
 def run_density_grid(model, rho0, config, policy, grid_steps, observables) -> SampledCurves:
     """Density-matrix Monte Carlo mean and SEM of per-row fn(rhos, counts) observables."""
-    sampler = _DensitySampler(model, rho0, config, policy)
-    curves, _ = sampler.run(grid_steps, observables)
-    return curves
+    sampler = _Sampler(model, _initial_state(rho0, model.dim, ndim=2), config, policy)
+    return sampler.run(grid_steps, observables)[0]

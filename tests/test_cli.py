@@ -83,6 +83,17 @@ def test_summary_truncation_mass_by_exact_run(tmp_path, scenario, extra, labels)
     assert all(isinstance(m, float) and 0.0 <= m <= 1.0 for m in masses.values())
 
 
+def test_summary_reports_non_ideal_feedback_runs(tmp_path):
+    # E_3f_eta runs on at most 3000 samples; summary.json must say so
+    out = tmp_path / "out"
+    argv = ["run", "qutrit-protection", "--mode", "sampled", "--t-max", "0.2",
+            "--grid-points", "3", "--samples", "4000", "--tau", "0.05", "--eta", "0.9"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tau_run"] == {"driver": "pure-sampled", "n_samples": 4000, "tau": 0.05}
+    assert summary["eta_run"] == {"driver": "density-sampled", "n_samples": 3000, "eta": 0.9}
+
+
 def test_range_violation_exit_code_2(tmp_path, capsys):
     rc = main(["run", "singlet-conversion", "--alpha", "0.7", "--out-dir", str(tmp_path)])
     assert rc == 2

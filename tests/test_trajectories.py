@@ -404,10 +404,12 @@ def test_sample_events_independent_of_block_size(monkeypatch):
 # -- inefficiency and delay -------------------------------------------------
 
 
-def test_eta_one_density_matches_pure_driver():
+@pytest.mark.parametrize("delay", [0.0, 0.02])
+def test_eta_one_density_matches_pure_driver(delay):
+    # with delay > 0 the queued corrections act on vec(rho) rows
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     psi0 = code_bell3()
-    policy = FeedbackPolicy.qutrit_cyclic(efficiency=1.0)
+    policy = FeedbackPolicy.qutrit_cyclic(delay=delay, efficiency=1.0)
     cfg = UnravelingConfig(dt=2e-3, t_max=0.5, n_samples=50, rng_seed=13)
     pure = sample_trajectories(model, psi0, cfg, policy)
     dens = sample_density_trajectories(model, np.outer(psi0, psi0.conj()), cfg, policy)
@@ -475,6 +477,22 @@ def test_long_delay_queue_grows_without_changing_records():
     for ra, rb in zip(plain, queued, strict=True):
         assert ra.events == rb.events
         assert np.array_equal(ra.state, rb.state)
+
+
+@pytest.mark.parametrize("driver, x0, match", [
+    (enumerate_trajectories, np.ones(4) / 2.0, r"shape \(9,\), got \(4,\)"),
+    (sample_trajectories, np.ones(4) / 2.0, r"shape \(9,\), got \(4,\)"),
+    (sample_trajectories, np.ones(9), "unit norm"),
+    (sample_density_trajectories, np.eye(4) / 4.0, r"shape \(9, 9\), got \(4, 4\)"),
+    (sample_density_trajectories, np.diag([1.5, -0.5] + [0.0] * 7), "positive semidefinite"),
+    (sample_density_trajectories, np.eye(9) / 9.0 + np.eye(9, k=1) / 9.0, "Hermitian"),
+    (sample_density_trajectories, np.eye(9) / 8.0, "unit trace"),
+])
+def test_initial_state_checked_up_front(driver, x0, match):
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    cfg = UnravelingConfig(dt=1e-3, t_max=0.01, n_samples=4)
+    with pytest.raises(ValueError, match=match):
+        driver(model, x0, cfg)
 
 
 def test_pure_sampler_rejects_inefficiency():
