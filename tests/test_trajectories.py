@@ -404,9 +404,7 @@ def test_sample_events_independent_of_block_size(monkeypatch):
 # -- inefficiency and delay -------------------------------------------------
 
 
-@pytest.mark.parametrize("delay", [0.0, 0.02])
-def test_eta_one_density_matches_pure_driver(delay):
-    # with delay > 0 the queued corrections act on vec(rho) rows
+def _assert_eta_one_density_matches_pure_driver(delay):
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     psi0 = code_bell3()
     policy = FeedbackPolicy.qutrit_cyclic(delay=delay, efficiency=1.0)
@@ -417,6 +415,15 @@ def test_eta_one_density_matches_pure_driver(delay):
         assert rp.events == rd.events
         proj = np.outer(rp.state, rp.state.conj())
         assert np.max(np.abs(proj - rd.state)) < 1e-10
+
+
+def test_eta_one_density_matches_pure_driver():
+    _assert_eta_one_density_matches_pure_driver(delay=0.0)
+
+
+def test_eta_one_density_matches_pure_driver_with_delay():
+    # with delay > 0 the queued corrections act on vec(rho) rows
+    _assert_eta_one_density_matches_pure_driver(delay=0.02)
 
 
 def test_eta_zero_reduces_to_master_equation():
