@@ -1,19 +1,23 @@
 """Bipartite entanglement quantifiers and trajectory-ensemble averaging.
 
-Measures follow the usual conventions:
+Pure-state measures are functions of the Schmidt coefficients s_1 >= s_2 >=
+..., the singular values of the d_A x d_B amplitude matrix A of psi
+(psi = vec A, row-major), taken from one batched SVD:
 
-* concurrence (two qubits): C = max(0, l1 - l2 - l3 - l4) with l_i the
-  descending square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy);
-  for a pure state this reduces to |<psi| sy x sy |psi*>|.
-* entanglement of formation (two qubits): E_F = h((1 + sqrt(1 - C^2)) / 2)
-  with h the binary entropy, base 2.
-* negativity: absolute sum of the negative eigenvalues of the partial
-  transpose, equal to (||rho^Tb||_1 - 1) / 2. Bounded by (d_min - 1)/2.
-* entropy of entanglement (pure states): von Neumann entropy, base 2, of
-  either reduced state.
+* negativity N = sum_{i<j} s_i s_j, the partial transpose of |psi><psi|
+  having eigenvalues s_i^2 and +-s_i s_j (Vidal and Werner);
+* entropy of entanglement S = -sum_i s_i^2 log2 s_i^2;
+* two-qubit concurrence C = 2 s_1 s_2 = 2 |det A|.
 
-Trajectory averages weight the per-record measure by the record
-probability, E = sum_i E(psi_i) P_i.
+For a density matrix the negativity is the absolute sum of the negative
+eigenvalues of the partial transpose, (||rho^Tb||_1 - 1) / 2 <= (d_min - 1)/2,
+and the two-qubit concurrence Wootters' C = max(0, l1 - l2 - l3 - l4), l_i
+the descending square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
+One clip holds for both negativities: an eigenvalue or a product s_i s_j
+below 1e-12 in modulus counts as zero; the entropy skips s_i^2 <= 1e-12.
+Two-qubit entanglement of formation is E_F = h((1 + sqrt(1 - C^2)) / 2), h
+the binary entropy, base 2. Trajectory averages weight the per-record
+measure by the record probability, E = sum_i E(psi_i) P_i.
 """
 
 from __future__ import annotations
@@ -23,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SpaceLayout,
-    as_matrix,
-    as_vector,
-    make_layout,
-    partial_trace,
-    partial_transpose,
-)
+from .linalg import SpaceLayout, as_matrix, as_vector, make_layout, partial_transpose
 
 _EIG_CLIP = 1e-12
 
@@ -72,27 +69,72 @@ class EntanglementValue:
         return cls(measure, min(v, cap))
 
 
-_SY2 = np.kron(
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-)
+# Batched kernels: stacks of state vectors (n, d) or density matrices
+# (n, d, d); the scalar functions below are batches of one.
 
 
-def _require_two_qubits(rho: np.ndarray):
-    if rho.shape != (4, 4):
-        raise ValueError(f"two-qubit state required, got shape {rho.shape}")
+def _schmidt(states: np.ndarray, layout) -> np.ndarray:
+    """Schmidt coefficients, descending, of each row of a stack (n, d_A d_B)."""
+    layout = make_layout(layout)
+    layout.require_bipartite()
+    return np.linalg.svd(states.reshape(len(states), *layout.subsystem_dims), compute_uv=False)
+
+
+def negativity_batch_pure(states: np.ndarray, layout: SpaceLayout) -> np.ndarray:
+    s = _schmidt(states, layout)
+    i, j = np.triu_indices(s.shape[1], 1)
+    products = s[:, i] * s[:, j]
+    return np.where(products < _EIG_CLIP, 0.0, products).sum(axis=1)
+
+
+def negativity_batch_density(rhos: np.ndarray, layout: SpaceLayout) -> np.ndarray:
+    eig = np.linalg.eigvalsh(partial_transpose(rhos, 1, layout))
+    eig = np.where(np.abs(eig) < _EIG_CLIP, 0.0, eig)
+    return -np.where(eig < 0, eig, 0.0).sum(axis=-1)
+
+
+def entropy_batch_pure(states: np.ndarray, layout: SpaceLayout) -> np.ndarray:
+    lam = _schmidt(states, layout) ** 2
+    safe = np.where(lam > _EIG_CLIP, lam, 1.0)
+    return -(lam * np.log2(safe)).sum(axis=1)
+
+
+def _pure_concurrence(states: np.ndarray) -> np.ndarray:
+    s = _schmidt(states, (2, 2))
+    return 2.0 * s[:, 0] * s[:, 1]
+
+
+def _binary_entropy(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    interior = (p > 0.0) & (p < 1.0)
+    q = np.where(interior, p, 0.5)
+    return np.where(interior, -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q)), 0.0)
+
+
+def _eof(c) -> np.ndarray:
+    c = np.clip(c, 0.0, 1.0)
+    return _binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
+
+
+def eof_batch_pure_2q(states: np.ndarray) -> np.ndarray:
+    return _eof(_pure_concurrence(states))
+
+
+# Scalar measures
+
+_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+_SY2 = np.kron(_SY, _SY)
 
 
 def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+    return float(_binary_entropy(p))
 
 
 def concurrence_2q(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix."""
     rho = as_matrix(rho)
-    _require_two_qubits(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"two-qubit state required, got shape {rho.shape}")
     rho_tilde = _SY2 @ rho.conj() @ _SY2
     lam = np.linalg.eigvals(rho @ rho_tilde)
     lam = np.sqrt(np.clip(lam.real, 0.0, None))
@@ -101,16 +143,15 @@ def concurrence_2q(rho: np.ndarray) -> float:
 
 
 def pure_concurrence_2q(psi: np.ndarray) -> float:
-    """|<psi| sy x sy |psi*>|, equal to the mixed-state formula on projectors."""
+    """2 s_1 s_2, equal to the mixed-state formula on projectors."""
     psi = as_vector(psi)
     if psi.shape != (4,):
         raise ValueError("two-qubit pure state required")
-    return float(abs(psi @ _SY2 @ psi))
+    return float(_pure_concurrence(psi[None])[0])
 
 
 def eof_from_concurrence(c: float) -> float:
-    c = min(max(float(c), 0.0), 1.0)
-    return binary_entropy(0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c))))
+    return float(_eof(float(c)))
 
 
 def eof_2q(rho: np.ndarray) -> float:
@@ -120,26 +161,16 @@ def eof_2q(rho: np.ndarray) -> float:
 
 def negativity(rho: np.ndarray, layout: SpaceLayout) -> float:
     """Absolute sum of negative eigenvalues of the partial transpose."""
-    layout = make_layout(layout)
-    rho = as_matrix(rho)
-    pt = partial_transpose(rho, 1, layout)
-    eig = np.linalg.eigvalsh(pt)
-    eig = np.where(np.abs(eig) < _EIG_CLIP, 0.0, eig)
-    return float(-eig[eig < 0].sum())
+    return float(negativity_batch_density(as_matrix(rho)[None], layout)[0])
 
 
 def entanglement_entropy(psi: np.ndarray, layout: SpaceLayout) -> float:
     """Von Neumann entropy (base 2) of either reduced state of a pure state."""
-    layout = make_layout(layout)
     psi = as_vector(psi)
     n2 = np.vdot(psi, psi).real
     if abs(n2 - 1.0) > 1e-8:
         raise ValueError(f"state not normalized (|psi|^2 = {n2})")
-    reduced = partial_trace(np.outer(psi, psi.conj()), 0, layout)
-    lam = np.linalg.eigvalsh(reduced)
-    lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > _EIG_CLIP]
-    return float(-(lam * np.log2(lam)).sum())
+    return float(entropy_batch_pure(psi[None], layout)[0])
 
 
 def measure_state(state: np.ndarray, measure: Measure, layout: SpaceLayout) -> float:
@@ -148,18 +179,19 @@ def measure_state(state: np.ndarray, measure: Measure, layout: SpaceLayout) -> f
     state = np.asarray(state, dtype=np.complex128)
     pure = state.ndim == 1
     if measure is Measure.NEGATIVITY:
-        rho = np.outer(state, state.conj()) if pure else state
-        return negativity(rho, layout)
+        if pure:
+            return float(negativity_batch_pure(state[None], layout)[0])
+        return negativity(state, layout)
     if measure is Measure.ENTROPY_OF_ENTANGLEMENT:
         if not pure:
             raise ValueError("entropy of entanglement is defined for pure records only")
         return entanglement_entropy(state, layout)
     if layout.subsystem_dims != (2, 2):
         raise ValueError(f"{measure.value} requires a two-qubit layout")
+    c = pure_concurrence_2q(state) if pure else concurrence_2q(state)
     if measure is Measure.CONCURRENCE:
-        return pure_concurrence_2q(state) if pure else concurrence_2q(state)
+        return c
     if measure is Measure.ENTANGLEMENT_OF_FORMATION:
-        c = pure_concurrence_2q(state) if pure else concurrence_2q(state)
         return eof_from_concurrence(c)
     raise ValueError(f"unknown measure {measure}")
 
@@ -175,49 +207,3 @@ def average_entanglement(records, measure: Measure, layout: SpaceLayout) -> floa
     for rec in records:
         total += rec.probability * measure_state(rec.state, measure, layout)
     return float(total)
-
-
-# Batched helpers used by the scenario observables; these operate on stacks
-# of state vectors (n, d) or density matrices (n, d, d).
-
-
-def negativity_batch_pure(states: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    layout = make_layout(layout)
-    da, db = layout.subsystem_dims
-    n = states.shape[0]
-    rho = np.einsum("ni,nj->nij", states, states.conj())
-    pt = rho.reshape(n, da, db, da, db).transpose(0, 1, 4, 3, 2).reshape(n, da * db, da * db)
-    eig = np.linalg.eigvalsh(pt)
-    eig = np.where(np.abs(eig) < _EIG_CLIP, 0.0, eig)
-    return -np.where(eig < 0, eig, 0.0).sum(axis=1)
-
-
-def negativity_batch_density(rhos: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    layout = make_layout(layout)
-    da, db = layout.subsystem_dims
-    n = rhos.shape[0]
-    pt = rhos.reshape(n, da, db, da, db).transpose(0, 1, 4, 3, 2).reshape(n, da * db, da * db)
-    eig = np.linalg.eigvalsh(pt)
-    eig = np.where(np.abs(eig) < _EIG_CLIP, 0.0, eig)
-    return -np.where(eig < 0, eig, 0.0).sum(axis=1)
-
-
-def entropy_batch_pure(states: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    layout = make_layout(layout)
-    da, db = layout.subsystem_dims
-    n = states.shape[0]
-    amp = states.reshape(n, da, db)
-    reduced = np.einsum("nab,ncb->nac", amp, amp.conj())
-    lam = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
-    safe = np.where(lam > _EIG_CLIP, lam, 1.0)
-    return -(lam * np.log2(safe)).sum(axis=1)
-
-
-def eof_batch_pure_2q(states: np.ndarray) -> np.ndarray:
-    c = np.abs(np.einsum("ni,ij,nj->n", states, _SY2, states))
-    s = 0.5 * (1.0 + np.sqrt(np.clip(1.0 - c * c, 0.0, None)))
-    out = np.zeros_like(s)
-    interior = (s > 0.0) & (s < 1.0)
-    si = s[interior]
-    out[interior] = -(si * np.log2(si) + (1.0 - si) * np.log2(1.0 - si))
-    return out

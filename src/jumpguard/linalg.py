@@ -114,21 +114,22 @@ def partial_trace(rho: np.ndarray, keep: int, layout: SpaceLayout) -> np.ndarray
 
 
 def partial_transpose(rho: np.ndarray, slot: int, layout: SpaceLayout) -> np.ndarray:
-    """Transpose the chosen slot's indices; Hermiticity is preserved."""
+    """Transpose the chosen slot's indices of a matrix or of each matrix in a
+    stack (..., d, d); Hermiticity is preserved."""
     layout = make_layout(layout)
     layout.require_bipartite()
-    rho = as_matrix(rho)
+    rho = np.asarray(rho, dtype=np.complex128)
     da, db = layout.subsystem_dims
-    if rho.shape != (da * db, da * db):
+    if rho.shape[-2:] != (da * db, da * db):
         raise ValueError(f"state shape {rho.shape} does not match layout {layout.subsystem_dims}")
-    r = rho.reshape(da, db, da, db)
+    r = rho.reshape(rho.shape[:-2] + (da, db, da, db))
     if slot == 0:
-        r = r.transpose(2, 1, 0, 3)
+        r = np.swapaxes(r, -4, -2)
     elif slot == 1:
-        r = r.transpose(0, 3, 2, 1)
+        r = np.swapaxes(r, -3, -1)
     else:
         raise ValueError(f"slot must be 0 or 1, got {slot}")
-    return r.reshape(da * db, da * db)
+    return r.reshape(rho.shape)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -140,14 +141,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     if not is_hermitian(m, atol=HERMITIAN_ATOL):
         raise ValueError("matrix is not Hermitian within 1e-10")
     return np.linalg.eigvalsh(m)
-
-
-def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
-    m = as_matrix(m)
-    if not is_hermitian(m, atol=HERMITIAN_ATOL):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigh(m)
 
 
 def rk4_step(state, derivative, dt: float):

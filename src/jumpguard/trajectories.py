@@ -236,14 +236,12 @@ class StepOperators:
                     self.policy.unitaries[slot], slot, model.layout
                 )
 
-        self.weight_mats = []     # M_k = gamma_k dt W L+ L W
-        self.split_maps = []      # B_k = sqrt(gamma_k dt) L W, so M_k = B_k+ B_k
+        self.split_maps = []      # B_k = sqrt(gamma_k dt) L W; channel k's mass is |B_k psi|^2
         self.jump_maps = []       # sqrt(gamma_k dt) N_half L N_half
         self.jump_maps_fb = []    # immediate feedback: U folded in; else jump_maps
         for ch, L in zip(model.channels, model.embedded_ops):
             g = ch.rate * dt
             W = self.weight_root
-            self.weight_mats.append(g * (W @ dagger(L) @ L @ W))
             self.split_maps.append(math.sqrt(g) * (L @ W))
             self.jump_maps.append(math.sqrt(g) * (self.no_jump_half @ L @ self.no_jump_half))
             if self.immediate_feedback:
@@ -407,7 +405,7 @@ class _ExactEngine:
         self.chans = [(k,) for k in range(K)] + [(k, l) for k in range(K) for l in range(K)]
         self.needed = np.array([len(c) for c in self.chans])
         d = model.dim
-        self.weight_mats = np.reshape(ops.weight_mats, (K, d, d))
+        self.split_maps = np.reshape(ops.split_maps, (K, d, d))
         pair_weight_ops = []
         maps = list(ops.jump_maps_fb)
         for k, l in self.chans[K:]:
@@ -482,10 +480,11 @@ class _ExactEngine:
             return
         ops, K, m = self.ops, self.ops.n_channels, new.size
         psi = self.table_states[new]
-        # per-channel raw masses (sum exactly to 1 - |N psi|^2) less the
-        # two-jump sector split off them; pair masses are >= 0, so one clip
-        # after the subtractions equals a clip after each
-        singles = np.clip(((psi.conj() @ self.weight_mats) * psi).sum(axis=2).real, 0.0, None)
+        # per-channel raw masses |B_k psi|^2 (sum exactly to 1 - |N psi|^2)
+        # less the two-jump sector split off them; pair masses are >= 0, so
+        # one clip after the subtractions equals a clip after each
+        raw1 = psi @ self.split_maps.transpose(0, 2, 1)
+        singles = np.einsum("kbi,kbi->kb", raw1.conj(), raw1).real
         raw2 = psi @ self.pair_weight_ops.transpose(0, 2, 1)
         pairs = np.einsum("pbi,pbi->pb", raw2.conj(), raw2).real
         for l in range(K):
@@ -542,7 +541,8 @@ class _ExactEngine:
         observables: dict label -> per-row fn(states, counts) -> float array,
         called on every class row and reduced here as the weighted sum
         sum(fn(states, counts) * weights). Returns {label: np.ndarray over
-        grid_steps}.
+        grid_steps}. Raises :class:`TruncationError` when the mass of
+        patterns deeper than ``max_jumps`` exceeds ``truncation_bound``.
         """
         observables = observables or {}
         grid = sorted(set(int(g) for g in grid_steps))
@@ -560,6 +560,11 @@ class _ExactEngine:
             if step == n_steps:
                 break
             self._step(step)
+        if self.truncation_mass > self.config.truncation_bound:
+            raise TruncationError(
+                f"truncation mass {self.truncation_mass:.3e} exceeds bound "
+                f"{self.config.truncation_bound:.1e}; increase max_jumps"
+            )
         return curves
 
     def _step(self, step: int):
@@ -642,11 +647,6 @@ def enumerate_trajectories(
     """
     engine = _ExactEngine(model, psi0, config, policy)
     engine.run()
-    if engine.truncation_mass > config.truncation_bound:
-        raise TruncationError(
-            f"truncation mass {engine.truncation_mass:.3e} exceeds bound "
-            f"{config.truncation_bound:.1e}; increase max_jumps"
-        )
     return EnumerationResult(
         records=engine.records(),
         truncation_mass=engine.truncation_mass,
@@ -660,7 +660,7 @@ def run_exact_grid(model, psi0, config, policy, grid_steps, observables):
     Observables are per-row functions fn(states, counts) -> float array, as
     for the samplers; each curve value is the probability-weighted sum over
     the classes. Returns (curves, engine) so callers can read truncation
-    diagnostics.
+    diagnostics; raises :class:`TruncationError` as enumeration does.
     """
     engine = _ExactEngine(model, psi0, config, policy)
     curves = engine.run(grid_steps, observables)

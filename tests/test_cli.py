@@ -101,6 +101,17 @@ def test_range_violation_exit_code_2(tmp_path, capsys):
     assert "alpha" in err and "(0, 1/2]" in err
 
 
+def test_truncated_exact_curve_exit_code_3(tmp_path, capsys):
+    # E_3 carries 0.83 truncated mass at one jump by t = 2, far past the bound
+    out = tmp_path / "out"
+    rc = main(["run", "qutrit-protection", "--max-jumps", "1", "--t-max", "2", "--eta", "1",
+               "--tau", "0", "--grid-points", "3", "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "E_3:" in err and "--max-jumps" in err
+    assert not (out / "summary.json").exists()
+
+
 def test_missing_config_file_exit_code_2(tmp_path):
     rc = main(["run", "bell-monitoring", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2

@@ -15,7 +15,14 @@ from jumpguard.entanglement import (
     negativity,
     pure_concurrence_2q,
 )
-from jumpguard.linalg import kron, make_layout, normalized, product_basis_state
+from jumpguard.linalg import (
+    kron,
+    make_layout,
+    normalized,
+    partial_trace,
+    partial_transpose,
+    product_basis_state,
+)
 from jumpguard.models import CascadeSpec, build_qubit_pair, build_qutrit_pair, evolve_master
 from jumpguard.trajectories import FeedbackPolicy, TrajectoryRecord, UnravelingConfig, enumerate_trajectories
 
@@ -239,18 +246,59 @@ def test_average_mixed_records():
     assert abs(average_entanglement(recs, Measure.ENTANGLEMENT_OF_FORMATION, LAY2) - eof_2q(rho)) < 1e-12
 
 
+def _reference_negativity(psi, layout):
+    eig = np.linalg.eigvalsh(partial_transpose(np.outer(psi, psi.conj()), 1, layout))
+    return -eig[eig < 0].sum()
+
+
+def _reference_entropy(psi, layout):
+    lam = np.linalg.eigvalsh(partial_trace(np.outer(psi, psi.conj()), 0, layout))
+    lam = lam[lam > 1e-12]
+    return -(lam * np.log2(lam)).sum()
+
+
+def _reference_eof(psi):
+    c = concurrence_2q(np.outer(psi, psi.conj()))
+    p = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
+    return 0.0 if p >= 1.0 else -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+
+def _local_rotations(rng, n, layout, amplitudes):
+    """Rows (U_A x U_B) sum_i amplitudes[i] |i i> with Haar-random U_A, U_B."""
+    da, db = layout.subsystem_dims
+    out = np.empty((n, da * db), dtype=complex)
+    for row in range(n):
+        ua, ub = random_local_unitary(rng, da), random_local_unitary(rng, db)
+        out[row] = sum(a * np.kron(ua[:, i], ub[:, i]) for i, a in enumerate(amplitudes))
+    return out
+
+
 def test_batched_helpers_agree_with_scalar_paths():
+    """Batch kernels against independent per-state routes: the partial
+    transpose and the reduced state of the projector, and Wootters'
+    concurrence of the projector."""
     rng = np.random.default_rng(18)
-    states = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-    states /= np.linalg.norm(states, axis=1)[:, None]
-    negs = ent.negativity_batch_pure(states, LAY3)
-    ents = ent.entropy_batch_pure(states, LAY3)
-    for i in range(6):
-        rho = np.outer(states[i], states[i].conj())
-        assert abs(negs[i] - negativity(rho, LAY3)) < 1e-10
-        assert abs(ents[i] - entanglement_entropy(states[i], LAY3)) < 1e-10
-    states2 = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    states2 /= np.linalg.norm(states2, axis=1)[:, None]
-    eofs = ent.eof_batch_pure_2q(states2)
-    for i in range(5):
-        assert abs(eofs[i] - eof_from_concurrence(pure_concurrence_2q(states2[i]))) < 1e-10
+    generic = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    generic /= np.linalg.norm(generic, axis=1)[:, None]
+    product = _local_rotations(rng, 200, LAY3, [1.0])
+    p = 0.3
+    rank2 = _local_rotations(rng, 20, LAY3, [math.sqrt(p), math.sqrt(1.0 - p)])
+    for states in (generic, product, rank2):
+        negs = ent.negativity_batch_pure(states, LAY3)
+        ents = ent.entropy_batch_pure(states, LAY3)
+        for i, psi in enumerate(states):
+            assert abs(negs[i] - _reference_negativity(psi, LAY3)) < 1e-10
+            assert abs(ents[i] - _reference_entropy(psi, LAY3)) < 1e-10
+    # a product state's products s_1 s_j are at rounding level, so zero
+    assert np.all(ent.negativity_batch_pure(product, LAY3) == 0.0)
+    assert ent.entropy_batch_pure(product, LAY3).max() < 1e-12
+    assert np.allclose(ent.negativity_batch_pure(rank2, LAY3), math.sqrt(p * (1.0 - p)), atol=1e-12)
+    assert np.allclose(ent.entropy_batch_pure(rank2, LAY3), binary_entropy(p), atol=1e-12)
+
+    generic2 = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    generic2 /= np.linalg.norm(generic2, axis=1)[:, None]
+    for states in (generic2, _local_rotations(rng, 5, LAY2, [1.0])):
+        eofs = ent.eof_batch_pure_2q(states)
+        for i, psi in enumerate(states):
+            # sqrt of the near-degenerate zero eigenvalues limits the Wootters route
+            assert abs(eofs[i] - _reference_eof(psi)) < 1e-6
