@@ -274,7 +274,9 @@ def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.n
     """Fixed-step RK4 integration of the master equation over ``t_grid``.
 
     The grid must ascend from 0; the internal step is chosen so that
-    gamma_max * dt <= 1e-3 and grid points are hit exactly.
+    gamma_max * dt <= 1e-3 and grid points are hit exactly. The substeps of
+    a grid span act as one propagator, the RK4 step matrix raised to their
+    count, built once per distinct (count, step).
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) == 0 or t_grid[0] != 0.0 or any(
@@ -286,8 +288,9 @@ def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.n
         raise ValueError("initial state dimension does not match model")
 
     S = _superoperator(model)
-    deriv = lambda v: S @ v
     dt_max = MASTER_MAX_GAMMA_DT / model.max_rate if model.max_rate > 0 else math.inf
+    eye = np.eye(S.shape[0], dtype=np.complex128)
+    propagators = {}  # (n_sub, h) -> n_sub RK4 substeps as one matrix
 
     out = [rho.copy()]
     v = rho.reshape(-1)
@@ -296,8 +299,10 @@ def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.n
         span = t - t_prev
         n_sub = max(1, int(math.ceil(span / dt_max - 1e-12))) if math.isfinite(dt_max) else 1
         h = span / n_sub
-        for _ in range(n_sub):
-            v = rk4_step(v, deriv, h)
+        if (n_sub, h) not in propagators:
+            step = rk4_step(eye, lambda m: S @ m, h)
+            propagators[n_sub, h] = np.linalg.matrix_power(step, n_sub)
+        v = propagators[n_sub, h] @ v
         out.append(v.reshape(model.dim, model.dim).copy())
         t_prev = t
     return out

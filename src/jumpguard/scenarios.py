@@ -444,10 +444,7 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
             observables[label + "_entropy"] = (_ENTROPY, entropy3)
         curves += _run_curves(cfg, metadata, model, psi0_3, observables, policy, max_jumps=depth)
 
-    # Delayed feedback: exact enumeration of this curve keeps its truncated
-    # mass small (2.2e-8 at the default config), but under a delay it and
-    # the sampler disagree beyond sampling error, so the curve stays Monte
-    # Carlo until the two drivers are reconciled.
+    # Delayed feedback runs on the sampler: exact enumeration takes no delay.
     tau = cfg.resolved_tau
     if tau > 0:
         fb_tau = FeedbackPolicy.qutrit_cyclic(delay=tau)

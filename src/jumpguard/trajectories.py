@@ -5,13 +5,15 @@ evolution into records: smooth no-detection stretches interrupted by
 discrete jumps. Three drivers are provided.
 
 * Exact enumeration (`enumerate_trajectories`): a depth-limited tree over
-  jump patterns on the dt grid. Branches whose conditional states coincide
-  (same direction, same corrections pending in as many steps) are merged,
-  with their probabilities summed; this is exact for every downstream use
-  and keeps the tree finite when ideal feedback keeps restoring the initial
-  state. Each distinct state is interned once, with its spawn masses and
-  memoized successor and child ids, so a step is a table lookup. A merged
-  record keeps the events of its fewest-jump pattern (earliest on ties).
+  jump patterns on the dt grid, without feedback or with immediate
+  feedback. Branches whose conditional states share one direction are
+  merged, with their probabilities summed; this is exact for every
+  downstream use and keeps the tree finite when ideal feedback keeps
+  restoring the initial state. Each distinct state is interned once, with
+  its spawn masses and memoized successor and child ids, so a step is a
+  table lookup. A merged record keeps the events of its fewest-jump pattern
+  (earliest on ties). Delayed feedback and detection efficiency below one
+  run on the samplers only.
 
 * Monte Carlo sampling (`sample_trajectories`): standard wavefunction
   stepping, one uniform draw per step, channels resolved by cumulative
@@ -21,7 +23,8 @@ discrete jumps. Three drivers are provided.
   counter-based uniform u(rng_seed, i, s): a SplitMix64 finalizer of the
   key derived from (rng_seed, i) plus the step counter, top 53 bits. No
   generator state is carried, so results are reproducible and independent
-  of trajectory order and of the block or batch size.
+  of trajectory order and of the block or batch size. A delayed correction
+  waits in its trajectory's FIFO queue until its due step.
 
 * Density-matrix sampling (`sample_density_trajectories`): required when
   detection efficiency eta < 1. The same sampler steps rows that hold
@@ -36,10 +39,14 @@ exp(-1/2 G dt) with G = sum_k gamma_k L_k+ L_k, so the no-jump probability
 composes multiplicatively and survives machine-exact over any horizon.
 Jump branches are weighted through W = sqrt((1 - e^{-G dt}) / (G dt)), which
 makes the per-step splitting exactly complete; their states are placed at
-mid-step and the exact driver keeps an explicit two-jumps-in-one-step
-sector, so ensemble averages converge at second order in dt. The
-first-order no-jump operator 1 - (dt/2) G is kept behind a flag for scaling
-tests.
+mid-step. Exact enumeration keeps an explicit two-jumps-in-one-step sector,
+so its ensemble averages converge at second order in dt. The samplers take
+at most one jump per step; their order in dt under delayed feedback is not
+yet measured. The first-order no-jump operator 1 - (dt/2) G is kept behind
+a flag for scaling tests.
+
+The trajectory drivers unravel the decay generator alone: a model with a
+Hamiltonian is rejected, since only the master equation includes one.
 """
 
 from __future__ import annotations
@@ -107,7 +114,8 @@ class FeedbackPolicy:
     The correction is applied to the slot that jumped, a time ``delay``
     after the recorded jump; jumps during the delay window are processed
     first and corrections queue FIFO. ``efficiency`` is the probability
-    that a physical jump is recorded at all.
+    that a physical jump is recorded at all. Exact enumeration takes delay
+    0 and efficiency 1 only; the samplers take any.
     """
 
     unitaries: dict[int, np.ndarray]
@@ -204,6 +212,8 @@ def _mass_fraction(u: np.ndarray) -> np.ndarray:
 
 def _function_of_generator(model: OpenSystemModel):
     """f -> f(G) for the decay generator G, through its clipped eigenvalues."""
+    if model.hamiltonian is not None:
+        raise ValueError("trajectory drivers take no Hamiltonian; use evolve_master")
     lam, V = np.linalg.eigh(model.decay_generator)
     lam = np.clip(lam, 0.0, None)
     Vd = dagger(V)
@@ -267,10 +277,11 @@ def no_jump_step(model: OpenSystemModel, psi: np.ndarray, dt: float, first_order
     """
     psi = as_vector(psi)
     _check_rate_resolution(model, dt)
+    func_of_g = _function_of_generator(model)
     if first_order:
         op = np.eye(model.dim, dtype=np.complex128) - 0.5 * dt * model.decay_generator
     else:
-        op = _function_of_generator(model)(lambda lam: np.exp(-lam * dt / 2.0))
+        op = func_of_g(lambda lam: np.exp(-lam * dt / 2.0))
     out = op @ psi
     return out, float(np.vdot(out, out).real)
 
@@ -321,8 +332,8 @@ class EnumerationResult:
         return float(sum(r.probability for r in self.records))
 
 
-def _canonical_keys(states: np.ndarray, pending: np.ndarray) -> np.ndarray:
-    """Quantized phase-fixed directions plus the pending-feedback queue.
+def _canonical_keys(states: np.ndarray) -> np.ndarray:
+    """Quantized phase-fixed directions.
 
     Rows that agree within ~1e-9 per component key identically; distinct
     branch classes in every model here differ by at least ~gamma*dt.
@@ -335,7 +346,7 @@ def _canonical_keys(states: np.ndarray, pending: np.ndarray) -> np.ndarray:
     canon = states * np.conj(ph)[:, None]
     re = np.round(canon.real * 1e9).astype(np.int64)
     im = np.round(canon.imag * 1e9).astype(np.int64)
-    return np.concatenate([re, im, pending], axis=1)
+    return np.concatenate([re, im], axis=1)
 
 
 def _grown(arr: np.ndarray, size: int, axis: int = 0, fill=-1) -> np.ndarray:
@@ -350,41 +361,15 @@ def _grown(arr: np.ndarray, size: int, axis: int = 0, fill=-1) -> np.ndarray:
     return out
 
 
-_EMPTY = np.iinfo(np.int64).max  # free pending-queue entry
-
-
-def _pop_due_corrections(states, queues, limit, n_slots, corrections):
-    """Apply and dequeue the pending corrections whose codes lie below ``limit``.
-
-    A code is (due step) * n_slots + slot; column 0 holds each row's next
-    correction and one entry per row is popped per pass, so a row's
-    corrections act in queue order. ``corrections`` maps slot -> the
-    transposed row map, applied as ``rows @ corrections[slot]``.
-    """
-    while queues.shape[1]:
-        rows = np.nonzero(queues[:, 0] < limit)[0]
-        if rows.size == 0:
-            return
-        for slot, ut in corrections.items():
-            sel = rows[queues[rows, 0] % n_slots == slot]
-            if sel.size:
-                states[sel] = states[sel] @ ut
-        queues[rows, :-1] = queues[rows, 1:]
-        queues[rows, -1] = _EMPTY
-
-
 class _ExactEngine:
     """Branch-merged tree enumeration on the dt grid over interned states.
 
-    A state's id keys its direction and its pending-feedback queue, a sorted
-    row of (steps until due) * n_slots + slot codes (corrections due together
-    act on distinct slots or repeat one, so they commute). Its table entry,
-    filled when it first carries a class, holds the no-jump probability, the
-    spawn mass of each map per unit weight, and the successor and child ids
-    (-1: culled) with due corrections applied. A class is an (id, weight,
-    count, node) entry; merged classes keep the fewest-jump member's count
-    and events, ties going to the earliest row (parents, then children in
-    map order).
+    A state's id keys its direction. Its table entry, filled when it first
+    carries a class, holds the no-jump probability, the spawn mass of each
+    map per unit weight, and the successor and child ids (-1: culled). A
+    class is an (id, weight, count, node) entry; merged classes keep the
+    fewest-jump member's count and events, ties going to the earliest row
+    (parents, then children in map order).
     """
 
     def __init__(self, model, psi0, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -392,6 +377,11 @@ class _ExactEngine:
             raise ValueError(
                 "exact enumeration supports efficiency 1 only; "
                 "use sample_density_trajectories for eta < 1"
+            )
+        if policy is not None and policy.enabled and policy.delay > 0.0:
+            raise ValueError(
+                "exact enumeration supports immediate feedback only; "
+                "use sample_trajectories for delay > 0"
             )
         psi0 = _initial_state(psi0, model.dim, ndim=1)
         self.ops = ops = StepOperators(model, config.dt, policy)
@@ -420,25 +410,15 @@ class _ExactEngine:
         self.pair_weight_ops = np.reshape(pair_weight_ops, (K * K, d, d))
         self.maps = np.reshape(maps, (len(maps), d, d))
 
-        # a class's queue holds at most one entry per jump it counts; each
-        # map's jumps add entries, right-aligned in two columns
-        self.queue_len = max(config.max_jumps, 2) if ops.queued_feedback else 0
-        self.n_slots = model.layout.n_subsystems
-        due = (ops.due_step(0) - 1) * self.n_slots if self.queue_len else 0
-        self.map_entries = np.array(
-            [[_EMPTY] * (2 - len(c)) + [due + ops.slots[k] for k in c] for c in self.chans]
-        )
-
         # state table, one row per id; succ stays -1 until the row is filled
         J = len(maps)
         self.table_states = np.empty((0, d), dtype=np.complex128)
-        self.table_queues = np.empty((0, self.queue_len), dtype=np.int64)
         self.stay, self.succ = np.empty(0), np.empty(0, dtype=np.int64)
         self.mass, self.child = np.empty((0, J)), np.empty((0, J), dtype=np.int64)
         self.index: dict[bytes, int] = {}  # key -> id of its latest entry
         self.size = 0
 
-        self.ids = self._intern(psi0[None, :], np.full((1, self.queue_len), _EMPTY))
+        self.ids = self._intern(psi0[None, :])
         self.weights = np.ones(1)
         self.counts = np.zeros(1, dtype=np.int64)
         self.nodes: list[tuple[int, float, int, int]] = []  # (parent, time, slot, channel)
@@ -452,25 +432,24 @@ class _ExactEngine:
 
     # -- state table --------------------------------------------------------
 
-    def _intern(self, states: np.ndarray, queues: np.ndarray) -> np.ndarray:
+    def _intern(self, states: np.ndarray) -> np.ndarray:
         """Ids of the rows' states, adding the ones whose key is new."""
-        keys = list(map(bytes, _canonical_keys(states, queues)))
+        keys = list(map(bytes, _canonical_keys(states)))
         first = {}
         for i, key in enumerate(keys):
             if key not in self.index:
                 first.setdefault(key, i)
         rows = list(first.values())
-        self.index.update(zip(first, self._add(states[rows], queues[rows])))
+        self.index.update(zip(first, self._add(states[rows])))
         return np.array([self.index[key] for key in keys], dtype=np.int64)
 
-    def _add(self, states: np.ndarray, queues: np.ndarray) -> np.ndarray:
+    def _add(self, states: np.ndarray) -> np.ndarray:
         """New table entries for the rows' states; returns their ids."""
         ids = np.arange(self.size, self.size + len(states))
         self.size += len(states)
-        for name in ("table_states", "table_queues", "stay", "succ", "mass", "child"):
+        for name in ("table_states", "stay", "succ", "mass", "child"):
             setattr(self, name, _grown(getattr(self, name), self.size))
         self.table_states[ids] = states
-        self.table_queues[ids] = queues
         return ids
 
     def _fill(self, ids: np.ndarray):
@@ -498,38 +477,23 @@ class _ExactEngine:
         stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
         raw = psi @ self.maps.transpose(0, 2, 1)
         nrm2 = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
-        alive = nrm2 > _NORM_FLOOR
-        # queues one step older; a child adds one entry per jump, and a
-        # class whose queue has no room for them has too many jumps to spawn
-        queues = self.table_queues[new]
-        queues[queues != _EMPTY] -= self.n_slots
-        if self.queue_len:
-            alive &= (queues[:, -self.needed] == _EMPTY).T
-        maps, rows = np.nonzero(alive)
-        kid_queues = queues[rows]
-        if self.queue_len:
-            kid_queues[:, -2:] = np.minimum(kid_queues[:, -2:], self.map_entries[maps])
-            kid_queues.sort(axis=1)
+        maps, rows = np.nonzero(nrm2 > _NORM_FLOOR)
         states = np.concatenate(
             [adv / np.sqrt(adv2)[:, None], raw[maps, rows] / np.sqrt(nrm2[maps, rows])[:, None]]
         )
-        queues = np.concatenate([queues, kid_queues])
-        # codes count steps until due, so the ones due now are below n_slots
-        _pop_due_corrections(states, queues, self.n_slots, self.n_slots,
-                             {slot: u.T for slot, u in ops.unitaries_embedded.items()})
-        reached = self._intern(states, queues)
+        reached = self._intern(states)
         # a successor keyed like its own state without equalling it relaxes
         # more slowly than the key resolves; it gets a new entry (which takes
         # over the key), or its class would stop evolving
         moving = np.nonzero((reached[:m] == new) & (abs(states[:m] - psi).max(axis=1) > 1e-14))[0]
         if moving.size:
-            reached[moving] = self._add(states[moving], queues[moving])
-            keys = map(bytes, _canonical_keys(states[moving], queues[moving]))
+            reached[moving] = self._add(states[moving])
+            keys = map(bytes, _canonical_keys(states[moving]))
             self.index.update(zip(keys, reached[moving]))
 
         self.stay[new] = stay
         self.succ[new] = reached[:m]
-        child = np.full(alive.shape, -1, dtype=np.int64)
+        child = np.full(nrm2.shape, -1, dtype=np.int64)
         child[maps, rows] = reached[m:]
         self.child[new] = child.T
 
@@ -706,6 +670,29 @@ def _step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     """u(seed, i, step) in [0, 1): top 53 bits of SplitMix64(key_i + (step+1) * golden)."""
     offset = np.uint64(((step + 1) * _GOLDEN) & _MASK64)
     return (_splitmix64(keys + offset) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+_EMPTY = np.iinfo(np.int64).max  # free pending-queue entry
+
+
+def _pop_due_corrections(states, queues, limit, n_slots, corrections):
+    """Apply and dequeue the pending corrections whose codes lie below ``limit``.
+
+    A code is (due step) * n_slots + slot; column 0 holds each row's next
+    correction and one entry per row is popped per pass, so a row's
+    corrections act in queue order. ``corrections`` maps slot -> the
+    transposed row map, applied as ``rows @ corrections[slot]``.
+    """
+    while queues.shape[1]:
+        rows = np.nonzero(queues[:, 0] < limit)[0]
+        if rows.size == 0:
+            return
+        for slot, ut in corrections.items():
+            sel = rows[queues[rows, 0] % n_slots == slot]
+            if sel.size:
+                states[sel] = states[sel] @ ut
+        queues[rows, :-1] = queues[rows, 1:]
+        queues[rows, -1] = _EMPTY
 
 
 class _Sampler:

@@ -26,6 +26,7 @@ from jumpguard.trajectories import (
     kraus_defect,
     no_jump_step,
     run_density_grid,
+    run_exact_grid,
     run_sampled_grid,
     sample_density_trajectories,
     sample_trajectories,
@@ -214,6 +215,17 @@ def test_enumerate_rejects_inefficient_policy():
         enumerate_trajectories(model, code_bell3(), UnravelingConfig(dt=1e-3, t_max=0.1), policy)
 
 
+@pytest.mark.parametrize("driver", [
+    enumerate_trajectories,
+    lambda *args: run_exact_grid(*args, grid_steps=[0], observables={}),
+], ids=["enumerate_trajectories", "run_exact_grid"])
+def test_exact_drivers_reject_delayed_feedback(driver):
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    policy = FeedbackPolicy.qutrit_cyclic(delay=0.005)
+    with pytest.raises(ValueError, match="sample_trajectories"):
+        driver(model, code_bell3(), UnravelingConfig(dt=1e-3, t_max=0.1), policy)
+
+
 def test_rate_resolution_guard():
     model = build_qubit_pair(1.0)
     with pytest.raises(ValueError, match="gamma_max"):
@@ -230,22 +242,6 @@ def test_enumerate_class_census():
     cfg = UnravelingConfig(dt=5e-3, t_max=5.0, max_jumps=40)
     res = enumerate_trajectories(ho, code_bell3(), cfg, FeedbackPolicy.qutrit_cyclic())
     assert len(res.records) == 67
-
-
-def test_enumerate_delayed_feedback_merge_keeps_fewest_jumps():
-    # once a delayed correction lands, the corrected branch rejoins the
-    # no-jump class, which must keep counting zero jumps; booked under the
-    # jump count of the merged branch it would be truncated
-    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
-    policy = FeedbackPolicy.qutrit_cyclic(delay=0.005)
-    cfg = UnravelingConfig(dt=5e-3, t_max=0.2, max_jumps=4)
-    res = enumerate_trajectories(model, code_bell3(), cfg, policy)
-    assert res.truncation_mass < 1e-4
-    assert res.records[0].n_jumps == 0
-    # merged classes count the jumps of their fewest-jump member
-    assert np.bincount([r.n_jumps for r in res.records]).tolist() == [1, 4, 13, 12, 8]
-    total = res.total_probability + res.truncation_mass + res.culled_mass
-    assert abs(total - 1.0) < 1e-9
 
 
 def test_enumerate_slowly_relaxing_state_keeps_evolving():
@@ -500,6 +496,25 @@ def test_initial_state_checked_up_front(driver, x0, match):
     cfg = UnravelingConfig(dt=1e-3, t_max=0.01, n_samples=4)
     with pytest.raises(ValueError, match=match):
         driver(model, x0, cfg)
+
+
+@pytest.mark.parametrize("driver", [
+    enumerate_trajectories,
+    sample_trajectories,
+    lambda model, psi, cfg: sample_density_trajectories(model, np.outer(psi, psi.conj()), cfg),
+    lambda model, psi, cfg: no_jump_step(model, psi, cfg.dt),
+], ids=["enumerate_trajectories", "sample_trajectories", "sample_density_trajectories",
+        "no_jump_step"])
+def test_trajectory_drivers_reject_model_hamiltonian(driver):
+    # the drivers unravel the decay generator alone, so a Hamiltonian would
+    # be dropped silently; only the master equation includes it
+    base = build_qubit_pair(1.0)
+    sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    model = OpenSystemModel(layout=base.layout, channels=base.channels,
+                            hamiltonian=np.kron(sx, np.eye(2)))
+    cfg = UnravelingConfig(dt=1e-3, t_max=0.01, n_samples=4)
+    with pytest.raises(ValueError, match="Hamiltonian"):
+        driver(model, bell2(), cfg)
 
 
 def test_pure_sampler_rejects_inefficiency():
