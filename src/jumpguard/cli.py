@@ -9,6 +9,7 @@ directory, written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,6 +18,7 @@ import time
 from . import __version__
 from .scenarios import (
     SCENARIO_IDS,
+    SCENARIOS,
     ScenarioConfig,
     ScenarioError,
     ScenarioResult,
@@ -30,34 +32,6 @@ DEFAULT_OUT_DIR = "jumpguard_out"
 class ConfigError(Exception):
     pass
 
-
-_SCENARIO_INFO = {
-    "bell-monitoring": (
-        "monitored qubit pair: E_F, trajectory-averaged E_2, no-jump probability",
-        "Fig. 1 (E_F and E_2 curves)",
-        ("gamma", "t-max", "grid-points", "mode", "samples", "seed", "dt"),
-    ),
-    "singlet-conversion": (
-        "optimal conversion of sqrt(a)|00>+sqrt(1-a)|11> via monitored decay",
-        "optimal singlet conversion protocol (p_ok = 2 alpha)",
-        ("alpha", "gamma", "t-max", "mode", "samples", "seed", "dt"),
-    ),
-    "qutrit-protection": (
-        "logical qubits in qutrits under cascade decay, with/without feedback",
-        "Fig. 1",
-        ("gamma", "eta", "tau", "t-max", "grid-points", "mode", "samples", "seed", "dt"),
-    ),
-    "cavity-2x3": (
-        "atom flying from a leaky 3-level cavity: closed forms vs trajectories",
-        "Fig. 2a–c",
-        ("alpha", "gamma", "t-max", "grid-points", "seed", "dt"),
-    ),
-    "cavity-thermal": (
-        "cavity channel with a thermal reservoir at several nbar",
-        "Fig. 2d",
-        ("alpha", "gamma", "nbar", "t-max", "grid-points", "samples", "seed", "dt"),
-    ),
-}
 
 # config-file key -> ScenarioConfig field, with a parser each
 _KEY_PARSERS = {
@@ -77,6 +51,12 @@ _KEY_PARSERS = {
     "alpha_points": int,
     "surface_time_points": int,
 }
+
+# config key -> its `run` flag: the key with dashes, n_samples as --samples
+_FLAGS = {key: "--" + key.removeprefix("n_").replace("_", "-") for key in (
+    "gamma", "alpha", "eta", "tau", "nbar", "dt", "t_max", "grid_points", "mode",
+    "n_samples", "seed", "max_jumps",
+)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -125,7 +105,7 @@ def parse_config(scenario: str, file_path: str | None, flag_values: dict) -> tup
         if value is None:
             continue
         if key in merged and key != "scenario" and merged[key] != value:
-            warnings.append(f"flag --{key.replace('_', '-')} overrides config-file value")
+            warnings.append(f"flag {_FLAGS.get(key, key)} overrides config-file value")
         merged[key] = value
     try:
         cfg = ScenarioConfig(**merged)
@@ -138,6 +118,11 @@ def parse_config(scenario: str, file_path: str | None, flag_values: dict) -> tup
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _text(value) -> str:
+    """A config value as config files spell it; nbar is comma-separated."""
+    return ",".join(f"{v:g}" for v in value) if isinstance(value, (list, tuple)) else str(value)
 
 
 def _atomic_write(path: str, text: str):
@@ -153,38 +138,22 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
 
-    for curve in result.curves:
-        fname = f"{result.scenario}__{curve.label}.csv"
-        path = os.path.join(out_dir, fname)
-        rows = [f"t,{curve.label},{curve.measure}"]
-        for t, v in zip(curve.times, curve.values):
-            rows.append(f"{_fmt(t)},{_fmt(v)},{curve.measure}")
-        _atomic_write(path, "\n".join(rows) + "\n")
+    def write(fname: str, lines: list[str]):
+        _atomic_write(os.path.join(out_dir, fname), "\n".join(lines) + "\n")
         outputs.append(fname)
 
+    for c in result.curves:
+        write(f"{result.scenario}__{c.label}.csv", [f"t,{c.label},{c.measure}"] + [
+            f"{_fmt(t)},{_fmt(v)},{c.measure}" for t, v in zip(c.times, c.values)])
     for label, (alphas, tgrid, matrix) in result.surfaces.items():
-        fname = f"{result.scenario}__{label}.csv"
-        path = os.path.join(out_dir, fname)
-        rows = ["alpha," + ",".join(_fmt(t) for t in tgrid)]
-        for a, row in zip(alphas, matrix):
-            rows.append(_fmt(a) + "," + ",".join(_fmt(v) for v in row))
-        _atomic_write(path, "\n".join(rows) + "\n")
-        outputs.append(fname)
-
-    echo_lines = []
-    for key, value in result.metadata["config"].items():
-        if value is None:
-            continue
-        if key == "nbar":
-            value = ",".join(f"{v:g}" for v in value)
-        echo_lines.append(f"{key} = {value}")
-    _atomic_write(os.path.join(out_dir, "config_echo.txt"), "\n".join(echo_lines) + "\n")
-    outputs.append("config_echo.txt")
+        write(f"{result.scenario}__{label}.csv", ["alpha," + ",".join(_fmt(t) for t in tgrid)] + [
+            _fmt(a) + "," + ",".join(_fmt(v) for v in row) for a, row in zip(alphas, matrix)])
+    write("config_echo.txt", [f"{key} = {_text(value)}"
+                              for key, value in result.metadata["config"].items()
+                              if value is not None])
 
     all_warnings = list(warnings) + list(result.metadata.get("warnings", []))
-    sampling = {
-        c.label: float(c.sem.max()) for c in result.curves if c.sem is not None
-    }
+    sampling = {c.label: float(c.sem.max()) for c in result.curves if c.sem is not None}
     summary = {
         "scenario": result.scenario,
         "scalars": result.scalars,
@@ -194,8 +163,7 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
     }
     # driver and sample count of qutrit-protection's non-ideal feedback curves
     summary.update({k: result.metadata[k] for k in ("tau_run", "eta_run") if k in result.metadata})
-    _atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
-    outputs.append("summary.json")
+    write("summary.json", [json.dumps(summary, indent=2)])
 
     manifest = {
         "tool": "jumpguard",
@@ -207,7 +175,7 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
         "outputs": outputs + ["manifest.json"],
         "warnings": all_warnings,
     }
-    _atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    write("manifest.json", [json.dumps(manifest, indent=2)])
     return manifest
 
 
@@ -221,18 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and write CSV/JSON outputs")
     run_p.add_argument("scenario", choices=SCENARIO_IDS)
     run_p.add_argument("--config", help="flat key=value config file")
-    run_p.add_argument("--gamma", type=float)
-    run_p.add_argument("--alpha", type=float)
-    run_p.add_argument("--eta", type=float)
-    run_p.add_argument("--tau", type=float)
-    run_p.add_argument("--nbar", type=_KEY_PARSERS["nbar"], help="comma-separated list")
-    run_p.add_argument("--dt", type=float)
-    run_p.add_argument("--t-max", dest="t_max", type=float)
-    run_p.add_argument("--grid-points", dest="grid_points", type=int)
-    run_p.add_argument("--mode", choices=("exact", "sampled"))
-    run_p.add_argument("--samples", dest="n_samples", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--max-jumps", dest="max_jumps", type=int)
+    for key, flag in _FLAGS.items():
+        run_p.add_argument(flag, dest=key, type=_KEY_PARSERS[key],
+                           help="comma-separated list" if key == "nbar" else None)
     run_p.add_argument("--out-dir", dest="out_dir")
 
     sub.add_parser("list", help="list scenarios, parameters, and reference figures")
@@ -242,16 +201,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def list_scenarios() -> str:
     lines = ["available scenarios:"]
-    for sid in SCENARIO_IDS:
-        desc, fig, params = _SCENARIO_INFO[sid]
-        lines.append(f"  {sid} → {fig}")
-        lines.append(f"      {desc}")
-        lines.append(f"      parameters: --" + ", --".join(params))
-    defaults = ScenarioConfig(scenario="bell-monitoring")
-    lines.append(
-        "defaults: gamma=1, t-max=5, grid-points=51, mode=exact, samples="
-        f"{defaults.n_samples}, seed={defaults.seed}, max-jumps={defaults.max_jumps}"
-    )
+    for sid, spec in SCENARIOS.items():
+        modes = ", ".join([f"{spec.modes[0]} (default)", *spec.modes[1:]])
+        alpha = "" if spec.alpha is None else f", alpha={spec.alpha:g}"
+        lines += [
+            f"  {sid} → {spec.figure}",
+            f"      {spec.summary}",
+            f"      modes: {modes}; defaults: dt={spec.gamma_dt:g}/gamma{alpha}",
+            "      parameters: " + ", ".join(_FLAGS[key] for key in spec.params),
+        ]
+    shared = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    lines.append("defaults: " + ", ".join(
+        f"{flag[2:]}={_text(shared[key])}" for key, flag in _FLAGS.items()
+        if shared[key] is not None
+    ))
     return "\n".join(lines)
 
 
@@ -269,13 +232,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
 
-    flag_values = {
-        key: getattr(args, key)
-        for key in (
-            "gamma", "alpha", "eta", "tau", "nbar", "dt", "t_max",
-            "grid_points", "mode", "n_samples", "seed", "max_jumps",
-        )
-    }
+    flag_values = {key: getattr(args, key) for key in _FLAGS}
     try:
         cfg, warnings = parse_config(args.scenario, args.config, flag_values)
     except ConfigError as exc:
@@ -287,10 +244,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         result = run_scenario(cfg)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # ScenarioError is a RuntimeError
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
     duration = time.monotonic() - start

@@ -6,34 +6,23 @@ formation and negativity never mix silently), scalar summaries, and
 metadata with truncation/sampling diagnostics. All randomness derives from
 the single configured seed.
 
+Each preset is one :data:`SCENARIOS` entry: runner, default gamma*dt and
+alpha, the modes it runs (the first is its default), figure, summary and the
+config keys it reads. ``ScenarioConfig`` rejects a mode the preset does not
+run; the command line lists presets from the same table.
+
 Every trajectory curve is the record average of one per-row observable
 f(states, counts) -> value per row, defined once below and handed unchanged
 to whichever driver runs (exact enumeration weights rows by probability,
 the samplers by 1/n). ``metadata["truncation_mass"]`` maps the label of each
 exact run to its truncated plus culled mass, and is empty without one.
-
-Scenarios:
-
-* ``bell-monitoring``   - two monitored qubits sharing (|10> + |01>)/sqrt(2):
-  unmonitored entanglement decay, trajectory-averaged entanglement, and the
-  shrinking no-detection probability.
-* ``singlet-conversion`` - monitored decay turns sqrt(a)|00> + sqrt(1-a)|11>
-  into a maximally entangled pair at the optimal stopping time, succeeding
-  with probability 2a.
-* ``qutrit-protection`` - logical qubits in the {|1>,|2>} qutrit subspace
-  under cascade decay, with and without corrective feedback, including
-  delayed-feedback and inefficient-detection variants.
-* ``cavity-2x3``        - atom flying away from a leaky three-level cavity
-  mode; closed-form no-jump/one-jump analysis cross-checked against the
-  trajectory engine, plus (alpha, t) comparison surfaces.
-* ``cavity-thermal``    - same channel with a thermal cavity reservoir at
-  several mean occupation numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,30 +56,6 @@ class ScenarioError(RuntimeError):
     """A scenario could not run with the given configuration."""
 
 
-SCENARIO_IDS = (
-    "bell-monitoring",
-    "singlet-conversion",
-    "qutrit-protection",
-    "cavity-2x3",
-    "cavity-thermal",
-)
-
-# Default time resolution (gamma * dt) per scenario; the qutrit and thermal
-# runs are heavier and tolerate a coarser step at second-order accuracy.
-_DEFAULT_GAMMA_DT = {
-    "bell-monitoring": 1e-3,
-    "singlet-conversion": 1e-3,
-    "qutrit-protection": 5e-3,
-    "cavity-2x3": 1e-3,
-    "cavity-thermal": 5e-3,
-}
-
-_DEFAULT_ALPHA = {
-    "singlet-conversion": 0.25,
-    "cavity-2x3": 0.5,
-    "cavity-thermal": 0.5,
-}
-
 THERMAL_CAVITY_DIM = 4  # three code levels plus one guard level for absorption
 
 
@@ -107,7 +72,7 @@ class ScenarioConfig:
     dt: float | None = None
     t_max: float = 5.0
     grid_points: int = 51
-    mode: str = "exact"
+    mode: str | None = None  # None -> the scenario's first mode
     n_samples: int = 10_000
     seed: int = 12345
     max_jumps: int = 4
@@ -115,7 +80,8 @@ class ScenarioConfig:
     surface_time_points: int = 201
 
     def __post_init__(self):
-        if self.scenario not in SCENARIO_IDS:
+        spec = SCENARIOS.get(self.scenario)
+        if spec is None:
             raise ScenarioError(f"unknown scenario '{self.scenario}'")
         if self.gamma <= 0:
             raise ScenarioError(f"gamma must be positive, got {self.gamma}")
@@ -126,10 +92,19 @@ class ScenarioConfig:
         object.__setattr__(self, "nbar", tuple(self.nbar))
         if any(n < 0 for n in self.nbar):
             raise ScenarioError(f"nbar values must be >= 0, got {self.nbar}")
-        if self.mode not in ("exact", "sampled"):
-            raise ScenarioError(f"mode must be 'exact' or 'sampled', got '{self.mode}'")
+        if self.mode is None:
+            object.__setattr__(self, "mode", spec.modes[0])
+        if self.mode not in spec.modes:
+            modes = " or ".join(f"'{m}'" for m in spec.modes)
+            raise ScenarioError(f"mode must be {modes} for {self.scenario}, got '{self.mode}'")
         if self.t_max <= 0:
             raise ScenarioError("t-max must be positive")
+        if self.dt is not None and self.dt <= 0:
+            raise ScenarioError(f"dt must be positive, got {self.dt}")
+        if self.max_jumps < 0:
+            raise ScenarioError(f"max-jumps must be >= 0, got {self.max_jumps}")
+        if not 0 <= self.seed < 2**64:
+            raise ScenarioError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.grid_points < 2:
             raise ScenarioError("grid-points must be >= 2")
         if self.n_samples < 1:
@@ -146,10 +121,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"alpha must lie in [0, 1], got {a}")
 
     @property
-    def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return _DEFAULT_ALPHA.get(self.scenario, 0.25)
+    def resolved_alpha(self) -> float | None:
+        return self.alpha if self.alpha is not None else SCENARIOS[self.scenario].alpha
 
     @property
     def resolved_tau(self) -> float:
@@ -190,7 +163,7 @@ class ScenarioResult:
 def _resolve_steps(cfg: ScenarioConfig, t_max: float | None = None):
     """Pick (dt, n_steps) so that n_steps * dt == t_max exactly."""
     t_max = cfg.t_max if t_max is None else t_max
-    requested = cfg.dt if cfg.dt is not None else _DEFAULT_GAMMA_DT[cfg.scenario] / cfg.gamma
+    requested = cfg.dt if cfg.dt is not None else SCENARIOS[cfg.scenario].gamma_dt / cfg.gamma
     n_steps = max(1, int(round(t_max / requested)))
     return t_max / n_steps, n_steps
 
@@ -266,6 +239,24 @@ def _jumps(k: int):
     return lambda states, counts: (counts == k).astype(float)
 
 
+def _truncated(label: str, ucfg: UnravelingConfig, exc: TruncationError) -> ScenarioError:
+    return ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps}, "
+                         f"set by --max-jumps)")
+
+
+def _exact_records(cfg, metadata, model, psi0, label: str, t: float):
+    """Exact records at time ``t``, their lost mass booked under ``label`` and
+    the truncation bound enforced as in :func:`_run_curves`."""
+    dt, n_steps = _resolve_steps(cfg, t_max=t)
+    ucfg = _ucfg(cfg, dt, n_steps)
+    try:
+        res = enumerate_trajectories(model, psi0, ucfg)
+    except TruncationError as exc:
+        raise _truncated(label, ucfg, exc) from exc
+    metadata["truncation_mass"][label] = res.truncation_mass + res.culled_mass
+    return res.records
+
+
 def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
                 t_max=None, grid_points=None, **overrides) -> list[Curve]:
     """Trajectory averages of per-row observables over the configured grid.
@@ -274,8 +265,8 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     value per record row. A density-matrix ``x0`` runs the density sampler;
     otherwise ``mode`` (default ``cfg.mode``) 'exact' runs exact enumeration,
     whose truncated plus culled mass is recorded under the first label (past
-    the truncation bound it raises :class:`ScenarioError`), and any other
-    mode the wavefunction sampler. ``overrides`` adjust the
+    the truncation bound it raises :class:`ScenarioError`), and 'sampled'
+    the wavefunction sampler. ``overrides`` adjust the
     :class:`UnravelingConfig`.
     """
     dt, n_steps = _resolve_steps(cfg, t_max)
@@ -288,8 +279,7 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
         try:
             mean, engine = run_exact_grid(model, x0, ucfg, policy, gsteps, fns)
         except TruncationError as exc:
-            raise ScenarioError(f"exact curve {label}: {exc} (jump budget "
-                                f"{ucfg.max_jumps}, set by --max-jumps)") from exc
+            raise _truncated(label, ucfg, exc) from exc
         metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
     else:
         driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
@@ -356,12 +346,10 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
 
     # conditional no-jump record exactly at t*
     if t_star > 0.0:
-        dt_star, n_star = _resolve_steps(cfg, t_max=t_star)
-        res = enumerate_trajectories(model, psi0, _ucfg(cfg, dt_star, n_star))
-        nj = next(r for r in res.records if r.n_jumps == 0)
+        records = _exact_records(cfg, metadata, model, psi0, "t_star", t_star)
+        nj = next(r for r in records if r.n_jumps == 0)
         scalars["p_ok"] = nj.probability
         scalars["entropy_at_t_star"] = ent.entanglement_entropy(nj.state, layout)
-        metadata["truncation_mass"]["t_star"] = res.truncation_mass + res.culled_mass
     else:
         scalars["p_ok"] = 1.0
         scalars["entropy_at_t_star"] = ent.entanglement_entropy(psi0, layout)
@@ -545,15 +533,13 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     notes = []
     if alpha > 0.5:
         notes.append("alpha > 1/2: less population in the decaying branch than the protected one")
-    if cfg.mode == "sampled":
-        notes.append("cavity-2x3 curves come from exact enumeration; 'sampled' mode request ignored")
     metadata = _metadata(cfg, notes)
 
     engine_e, engine_p0, engine_p1 = _run_curves(cfg, metadata, model, psi0, {
         "E_2x3": (_NEG, _negativity(layout)),
         "P_chi0": (_PROB, _jumps(0)),
         "P_chi1": (_PROB, _jumps(1)),
-    }, mode="exact")
+    })
     times = engine_e.times
     closed = cavity_closed_forms(alpha, gamma, times)
     curves = [
@@ -571,12 +557,10 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     fid_nj, fid_oj, dp0, dp1 = [], [], [], []
     n_oj_classes = 0
     for t in check_times:
-        dt_c, n_c = _resolve_steps(cfg, t_max=t)
-        res = enumerate_trajectories(model, psi0, _ucfg(cfg, dt_c, n_c))
-        metadata["truncation_mass"][f"check_t{t:g}"] = res.truncation_mass + res.culled_mass
+        records = _exact_records(cfg, metadata, model, psi0, f"check_t{t:g}", t)
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
-        nj = next(r for r in res.records if r.n_jumps == 0)
-        oj = [r for r in res.records if r.n_jumps == 1]
+        nj = next(r for r in records if r.n_jumps == 0)
+        oj = [r for r in records if r.n_jumps == 1]
         n_oj_classes = max(n_oj_classes, len(oj))
         fid_nj.append(abs(np.vdot(nj.state, cavity_nj_state(alpha, gamma, t))) ** 2)
         dp0.append(abs(nj.probability - closed_t["P_chi0"][0]))
@@ -629,11 +613,6 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     guard_population = lambda s, c: (np.abs(s.reshape(len(s), 2, dim)[:, :, -1]) ** 2).sum(axis=1)
 
     metadata = _metadata(cfg)
-    if cfg.mode == "exact":
-        metadata["warnings"].append(
-            "cavity-thermal always runs trajectory sampling; 'exact' mode request ignored"
-        )
-
     curves = []
     scalars: dict[str, float] = {"alpha": alpha}
     for i, nbar in enumerate(cfg.nbar):
@@ -646,7 +625,7 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
         curve, guard_curve = _run_curves(cfg, metadata, model, psi0, {
             f"E_2x3_nbar_{tag}": (_NEG, neg),
             "guard": (_PROB, guard_population),
-        }, mode="sampled", rng_seed=cfg.seed + i)
+        }, rng_seed=(cfg.seed + i) % 2**64)
         curves.append(curve)
         guard_max = float(guard_curve.values.max())
         scalars[f"guard_population_nbar_{tag}"] = guard_max
@@ -662,17 +641,52 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
+# the preset table
+# ---------------------------------------------------------------------------
 
 
-_RUNNERS = {
-    "bell-monitoring": run_bell_monitoring,
-    "singlet-conversion": run_singlet_conversion,
-    "qutrit-protection": run_qutrit_protection,
-    "cavity-2x3": run_cavity_2x3,
-    "cavity-thermal": run_cavity_thermal,
+@dataclass(frozen=True)
+class _Scenario:
+    run: Callable[[ScenarioConfig], ScenarioResult]
+    gamma_dt: float  # default time resolution gamma * dt
+    modes: tuple[str, ...]  # the first is the default
+    alpha: float | None  # default alpha; None where the preset takes none
+    figure: str
+    summary: str
+    params: tuple[str, ...]  # the ScenarioConfig keys a run reads
+
+
+_EXACT_SAMPLED = ("exact", "sampled")
+
+# The qutrit and thermal runs are heavier and tolerate a coarser step at
+# second-order accuracy.
+SCENARIOS = {
+    "bell-monitoring": _Scenario(
+        run_bell_monitoring, 1e-3, _EXACT_SAMPLED, None, "Fig. 1 (E_F and E_2 curves)",
+        "monitored qubit pair: E_F, trajectory-averaged E_2, no-jump probability",
+        ("gamma", "t_max", "grid_points", "mode", "n_samples", "seed", "dt", "max_jumps")),
+    "singlet-conversion": _Scenario(
+        run_singlet_conversion, 1e-3, _EXACT_SAMPLED, 0.25,
+        "optimal singlet conversion protocol (p_ok = 2 alpha)",
+        "optimal conversion of sqrt(a)|00>+sqrt(1-a)|11> via monitored decay",
+        ("alpha", "gamma", "t_max", "grid_points", "mode", "n_samples", "seed", "dt",
+         "max_jumps")),
+    "qutrit-protection": _Scenario(
+        run_qutrit_protection, 5e-3, _EXACT_SAMPLED, None, "Fig. 1",
+        "logical qubits in qutrits under cascade decay, with/without feedback",
+        ("gamma", "eta", "tau", "t_max", "grid_points", "mode", "n_samples", "seed", "dt",
+         "max_jumps")),
+    "cavity-2x3": _Scenario(
+        run_cavity_2x3, 1e-3, ("exact",), 0.5, "Fig. 2a–c",
+        "atom flying from a leaky 3-level cavity: closed forms vs trajectories",
+        ("alpha", "gamma", "t_max", "grid_points", "seed", "dt", "max_jumps")),
+    "cavity-thermal": _Scenario(
+        run_cavity_thermal, 5e-3, ("sampled",), 0.5, "Fig. 2d",
+        "cavity channel with a thermal reservoir at several nbar",
+        ("alpha", "gamma", "nbar", "t_max", "grid_points", "n_samples", "seed", "dt")),
 }
+SCENARIO_IDS = tuple(SCENARIOS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    # ScenarioConfig has already rejected unknown scenario names
-    return _RUNNERS[cfg.scenario](cfg)
+    return SCENARIOS[cfg.scenario].run(cfg)

@@ -199,6 +199,14 @@ def _initial_state(x0, dim: int, ndim: int) -> np.ndarray:
     return x0
 
 
+def _checked_grid(grid_steps, n_steps: int) -> list[int]:
+    """Sorted distinct grid steps, each within [0, n_steps]."""
+    grid = sorted(set(int(g) for g in grid_steps))
+    if grid and (grid[0] < 0 or grid[-1] > n_steps):
+        raise ValueError(f"grid steps out of range [0, {n_steps}]")
+    return grid
+
+
 def _mass_fraction(u: np.ndarray) -> np.ndarray:
     """(1 - exp(-u)) / u, stable at u -> 0."""
     out = np.empty_like(u)
@@ -509,10 +517,8 @@ class _ExactEngine:
         patterns deeper than ``max_jumps`` exceeds ``truncation_bound``.
         """
         observables = observables or {}
-        grid = sorted(set(int(g) for g in grid_steps))
         n_steps = self.config.n_steps
-        if grid and (grid[0] < 0 or grid[-1] > n_steps):
-            raise ValueError("grid steps out of range")
+        grid = _checked_grid(grid_steps, n_steps)
         curves = {label: np.empty(len(grid)) for label in observables}
         grid_pos = 0
         for step in range(n_steps + 1):
@@ -751,9 +757,9 @@ class _Sampler:
 
     def run(self, grid_steps=(), observables=None, collect_records=False):
         observables = observables or {}
-        grid = sorted(set(int(g) for g in grid_steps))
         cfg, ops = self.config, self.ops
         n_steps = cfg.n_steps
+        grid = _checked_grid(grid_steps, n_steps)
         n = cfg.n_samples
         K = ops.n_channels
         n_slots = ops.model.layout.n_subsystems

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from jumpguard.cli import ConfigError, main, parse_config
+from jumpguard.cli import ConfigError, _build_parser, main, parse_config
+from jumpguard.scenarios import SCENARIOS, ScenarioConfig
 
 FAST_SINGLET = [
     "run", "singlet-conversion", "--alpha", "0.25", "--t-max", "1", "--grid-points", "5",
@@ -112,6 +114,55 @@ def test_truncated_exact_curve_exit_code_3(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
+    # the exact record at t* loses half its mass without a single jump
+    out = tmp_path / "out"
+    rc = main(["run", "singlet-conversion", "--max-jumps", "0", "--t-max", "1",
+               "--grid-points", "3", "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "t_star:" in err and "--max-jumps" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["bell-monitoring", "--dt", "0"], "dt must be positive"),
+    (["bell-monitoring", "--dt", "-0.01"], "dt must be positive"),
+    (["qutrit-protection", "--max-jumps", "-1"], "max-jumps"),
+    (["bell-monitoring", "--seed", "-1"], "seed"),
+    (["bell-monitoring", "--seed", str(2**64)], "seed"),
+    (["bell-monitoring", "--mode", "both"], "mode"),
+    (["cavity-2x3", "--mode", "sampled"], "mode must be 'exact' for cavity-2x3"),
+    (["cavity-thermal", "--mode", "exact"], "mode must be 'sampled' for cavity-thermal"),
+])
+def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
+    out = tmp_path / "out"
+    rc = main(["run"] + argv + ["--t-max", "0.2", "--grid-points", "3", "--out-dir", str(out)])
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_thermal_accepts_largest_seed(tmp_path):
+    # each nbar curve draws from seed + i, which must stay a valid seed
+    argv = ["run", "cavity-thermal", "--seed", str(2**64 - 1), "--t-max", "0.2",
+            "--grid-points", "3", "--samples", "20"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_thermal_default_mode_round_trips(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "cavity-thermal", "--t-max", "0.2", "--grid-points", "3", "--samples", "50",
+            "--nbar", "0"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert "mode request ignored" not in capsys.readouterr().err
+    echo = out / "config_echo.txt"
+    assert "mode = sampled" in echo.read_text().splitlines()
+    cfg, _ = parse_config("cavity-thermal", str(echo), {})
+    assert cfg.mode == "sampled"
+    assert main(["run", "cavity-thermal", "--config", str(echo), "--out-dir", str(out)]) == 0
+
+
 def test_missing_config_file_exit_code_2(tmp_path):
     rc = main(["run", "bell-monitoring", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2
@@ -153,6 +204,28 @@ def test_list_mentions_figures(capsys):
     assert "qutrit-protection → Fig. 1" in out
     assert "cavity-2x3 → Fig. 2a–c" in out
     assert "--gamma" in out and "defaults" in out
+
+
+def test_list_parameters_are_run_flags_and_modes_named(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    parser = _build_parser()
+    config_keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    for sid, spec in SCENARIOS.items():
+        i = out.index(f"  {sid} → {spec.figure}")
+        modes, params = out[i + 2], out[i + 3]
+        assert modes.strip().startswith(f"modes: {spec.modes[0]} (default)")
+        assert all(m in modes for m in spec.modes)
+        flags = params.split("parameters: ")[1].split(", ")
+        for flag in flags:
+            # an unknown flag exits; a known one sets exactly one config key
+            args = vars(parser.parse_args(["run", sid, flag, "1"]))
+            set_keys = {k for k, v in args.items() if v is not None} - {"command", "scenario"}
+            assert len(set_keys) == 1 and set_keys <= config_keys, flag
+        assert "--grid-points" in flags
+        assert ("--max-jumps" in flags) == ("exact" in spec.modes)
+    assert "modes: exact (default);" in out[out.index("  cavity-2x3 → Fig. 2a–c") + 2]
+    assert "modes: sampled (default);" in out[out.index("  cavity-thermal → Fig. 2d") + 2]
 
 
 def test_version(capsys):

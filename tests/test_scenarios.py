@@ -27,6 +27,15 @@ def test_config_validation():
         ScenarioConfig(scenario="cavity-2x3", alpha=1.5)
 
 
+def test_default_mode_is_first_mode_of_scenario():
+    assert ScenarioConfig(scenario="bell-monitoring").mode == "exact"
+    assert ScenarioConfig(scenario="cavity-2x3").mode == "exact"
+    assert ScenarioConfig(scenario="cavity-thermal").mode == "sampled"
+    for scenario, mode in (("cavity-2x3", "sampled"), ("cavity-thermal", "exact")):
+        with pytest.raises(ScenarioError, match="mode"):
+            ScenarioConfig(scenario=scenario, mode=mode)
+
+
 def test_bell_monitoring_curves():
     cfg = ScenarioConfig(scenario="bell-monitoring", t_max=2.0, grid_points=21)
     res = run_scenario(cfg)

@@ -522,3 +522,21 @@ def test_pure_sampler_rejects_inefficiency():
     policy = FeedbackPolicy(unitaries={0: np.eye(2), 1: np.eye(2)}, efficiency=0.5)
     with pytest.raises(ValueError, match="efficiency"):
         sample_trajectories(model, bell2(), UnravelingConfig(dt=1e-3, t_max=0.1), policy)
+
+
+@pytest.mark.parametrize("driver, x0", [
+    (run_exact_grid, bell2()),
+    (run_sampled_grid, bell2()),
+    (run_density_grid, np.outer(bell2(), bell2().conj())),
+], ids=["run_exact_grid", "run_sampled_grid", "run_density_grid"])
+@pytest.mark.parametrize("grid", [[0, 5, 50], [-1, 5]])
+def test_grid_steps_checked_against_step_count(driver, x0, grid):
+    # 10 steps: a grid step past 10 (or below 0) is never reached
+    model = build_qubit_pair(1.0)
+    cfg = UnravelingConfig(dt=1e-2, t_max=0.1, n_samples=8)
+    one = {"one": lambda states, counts: np.ones(len(states))}
+    with pytest.raises(ValueError, match="grid steps out of range"):
+        driver(model, x0, cfg, None, grid, one)
+    out = driver(model, x0, cfg, None, [0, 5, 10], one)
+    mean = out[0] if isinstance(out, tuple) else out.mean
+    assert np.allclose(mean["one"], 1.0, atol=1e-12)
