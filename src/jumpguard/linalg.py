@@ -1,9 +1,9 @@
 """Dense complex linear algebra on small composite Hilbert spaces.
 
-Everything here works on plain ``numpy`` arrays of ``complex128``. Total
-dimensions in this package never exceed ~100 (two qutrits is 9, the
-atom-cavity channel is 6), so dense storage and direct eigensolves are the
-right tool throughout.
+Everything here works on plain ``numpy`` arrays of ``complex128``, except
+the real superoperators in the Hermitian basis. Total dimensions in this
+package never exceed ~100 (two qutrits is 9, the atom-cavity channel is 6),
+so dense storage and direct eigensolves are the right tool throughout.
 """
 
 from __future__ import annotations
@@ -130,6 +130,39 @@ def partial_transpose(rho: np.ndarray, slot: int, layout: SpaceLayout) -> np.nda
     else:
         raise ValueError(f"slot must be 0 or 1, got {slot}")
     return r.reshape(rho.shape)
+
+
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Unitary T whose rows map a row-major vec(rho) to real coordinates.
+
+    T vec(rho) lists the ``dim`` diagonal entries, then sqrt(2) Re rho_ij and
+    then sqrt(2) Im rho_ij over i < j in row-major order; it is real exactly
+    when rho is Hermitian, and ``x @ T.conj()`` maps coordinates back.
+    """
+    i, j = np.triu_indices(dim, k=1)
+    upper, lower = i * dim + j, j * dim + i
+    n, p = dim * dim, upper.size
+    T = np.zeros((n, n), dtype=np.complex128)
+    T[np.arange(dim), np.arange(dim) * (dim + 1)] = 1.0
+    rows = np.arange(dim, dim + p)
+    T[rows, upper] = T[rows, lower] = 1.0 / np.sqrt(2.0)
+    T[rows + p, upper] = -1j / np.sqrt(2.0)
+    T[rows + p, lower] = 1j / np.sqrt(2.0)
+    return T
+
+
+def real_superoperator(superop: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """T S T^+ for the Hermitian basis T, as a real matrix.
+
+    S acts on row-major vec(rho), e.g. A (x) A* for rho -> A rho A^+. Raises
+    when the discarded imaginary part exceeds 1e-12: S does not preserve
+    Hermiticity.
+    """
+    out = basis @ superop @ dagger(basis)
+    defect = np.abs(out.imag).max()
+    if defect > 1e-12:
+        raise ValueError(f"map does not preserve Hermiticity (imaginary part {defect:.2e})")
+    return np.ascontiguousarray(out.real)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

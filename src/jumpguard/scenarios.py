@@ -443,15 +443,10 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     # inefficient detection: density-matrix sampling is the only driver.
     if cfg.eta < 1.0:
         fb_eta = FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta)
-        eta_samples = min(cfg.n_samples, 3000)
         rho0 = np.outer(psi0_3, psi0_3.conj())
-        curves += _run_curves(cfg, metadata, model_deg, rho0, {"E_3f_eta": (_NEG, neg3)},
-                              fb_eta, n_samples=eta_samples)
-        metadata["eta_run"] = {
-            "driver": "density-sampled",
-            "n_samples": eta_samples,
-            "eta": cfg.eta,
-        }
+        curves += _run_curves(cfg, metadata, model_deg, rho0, {"E_3f_eta": (_NEG, neg3)}, fb_eta)
+        metadata["eta_run"] = {"driver": "density-sampled", "n_samples": cfg.n_samples,
+                               "eta": cfg.eta}
 
     scalars = {"tau": tau, "eta": cfg.eta}
     return ScenarioResult(cfg.scenario, curves, scalars, metadata)

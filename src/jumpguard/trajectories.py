@@ -27,12 +27,12 @@ discrete jumps. Three drivers are provided.
   waits in its trajectory's FIFO queue until its due step.
 
 * Density-matrix sampling (`sample_density_trajectories`): required when
-  detection efficiency eta < 1. The same sampler steps rows that hold
-  vec(rho) in row-major order, on which a map A acts as A (x) A*, so each
-  map is one matrix product per block of rows. Recorded jumps update the
-  state projectively and trigger feedback; unrecorded jumps fold into the
-  no-record map N (x) N* + (1 - eta) sum_k S_k (x) S_k*, which mixes the
-  observer's conditional state.
+  detection efficiency eta < 1. The same sampler steps real rows T vec(rho)
+  in an orthonormal Hermitian basis T, where a map A acts as the real
+  T (A (x) A*) T^+; rows become matrices only at grid points and records.
+  Recorded jumps update the state projectively and trigger feedback;
+  unrecorded jumps fold into the no-record map N (x) N* + (1 - eta) sum_k
+  S_k (x) S_k*, which mixes the observer's conditional state.
 
 Per step of length dt the no-jump update is the exact exponential
 exp(-1/2 G dt) with G = sum_k gamma_k L_k+ L_k, so the no-jump probability
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, dagger, embed, make_layout
+from .linalg import (as_matrix, as_vector, dagger, embed, hermitian_basis, make_layout,
+                     real_superoperator)
 from .models import OpenSystemModel
 
 MAX_GAMMA_DT = 1e-2
@@ -704,15 +705,16 @@ def _pop_due_corrections(states, queues, limit, n_slots, corrections):
 class _Sampler:
     """Vectorized Monte Carlo unraveling over blocks of trajectory rows.
 
-    A row is a state vector psi, or a row-major vec(rho) when ``x0`` is a
-    density matrix. Every per-step map A acts on rows through its lift: A
-    itself on state vectors and A (x) A* on vec(rho), where it gives
-    vec(A rho A^+); rows are mapped as ``rows @ lift(A).T``. A row's weight
-    is |psi|^2 or tr rho. Recorded jumps (a fraction eta of the physical
-    ones) update the row projectively and trigger feedback; unrecorded jumps
-    fold into the no-record map N (x) N* + (1 - eta) sum_k S_k (x) S_k*.
-    Observables are per-row functions fn(states, counts) -> float array,
-    density rows reshaped to (n, d, d), averaged with weight 1/n_samples.
+    A row is a state vector psi, or the real coordinates T vec(rho) of a
+    density matrix in the Hermitian basis T (`linalg.hermitian_basis`). A
+    per-step map A acts through its lift, A itself or the real
+    T (A (x) A*) T^+ (rho -> A rho A^+), as ``rows @ lift(A).T``. A row's
+    weight is |psi|^2 or tr rho, the sum of its first d coordinates. Recorded
+    jumps (a fraction eta of the physical ones) update the row projectively
+    and trigger feedback; unrecorded jumps fold into the no-record map
+    N (x) N* + (1 - eta) sum_k S_k (x) S_k*. Observables are per-row
+    functions fn(states, counts) -> float array, density rows as complex
+    (n, d, d) matrices, averaged with weight 1/n_samples.
     """
 
     def __init__(self, model, x0, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -726,15 +728,15 @@ class _Sampler:
         if eta < 1.0 and not self.density:
             raise ValueError("pure-state sampling supports efficiency 1 only; "
                              "use sample_density_trajectories for eta < 1")
-        self.x0 = x0.reshape(-1)
-        lift = (lambda A: np.kron(A, A.conj())) if self.density else (lambda A: A)
+        self.basis = T = hermitian_basis(d) if self.density else None
+        self.x0 = (T @ x0.reshape(-1)).real if self.density else x0
+        lift = (lambda A: real_superoperator(np.kron(A, A.conj()), T)) if self.density else (lambda A: A)
 
         # transposed row maps: rows @ map
         no_jump = lift(ops.no_jump)
         self.advance = (no_jump + (1.0 - eta) * sum(map(lift, ops.jump_maps))).T
-        # tr(N rho N^+) as one product with vec(rho), needed when the
-        # advance also holds the unrecorded jumps
-        self.no_jump_trace = no_jump[:: d + 1].sum(axis=0) if eta < 1.0 else None
+        # tr(N rho N^+) per row, needed when the advance holds unrecorded jumps
+        self.no_jump_trace = no_jump[:d].sum(axis=0) if eta < 1.0 else None
         self.jumps = np.concatenate([lift(S).T for S in ops.jump_maps_fb], axis=1)
         self.splits = np.concatenate([lift(B).T for B in ops.split_maps], axis=1)
         self.corrections = {slot: lift(u).T for slot, u in ops.unitaries_embedded.items()}
@@ -742,18 +744,16 @@ class _Sampler:
     def _weight(self, rows):
         """|psi|^2 or tr rho along the last axis."""
         if self.density:
-            return rows.real[..., :: self.d + 1].sum(axis=-1)
-        re_im = rows.view(np.float64)
-        return np.einsum("...i,...i->...", re_im, re_im)
+            return rows[..., : self.d].sum(axis=-1)
+        return np.einsum("...i,...i->...", rows.view(np.float64), rows.view(np.float64))
 
     def _normalize(self, rows, weight):
         """Scale freshly computed rows to unit weight in place."""
-        re_im = rows.view(np.float64)
-        re_im *= (1.0 / (weight if self.density else np.sqrt(weight)))[:, None]
+        rows.view(np.float64)[:] *= (1.0 / (weight if self.density else np.sqrt(weight)))[:, None]
         return rows
 
     def _states(self, rows):
-        return rows.reshape(-1, self.d, self.d) if self.density else rows
+        return (rows @ self.basis.conj()).reshape(-1, self.d, self.d) if self.density else rows
 
     def run(self, grid_steps=(), observables=None, collect_records=False):
         observables = observables or {}
@@ -795,7 +795,7 @@ class _Sampler:
                 # (recorded) jump probability of the step
                 adv = states @ self.advance
                 weight = self._weight(adv)
-                stay = weight if self.no_jump_trace is None else (states @ self.no_jump_trace).real
+                stay = weight if self.no_jump_trace is None else states @ self.no_jump_trace
                 q_tot = self.eta * (1.0 - stay)
                 u = _step_uniforms(keys, step)
                 jumpers = np.nonzero(u < q_tot)[0]

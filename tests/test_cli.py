@@ -86,14 +86,15 @@ def test_summary_truncation_mass_by_exact_run(tmp_path, scenario, extra, labels)
 
 
 def test_summary_reports_non_ideal_feedback_runs(tmp_path):
-    # E_3f_eta runs on at most 3000 samples; summary.json must say so
+    # both non-ideal feedback curves run on the configured --samples, and
+    # summary.json says so
     out = tmp_path / "out"
     argv = ["run", "qutrit-protection", "--mode", "sampled", "--t-max", "0.2",
             "--grid-points", "3", "--samples", "4000", "--tau", "0.05", "--eta", "0.9"]
     assert main(argv + ["--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["tau_run"] == {"driver": "pure-sampled", "n_samples": 4000, "tau": 0.05}
-    assert summary["eta_run"] == {"driver": "density-sampled", "n_samples": 3000, "eta": 0.9}
+    assert summary["eta_run"] == {"driver": "density-sampled", "n_samples": 4000, "eta": 0.9}
 
 
 def test_range_violation_exit_code_2(tmp_path, capsys):

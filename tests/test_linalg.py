@@ -4,6 +4,7 @@ import pytest
 from jumpguard.linalg import (
     SpaceLayout,
     embed,
+    hermitian_basis,
     hermitian_eigenvalues,
     kron,
     make_layout,
@@ -11,6 +12,7 @@ from jumpguard.linalg import (
     partial_trace,
     partial_transpose,
     product_basis_state,
+    real_superoperator,
     rk4_step,
 )
 
@@ -169,6 +171,35 @@ def test_partial_transpose_involution_and_trace():
         for idx in np.ndindex(2, 3):
             assert np.array_equal(pts[idx], partial_transpose(stack[idx], slot, lay))
         assert np.array_equal(partial_transpose(pts, slot, lay), stack)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hermitian_basis_real_lift_matches_conjugation(dim):
+    # T is unitary, T vec(rho) is real for Hermitian rho, and the real lift
+    # of A (x) A* maps T vec(rho) to T vec(A rho A^+)
+    rng = np.random.default_rng(dim)
+    T = hermitian_basis(dim)
+    assert np.allclose(T @ T.conj().T, np.eye(dim * dim), atol=1e-15)
+    for _ in range(5):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = h + h.conj().T
+        x = T @ rho.reshape(-1)
+        assert np.max(np.abs(x.imag)) < 1e-15
+        assert np.allclose(x.real[:dim], np.diag(rho).real, atol=0.0)
+        assert np.allclose((x.real @ T.conj()).reshape(dim, dim), rho, atol=1e-14)
+        lift = real_superoperator(np.kron(a, a.conj()), T)
+        assert lift.dtype == np.float64
+        want = T @ (a @ rho @ a.conj().T).reshape(-1)
+        assert np.max(np.abs(lift @ x.real - want)) < 1e-13
+
+
+def test_real_superoperator_rejects_non_hermiticity_preserving_map():
+    # rho -> A rho B^+ with B != A does not keep rho Hermitian
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    with pytest.raises(ValueError, match="Hermiticity"):
+        real_superoperator(np.kron(a, b.conj()), hermitian_basis(3))
 
 
 def test_hermitian_eigenvalues_sorted():

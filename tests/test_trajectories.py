@@ -422,6 +422,23 @@ def test_eta_one_density_matches_pure_driver_with_delay():
     _assert_eta_one_density_matches_pure_driver(delay=0.02)
 
 
+def test_inefficient_density_records_are_states():
+    # eta < 1 with queued feedback: every record converted from its real
+    # Hermitian-basis row is an exactly Hermitian, unit-trace, positive state
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    policy = FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.8)
+    cfg = UnravelingConfig(dt=2e-3, t_max=1.0, n_samples=60, rng_seed=17)
+    res = sample_density_trajectories(model, np.outer(psi0, psi0.conj()), cfg, policy)
+    assert sum(r.n_jumps for r in res.records) > 0
+    for rec in res.records:
+        rho = rec.state
+        assert rho.shape == (9, 9)
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+
+
 def test_eta_zero_reduces_to_master_equation():
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     psi0 = code_bell3()
