@@ -52,11 +52,10 @@ _KEY_PARSERS = {
     "surface_time_points": int,
 }
 
-# config key -> its `run` flag: the key with dashes, n_samples as --samples
-_FLAGS = {key: "--" + key.removeprefix("n_").replace("_", "-") for key in (
-    "gamma", "alpha", "eta", "tau", "nbar", "dt", "t_max", "grid_points", "mode",
-    "n_samples", "seed", "max_jumps",
-)}
+# config key -> its `run` flag: the key with dashes, n_samples as --samples;
+# the scenario and the cavity-2x3 surface resolution are config-file keys only
+_FLAGS = {key: "--" + key.removeprefix("n_").replace("_", "-") for key in _KEY_PARSERS
+          if key not in ("scenario", "alpha_points", "surface_time_points")}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -89,7 +88,8 @@ def _parse_config_file(path: str) -> dict:
 def parse_config(scenario: str, file_path: str | None, flag_values: dict) -> tuple[ScenarioConfig, list[str]]:
     """Merge config file and flags into a validated ScenarioConfig.
 
-    Flags win over file entries; each override is reported as a warning.
+    Flags win over file entries; each override is reported as a warning, and
+    so is each flag other than ``--mode`` that the scenario does not read.
     """
     warnings = []
     merged: dict = {}
@@ -113,6 +113,9 @@ def parse_config(scenario: str, file_path: str | None, flag_values: dict) -> tup
         raise ConfigError(str(exc)) from exc
     except TypeError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    params = SCENARIOS[scenario].params
+    warnings += [f"flag {flag} is ignored by {scenario}" for key, flag in _FLAGS.items()
+                 if flag_values.get(key) is not None and key not in params and key != "mode"]
     return cfg, warnings
 
 

@@ -69,8 +69,8 @@ class EntanglementValue:
         return cls(measure, min(v, cap))
 
 
-# Batched kernels: stacks of state vectors (n, d) or density matrices
-# (n, d, d); the scalar functions below are batches of one.
+# Batched kernels on stacks of state vectors (n, d) or density matrices (n, d, d),
+# picked by measure_rows; the scalar functions below are batches of one.
 
 
 def _schmidt(states: np.ndarray, layout) -> np.ndarray:
@@ -120,26 +120,63 @@ def eof_batch_pure_2q(states: np.ndarray) -> np.ndarray:
     return _eof(_pure_concurrence(states))
 
 
-# Scalar measures
-
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SY2 = np.kron(_SY, _SY)
+
+
+def _wootters(rhos: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each matrix of a two-qubit stack (n, 4, 4)."""
+    rho_tilde = _SY2 @ rhos.conj() @ _SY2
+    lam = np.sqrt(np.clip(np.linalg.eigvals(rhos @ rho_tilde).real, 0.0, None))
+    lam.sort(axis=-1)
+    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
+
+
+def measure_rows(rows: np.ndarray, measure: Measure, layout) -> np.ndarray:
+    """One value of ``measure`` per row of state vectors (n, d) or density matrices (n, d, d)."""
+    layout = make_layout(layout)
+    pure = rows.ndim == 2
+    if measure is Measure.NEGATIVITY:
+        kernel = negativity_batch_pure if pure else negativity_batch_density
+        return kernel(rows, layout)
+    if measure is Measure.ENTROPY_OF_ENTANGLEMENT:
+        if not pure:
+            raise ValueError("entropy of entanglement is defined for pure records only")
+        n2 = np.einsum("ij,ij->i", rows.conj(), rows).real
+        if np.any(np.abs(n2 - 1.0) > 1e-8):
+            raise ValueError(f"state not normalized (|psi|^2 = {n2[np.argmax(np.abs(n2 - 1.0))]})")
+        return entropy_batch_pure(rows, layout)
+    if layout.subsystem_dims != (2, 2):
+        raise ValueError(f"{measure.value} requires a two-qubit layout")
+    if measure is Measure.CONCURRENCE:
+        return _pure_concurrence(rows) if pure else _wootters(rows)
+    if measure is Measure.ENTANGLEMENT_OF_FORMATION:
+        return eof_batch_pure_2q(rows) if pure else _eof(_wootters(rows))
+    raise ValueError(f"unknown measure {measure}")
+
+
+# Scalar measures: batches of one
+
+
+def measure_state(state: np.ndarray, measure: Measure, layout: SpaceLayout) -> float:
+    """Evaluate one measure on a pure state vector or a density matrix."""
+    return float(measure_rows(np.asarray(state, dtype=np.complex128)[None], measure, layout)[0])
 
 
 def binary_entropy(p: float) -> float:
     return float(_binary_entropy(p))
 
 
-def concurrence_2q(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
+def _two_qubit_density(rho: np.ndarray, measure: Measure) -> float:
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"two-qubit state required, got shape {rho.shape}")
-    rho_tilde = _SY2 @ rho.conj() @ _SY2
-    lam = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(lam.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    return measure_state(rho, measure, (2, 2))
+
+
+def concurrence_2q(rho: np.ndarray) -> float:
+    """Wootters concurrence of a two-qubit density matrix."""
+    return _two_qubit_density(rho, Measure.CONCURRENCE)
 
 
 def pure_concurrence_2q(psi: np.ndarray) -> float:
@@ -147,7 +184,7 @@ def pure_concurrence_2q(psi: np.ndarray) -> float:
     psi = as_vector(psi)
     if psi.shape != (4,):
         raise ValueError("two-qubit pure state required")
-    return float(_pure_concurrence(psi[None])[0])
+    return measure_state(psi, Measure.CONCURRENCE, (2, 2))
 
 
 def eof_from_concurrence(c: float) -> float:
@@ -156,54 +193,27 @@ def eof_from_concurrence(c: float) -> float:
 
 def eof_2q(rho: np.ndarray) -> float:
     """Entanglement of formation of a two-qubit state (exact via concurrence)."""
-    return eof_from_concurrence(concurrence_2q(rho))
+    return _two_qubit_density(rho, Measure.ENTANGLEMENT_OF_FORMATION)
 
 
 def negativity(rho: np.ndarray, layout: SpaceLayout) -> float:
     """Absolute sum of negative eigenvalues of the partial transpose."""
-    return float(negativity_batch_density(as_matrix(rho)[None], layout)[0])
+    return measure_state(as_matrix(rho), Measure.NEGATIVITY, layout)
 
 
 def entanglement_entropy(psi: np.ndarray, layout: SpaceLayout) -> float:
     """Von Neumann entropy (base 2) of either reduced state of a pure state."""
-    psi = as_vector(psi)
-    n2 = np.vdot(psi, psi).real
-    if abs(n2 - 1.0) > 1e-8:
-        raise ValueError(f"state not normalized (|psi|^2 = {n2})")
-    return float(entropy_batch_pure(psi[None], layout)[0])
-
-
-def measure_state(state: np.ndarray, measure: Measure, layout: SpaceLayout) -> float:
-    """Evaluate one measure on a pure state vector or a density matrix."""
-    layout = make_layout(layout)
-    state = np.asarray(state, dtype=np.complex128)
-    pure = state.ndim == 1
-    if measure is Measure.NEGATIVITY:
-        if pure:
-            return float(negativity_batch_pure(state[None], layout)[0])
-        return negativity(state, layout)
-    if measure is Measure.ENTROPY_OF_ENTANGLEMENT:
-        if not pure:
-            raise ValueError("entropy of entanglement is defined for pure records only")
-        return entanglement_entropy(state, layout)
-    if layout.subsystem_dims != (2, 2):
-        raise ValueError(f"{measure.value} requires a two-qubit layout")
-    c = pure_concurrence_2q(state) if pure else concurrence_2q(state)
-    if measure is Measure.CONCURRENCE:
-        return c
-    if measure is Measure.ENTANGLEMENT_OF_FORMATION:
-        return eof_from_concurrence(c)
-    raise ValueError(f"unknown measure {measure}")
+    return measure_state(as_vector(psi), Measure.ENTROPY_OF_ENTANGLEMENT, layout)
 
 
 def average_entanglement(records, measure: Measure, layout: SpaceLayout) -> float:
-    """Probability-weighted measure over trajectory records.
-
-    Pure records are evaluated as state vectors, density records (from
-    inefficient monitoring) directly as mixed states.
-    """
-    layout = make_layout(layout)
+    """Probability-weighted measure over trajectory records: one batch of state
+    vectors and one of density matrices (from inefficient monitoring)."""
+    records = list(records)
     total = 0.0
-    for rec in records:
-        total += rec.probability * measure_state(rec.state, measure, layout)
+    for ndim in {np.ndim(rec.state) for rec in records}:
+        batch = [rec for rec in records if np.ndim(rec.state) == ndim]
+        values = measure_rows(np.array([rec.state for rec in batch], dtype=np.complex128),
+                              measure, layout)
+        total += sum(rec.probability * value for rec, value in zip(batch, values))
     return float(total)

@@ -92,6 +92,8 @@ class ScenarioConfig:
         object.__setattr__(self, "nbar", tuple(self.nbar))
         if any(n < 0 for n in self.nbar):
             raise ScenarioError(f"nbar values must be >= 0, got {self.nbar}")
+        if self.scenario == "cavity-thermal" and not self.nbar:
+            raise ScenarioError("nbar must list at least one value for cavity-thermal")
         if self.mode is None:
             object.__setattr__(self, "mode", spec.modes[0])
         if self.mode not in spec.modes:
@@ -209,29 +211,13 @@ def _superposition(layout, alpha: float, a: tuple, b: tuple) -> np.ndarray:
 # per-row observables and the one curve driver
 # ---------------------------------------------------------------------------
 
-_NEG = Measure.NEGATIVITY.value
-_EOF = Measure.ENTANGLEMENT_OF_FORMATION.value
-_ENTROPY = Measure.ENTROPY_OF_ENTANGLEMENT.value
 _PROB = "probability"
 
 
-def _negativity(layout):
-    """Negativity per row of state vectors or (density sampler) matrices."""
-
-    def f(states, counts):
-        if states.ndim == 3:
-            return ent.negativity_batch_density(states, layout)
-        return ent.negativity_batch_pure(states, layout)
-
-    return f
-
-
-def _entropy(layout):
-    return lambda states, counts: ent.entropy_batch_pure(states, layout)
-
-
-def _eof(states, counts):
-    return ent.eof_batch_pure_2q(states)
+def _measure(measure: Measure, layout):
+    """(measure tag, f) of one entanglement measure per state vector or density matrix row."""
+    layout = make_layout(layout)
+    return measure.value, lambda states, counts: ent.measure_rows(states, measure, layout)
 
 
 def _jumps(k: int):
@@ -292,6 +278,19 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     ]
 
 
+def _qubit_pair_curves(cfg, metadata, observables, references) -> list[Curve]:
+    """The monitored qubit pair from (|10> + |01>)/sqrt(2): master-equation
+    curves of ``references`` on rho(t), then the trajectory curves of
+    ``observables``, both label -> (measure, f) as in :func:`_run_curves`."""
+    model = build_qubit_pair(cfg.gamma)
+    psi0 = _bell_pair(2, 1, 0)
+    trajectory = _run_curves(cfg, metadata, model, psi0, observables)
+    times = trajectory[0].times
+    rho_grid = np.array(evolve_master(model, np.outer(psi0, psi0.conj()), times))
+    return [Curve(label, measure, times, f(rho_grid, None))
+            for label, (measure, f) in references.items()] + trajectory
+
+
 # ---------------------------------------------------------------------------
 # bell-monitoring
 # ---------------------------------------------------------------------------
@@ -300,19 +299,14 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
 def run_bell_monitoring(cfg: ScenarioConfig) -> ScenarioResult:
     """Monitored qubit pair: E_F of the unmonitored state, the trajectory
     average E_2, and the no-jump probability P_NJ over the time grid."""
-    model = build_qubit_pair(cfg.gamma)
-    psi0 = _bell_pair(2, 1, 0)
     metadata = _metadata(cfg)
-    observables = {"E_2": (_EOF, _eof), "P_NJ": (_PROB, _jumps(0))}
-    e2, pnj = _run_curves(cfg, metadata, model, psi0, observables)
-    times = e2.times
-    rho_grid = evolve_master(model, np.outer(psi0, psi0.conj()), times)
-    ef_master = np.array([ent.eof_2q(r) for r in rho_grid])
-
-    curves = [Curve("E_F", _EOF, times, ef_master), e2, pnj]
+    eof = _measure(Measure.ENTANGLEMENT_OF_FORMATION, (2, 2))
+    curves = _qubit_pair_curves(cfg, metadata, {"E_2": eof, "P_NJ": (_PROB, _jumps(0))},
+                                {"E_F": eof})
+    pnj = curves[-1]
     scalars = {
         "p_nj_final": float(pnj.values[-1]),
-        "p_nj_analytic_final": math.exp(-cfg.gamma * times[-1]),
+        "p_nj_analytic_final": math.exp(-cfg.gamma * pnj.times[-1]),
     }
     return ScenarioResult(cfg.scenario, curves, scalars, metadata)
 
@@ -339,20 +333,14 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     t_star = math.log((1.0 - alpha) / alpha) / (2.0 * gamma) if alpha < 0.5 else 0.0
 
     metadata = _metadata(cfg)
-    scalars = {
-        "t_star": t_star,
-        "p_ok_analytic": 2.0 * alpha,
-    }
-
     # conditional no-jump record exactly at t*
+    p_ok, state = 1.0, psi0
     if t_star > 0.0:
         records = _exact_records(cfg, metadata, model, psi0, "t_star", t_star)
         nj = next(r for r in records if r.n_jumps == 0)
-        scalars["p_ok"] = nj.probability
-        scalars["entropy_at_t_star"] = ent.entanglement_entropy(nj.state, layout)
-    else:
-        scalars["p_ok"] = 1.0
-        scalars["entropy_at_t_star"] = ent.entanglement_entropy(psi0, layout)
+        p_ok, state = nj.probability, nj.state
+    scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
+               "entropy_at_t_star": ent.entanglement_entropy(state, layout)}
 
     no_jump = _jumps(0)
     if cfg.mode == "sampled" and t_star > 0.0:
@@ -364,10 +352,10 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
 
     # curves over the configured horizon (exact engine; cheap for two qubits);
     # the no-jump entropy is the no-jump-weighted average over P_NJ
-    entropy = _entropy(layout)
+    tag, entropy = _measure(Measure.ENTROPY_OF_ENTANGLEMENT, layout)
     pnj, entropy_nj = _run_curves(cfg, metadata, model, psi0, {
         "P_NJ": (_PROB, no_jump),
-        "entropy_NJ": (_ENTROPY, lambda s, c: no_jump(s, c) * entropy(s, c)),
+        "entropy_NJ": (tag, lambda s, c: no_jump(s, c) * entropy(s, c)),
     }, mode="exact")
     entropy_nj.values = np.divide(entropy_nj.values, pnj.values,
                                   out=np.zeros_like(pnj.values), where=pnj.values > 0)
@@ -394,21 +382,15 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     gamma = cfg.gamma
     layout3 = make_layout((3, 3))
     psi0_3 = _bell_pair(3, 1, 2)
-    neg3, entropy3 = _negativity(layout3), _entropy(layout3)
+    neg3 = _measure(Measure.NEGATIVITY, layout3)
+    entropy3 = _measure(Measure.ENTROPY_OF_ENTANGLEMENT, layout3)
     metadata = _metadata(cfg)
 
     # qubit references
-    model2 = build_qubit_pair(gamma)
-    psi0_2 = _bell_pair(2, 1, 0)
-    layout2 = model2.layout
-    qubit = _run_curves(cfg, metadata, model2, psi0_2,
-                        {"E_2": (_EOF, _eof), "E_2_neg": (_NEG, _negativity(layout2))})
-    times = qubit[0].times
-    rho_grid = evolve_master(model2, np.outer(psi0_2, psi0_2.conj()), times)
-    curves = [
-        Curve("E_F", _EOF, times, np.array([ent.eof_2q(r) for r in rho_grid])),
-        Curve("E_F_neg", _NEG, times, np.array([ent.negativity(r, layout2) for r in rho_grid])),
-    ] + qubit
+    eof2 = _measure(Measure.ENTANGLEMENT_OF_FORMATION, (2, 2))
+    neg2 = _measure(Measure.NEGATIVITY, (2, 2))
+    curves = _qubit_pair_curves(cfg, metadata, {"E_2": eof2, "E_2_neg": neg2},
+                                {"E_F": eof2, "E_F_neg": neg2})
 
     # qutrit curve family
     model_deg = build_qutrit_pair(CascadeSpec.degenerate(gamma))
@@ -427,16 +409,16 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
         ("E_3fho", model_ho, fb_ideal, False, fb_depth),
     ]
     for label, model, policy, with_entropy, depth in family:
-        observables = {label: (_NEG, neg3)}
+        observables = {label: neg3}
         if with_entropy:
-            observables[label + "_entropy"] = (_ENTROPY, entropy3)
+            observables[label + "_entropy"] = entropy3
         curves += _run_curves(cfg, metadata, model, psi0_3, observables, policy, max_jumps=depth)
 
     # Delayed feedback runs on the sampler: exact enumeration takes no delay.
     tau = cfg.resolved_tau
     if tau > 0:
         fb_tau = FeedbackPolicy.qutrit_cyclic(delay=tau)
-        curves += _run_curves(cfg, metadata, model_deg, psi0_3, {"E_3f_tau": (_NEG, neg3)},
+        curves += _run_curves(cfg, metadata, model_deg, psi0_3, {"E_3f_tau": neg3},
                               fb_tau, mode="sampled")
         metadata["tau_run"] = {"driver": "pure-sampled", "n_samples": cfg.n_samples, "tau": tau}
 
@@ -444,7 +426,7 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.eta < 1.0:
         fb_eta = FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta)
         rho0 = np.outer(psi0_3, psi0_3.conj())
-        curves += _run_curves(cfg, metadata, model_deg, rho0, {"E_3f_eta": (_NEG, neg3)}, fb_eta)
+        curves += _run_curves(cfg, metadata, model_deg, rho0, {"E_3f_eta": neg3}, fb_eta)
         metadata["eta_run"] = {"driver": "density-sampled", "n_samples": cfg.n_samples,
                                "eta": cfg.eta}
 
@@ -531,7 +513,7 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     metadata = _metadata(cfg, notes)
 
     engine_e, engine_p0, engine_p1 = _run_curves(cfg, metadata, model, psi0, {
-        "E_2x3": (_NEG, _negativity(layout)),
+        "E_2x3": _measure(Measure.NEGATIVITY, layout),
         "P_chi0": (_PROB, _jumps(0)),
         "P_chi1": (_PROB, _jumps(1)),
     })
@@ -539,8 +521,8 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     closed = cavity_closed_forms(alpha, gamma, times)
     curves = [
         engine_e,
-        Curve("E_2x3_analytic", _NEG, times, closed["E_2x3"]),
-        Curve("E_2x2_analytic", _NEG, times, closed["E_2x2"]),
+        Curve("E_2x3_analytic", engine_e.measure, times, closed["E_2x3"]),
+        Curve("E_2x2_analytic", engine_e.measure, times, closed["E_2x2"]),
         engine_p0,
         Curve("P_chi0_analytic", _PROB, times, closed["P_chi0"]),
         engine_p1,
@@ -603,7 +585,7 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     dim = THERMAL_CAVITY_DIM
     layout = make_layout((2, dim))
     psi0 = _superposition(layout, alpha, (1, 1), (0, 2))
-    neg = _negativity(layout)
+    neg = _measure(Measure.NEGATIVITY, layout)
     # population of the guard level, the last cavity level
     guard_population = lambda s, c: (np.abs(s.reshape(len(s), 2, dim)[:, :, -1]) ** 2).sum(axis=1)
 
@@ -618,7 +600,7 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
         model = OpenSystemModel(layout=layout, channels=channels)
         tag = f"{nbar:g}"
         curve, guard_curve = _run_curves(cfg, metadata, model, psi0, {
-            f"E_2x3_nbar_{tag}": (_NEG, neg),
+            f"E_2x3_nbar_{tag}": neg,
             "guard": (_PROB, guard_population),
         }, rng_seed=(cfg.seed + i) % 2**64)
         curves.append(curve)

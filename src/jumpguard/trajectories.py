@@ -39,11 +39,14 @@ exp(-1/2 G dt) with G = sum_k gamma_k L_k+ L_k, so the no-jump probability
 composes multiplicatively and survives machine-exact over any horizon.
 Jump branches are weighted through W = sqrt((1 - e^{-G dt}) / (G dt)), which
 makes the per-step splitting exactly complete; their states are placed at
-mid-step. Exact enumeration keeps an explicit two-jumps-in-one-step sector,
-so its ensemble averages converge at second order in dt. The samplers take
-at most one jump per step; their order in dt under delayed feedback is not
-yet measured. The first-order no-jump operator 1 - (dt/2) G is kept behind
-a flag for scaling tests.
+mid-step. Exact enumeration, with its two-jumps-in-one-step sector, is
+second order in dt without feedback but first order under immediate
+feedback on the harmonic-oscillator cascade (a jump pair's weight omits the
+first correction U_k); a merged class keeps the counts of its fewest-jump
+member, so under feedback a k-jump indicator differs between the drivers.
+The samplers are first order: one jump per step, and a delayed correction's
+due step is rounded up. The first-order no-jump operator 1 - (dt/2) G is
+kept behind a flag for scaling tests.
 
 The trajectory drivers unravel the decay generator alone: a model with a
 Hamiltonian is rejected, since only the master equation includes one.

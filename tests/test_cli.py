@@ -135,6 +135,7 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
     (["bell-monitoring", "--mode", "both"], "mode"),
     (["cavity-2x3", "--mode", "sampled"], "mode must be 'exact' for cavity-2x3"),
     (["cavity-thermal", "--mode", "exact"], "mode must be 'sampled' for cavity-thermal"),
+    (["cavity-thermal", "--nbar="], "nbar must list at least one value"),
 ])
 def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     out = tmp_path / "out"
@@ -142,6 +143,23 @@ def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     assert rc == 2
     assert match in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_ignored_flags_warned(tmp_path, capsys):
+    # bell-monitoring reads neither alpha nor nbar; every scenario checks --mode
+    cfg_file = tmp_path / "bell.cfg"
+    cfg_file.write_text("alpha = 0.3\n")
+    out = tmp_path / "out"
+    argv = ["run", "bell-monitoring", "--config", str(cfg_file), "--t-max", "0.2",
+            "--grid-points", "3", "--mode", "exact", "--nbar", "0.1", "--out-dir", str(out)]
+    assert main(argv) == 0
+    expected = ["flag --nbar is ignored by bell-monitoring"]
+    assert [line for line in capsys.readouterr().err.splitlines() if "ignored" in line] == [
+        f"warning: {w}" for w in expected]
+    for name in ("summary.json", "manifest.json"):
+        assert json.loads((out / name).read_text())["warnings"] == expected
+    _, warnings = parse_config("cavity-2x3", None, {"n_samples": 200, "alpha": 0.3})
+    assert warnings == ["flag --samples is ignored by cavity-2x3"]
 
 
 def test_thermal_accepts_largest_seed(tmp_path):

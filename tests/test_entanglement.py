@@ -181,6 +181,8 @@ def test_entropy_symmetric_between_slots():
 def test_entropy_rejects_unnormalized():
     with pytest.raises(ValueError):
         entanglement_entropy(2.0 * bell2(), LAY2)
+    with pytest.raises(ValueError, match="not normalized"):
+        ent.measure_state(2.0 * bell2(), Measure.ENTROPY_OF_ENTANGLEMENT, LAY2)
 
 
 def test_measure_dimension_guards():
@@ -302,3 +304,68 @@ def test_batched_helpers_agree_with_scalar_paths():
         for i, psi in enumerate(states):
             # sqrt of the near-degenerate zero eigenvalues limits the Wootters route
             assert abs(eofs[i] - _reference_eof(psi)) < 1e-6
+
+def _random_rows(rng, n, layout):
+    """n random normalized state vectors and n random full-rank density matrices."""
+    d = layout.total_dim
+    psis = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    psis /= np.linalg.norm(psis, axis=1)[:, None]
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+    return psis, rhos
+
+
+# the scalar function of each measure on a pure and on a mixed two-qubit state
+# (None: measure_state is the only one)
+_SCALAR = {
+    Measure.CONCURRENCE: (pure_concurrence_2q, concurrence_2q),
+    Measure.ENTANGLEMENT_OF_FORMATION: (
+        lambda psi: eof_from_concurrence(pure_concurrence_2q(psi)), eof_2q),
+    Measure.NEGATIVITY: (None, lambda rho: negativity(rho, LAY2)),
+    Measure.ENTROPY_OF_ENTANGLEMENT: (lambda psi: entanglement_entropy(psi, LAY2), None),
+}
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_measure_rows_equals_scalar_functions(measure):
+    psis, rhos = _random_rows(np.random.default_rng(7), 12, LAY2)
+    pure_fn, mixed_fn = _SCALAR[measure]
+    for rows, fn in ((psis, pure_fn), (rhos, mixed_fn)):
+        if rows is rhos and measure is Measure.ENTROPY_OF_ENTANGLEMENT:
+            continue  # rejected, see below
+        batch = ent.measure_rows(rows, measure, LAY2).tolist()
+        assert batch == [ent.measure_state(r, measure, LAY2) for r in rows]
+        if fn is not None:
+            assert batch == [fn(r) for r in rows]
+
+
+def test_measure_rows_rejects_entropy_of_density_rows():
+    _, rhos = _random_rows(np.random.default_rng(5), 2, LAY2)
+    for fn, rows in ((ent.measure_rows, rhos), (ent.measure_state, rhos[0])):
+        with pytest.raises(ValueError, match="defined for pure records only"):
+            fn(rows, Measure.ENTROPY_OF_ENTANGLEMENT, LAY2)
+
+
+@pytest.mark.parametrize("measure", [Measure.NEGATIVITY, Measure.ENTROPY_OF_ENTANGLEMENT])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+def test_measure_rows_equals_scalar_functions_beyond_qubits(measure, dims):
+    layout = make_layout(dims)
+    psis, rhos = _random_rows(np.random.default_rng(11), 12, layout)
+    batch = ent.measure_rows(psis, measure, layout).tolist()
+    assert batch == [ent.measure_state(r, measure, layout) for r in psis]
+    if measure is Measure.ENTROPY_OF_ENTANGLEMENT:
+        assert batch == [entanglement_entropy(r, layout) for r in psis]
+    else:
+        batch = ent.measure_rows(rhos, measure, layout).tolist()
+        assert batch == [negativity(r, layout) for r in rhos]
+        assert batch == [ent.measure_state(r, measure, layout) for r in rhos]
+
+
+@pytest.mark.parametrize("measure", [Measure.CONCURRENCE, Measure.ENTANGLEMENT_OF_FORMATION])
+def test_measure_rows_two_qubit_measures_reject_other_layouts(measure):
+    psis, rhos = _random_rows(np.random.default_rng(3), 2, LAY3)
+    for fn, rows in ((ent.measure_rows, psis), (ent.measure_rows, rhos),
+                     (ent.measure_state, psis[0]), (ent.measure_state, rhos[0])):
+        with pytest.raises(ValueError, match=f"{measure.value} requires a two-qubit layout"):
+            fn(rows, measure, LAY3)

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from jumpguard import entanglement as ent
+from jumpguard.linalg import make_layout, normalized, product_basis_state
+from jumpguard.models import build_qubit_pair, evolve_master
 from jumpguard.scenarios import (
     ScenarioConfig,
     ScenarioError,
@@ -122,6 +125,18 @@ def test_qutrit_nonideal_curves_between_bounds(qutrit_result):
         v = qutrit_result.curve(label).values
         assert np.all(v[1:] < e3f[1:])
         assert np.all(v[1:] > ef[1:])
+
+
+def test_qutrit_batched_references_equal_per_matrix_values(qutrit_result):
+    # the master-equation references evaluate the whole rho(t) grid in one batch
+    times = qutrit_result.curve("E_F").times
+    layout = make_layout((2, 2))
+    psi0 = normalized(product_basis_state(layout, (1, 0)) + product_basis_state(layout, (0, 1)))
+    rhos = evolve_master(build_qubit_pair(1.0), np.outer(psi0, psi0.conj()), times)
+    eof = [ent.eof_2q(r) for r in rhos]
+    neg = [ent.negativity(r, layout) for r in rhos]
+    assert qutrit_result.curve("E_F").values.tolist() == eof
+    assert qutrit_result.curve("E_F_neg").values.tolist() == neg
 
 
 def test_qutrit_truncation_reported(qutrit_result):
