@@ -34,9 +34,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = as_matrix(m)
-    return bool(np.max(np.abs(m - dagger(m))) <= atol)
+    return bool(np.max(np.abs(m - dagger(m))) <= HERMITIAN_ATOL)
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     Backed by LAPACK's symmetric eigensolver; rejects non-Hermitian input.
     """
     m = as_matrix(m)
-    if not is_hermitian(m, atol=HERMITIAN_ATOL):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within 1e-10")
     return np.linalg.eigvalsh(m)
 

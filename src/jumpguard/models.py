@@ -9,7 +9,7 @@ matrix evolves under
 with the interaction picture implied, so H defaults to absent.
 
 Three channel families cover every scenario in this package: two-level
-lowering (qubit pair), three-level cascade |2> -> |1> -> |0| in its
+lowering (qubit pair), three-level cascade |2> -> |1> -> |0> in its
 degenerate and harmonic-oscillator variants, and a finite thermal ladder.
 The degenerate cascade is the physically loaded case: when both transitions
 are spectrally indistinguishable the environment carries no which-channel
@@ -44,10 +44,6 @@ MASTER_MAX_GAMMA_DT = 1e-3
 def lowering_operator(dim: int) -> np.ndarray:
     """Truncated oscillator lowering operator a with <n-1|a|n> = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1, dim)).astype(np.complex128), k=1)
-
-
-def qubit_lowering() -> np.ndarray:
-    return np.array([[0, 1], [0, 0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,7 @@ def build_qubit_pair(gamma: float) -> OpenSystemModel:
     """Two qubits, each with local spontaneous emission at rate gamma."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    s = qubit_lowering()
+    s = lowering_operator(2)
     return OpenSystemModel(
         layout=make_layout((2, 2)),
         channels=(DecayChannel(0, s, gamma), DecayChannel(1, s, gamma)),
@@ -254,7 +250,8 @@ def lindblad_rhs(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:
 
 
 def _superoperator(model: OpenSystemModel) -> np.ndarray:
-    """Matrix form of the generator acting on row-major vec(rho)."""
+    """Matrix form of the generator acting on row-major vec(rho):
+    sum_k gamma_k L_k (x) L_k* - 1/2 (G (x) 1 + 1 (x) G^T), plus the Hamiltonian part."""
     d = model.dim
     eye = np.eye(d, dtype=np.complex128)
     S = np.zeros((d * d, d * d), dtype=np.complex128)
@@ -262,12 +259,9 @@ def _superoperator(model: OpenSystemModel) -> np.ndarray:
         H = model.hamiltonian
         S += -1j * (np.kron(H, eye) - np.kron(eye, H.T))
     for ch, L in zip(model.channels, model.embedded_ops):
-        LdL = dagger(L) @ L
-        S += ch.rate * (
-            np.kron(L, np.conj(L))
-            - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-        )
-    return S
+        S += ch.rate * np.kron(L, np.conj(L))
+    G = model.decay_generator
+    return S - 0.5 * (np.kron(G, eye) + np.kron(eye, G.T))
 
 
 def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.ndarray]:

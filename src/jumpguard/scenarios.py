@@ -92,8 +92,12 @@ class ScenarioConfig:
         object.__setattr__(self, "nbar", tuple(self.nbar))
         if any(n < 0 for n in self.nbar):
             raise ScenarioError(f"nbar values must be >= 0, got {self.nbar}")
-        if self.scenario == "cavity-thermal" and not self.nbar:
+        tags = [f"{n:g}" for n in self.nbar]  # each names one thermal curve and its files
+        if self.scenario == "cavity-thermal" and not tags:
             raise ScenarioError("nbar must list at least one value for cavity-thermal")
+        if self.scenario == "cavity-thermal" and len(set(tags)) < len(tags):
+            raise ScenarioError(f"nbar values must be distinct for cavity-thermal, got "
+                                f"{','.join(tags)}")
         if self.mode is None:
             object.__setattr__(self, "mode", spec.modes[0])
         if self.mode not in spec.modes:
@@ -109,6 +113,10 @@ class ScenarioConfig:
             raise ScenarioError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.grid_points < 2:
             raise ScenarioError("grid-points must be >= 2")
+        dt, n_steps = _resolve_steps(self)
+        if self.grid_points > n_steps + 1:
+            raise ScenarioError(f"grid-points {self.grid_points} exceeds the {n_steps + 1} "
+                                f"points of {n_steps} steps of dt {dt:g} to t-max {self.t_max:g}")
         if self.n_samples < 1:
             raise ScenarioError("samples must be >= 1")
         if self.scenario == "singlet-conversion":

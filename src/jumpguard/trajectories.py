@@ -45,8 +45,11 @@ feedback on the harmonic-oscillator cascade (a jump pair's weight omits the
 first correction U_k); a merged class keeps the counts of its fewest-jump
 member, so under feedback a k-jump indicator differs between the drivers.
 The samplers are first order: one jump per step, and a delayed correction's
-due step is rounded up. The first-order no-jump operator 1 - (dt/2) G is
-kept behind a flag for scaling tests.
+due step is rounded up.
+
+An exact run fails with :class:`TruncationError` when the mass of patterns
+deeper than ``max_jumps`` exceeds ``TRUNCATION_BOUND``; classes lighter than
+``_CULL_FLOOR`` are culled, their mass reported.
 
 The trajectory drivers unravel the decay generator alone: a model with a
 Hamiltonian is rejected, since only the master equation includes one.
@@ -64,12 +67,14 @@ from .linalg import (as_matrix, as_vector, dagger, embed, hermitian_basis, make_
 from .models import OpenSystemModel
 
 MAX_GAMMA_DT = 1e-2
+TRUNCATION_BOUND = 1e-4
+_CULL_FLOOR = 1e-12
 _SAMPLE_CHUNK = 16384
 _NORM_FLOOR = 1e-250
 
 
 class TruncationError(RuntimeError):
-    """Raised when the untracked jump-pattern mass exceeds the configured bound."""
+    """Raised when the untracked jump-pattern mass exceeds ``TRUNCATION_BOUND``."""
 
 
 @dataclass(frozen=True)
@@ -106,10 +111,6 @@ class TrajectoryRecord:
     def n_jumps(self) -> int:
         return len(self.events)
 
-    @property
-    def is_density(self) -> bool:
-        return self.state.ndim == 2
-
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
@@ -119,13 +120,13 @@ class FeedbackPolicy:
     after the recorded jump; jumps during the delay window are processed
     first and corrections queue FIFO. ``efficiency`` is the probability
     that a physical jump is recorded at all. Exact enumeration takes delay
-    0 and efficiency 1 only; the samplers take any.
+    0 and efficiency 1 only; the samplers take any. A driver given no policy
+    (``None``) runs without feedback.
     """
 
     unitaries: dict[int, np.ndarray]
     delay: float = 0.0
     efficiency: float = 1.0
-    enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -143,7 +144,7 @@ class FeedbackPolicy:
 
     @classmethod
     def qutrit_cyclic(cls, slots=(0, 1), **kwargs) -> "FeedbackPolicy":
-        """Standard cascade correction |1> -> |2>, |0> -> |1|, cyclically completed."""
+        """Standard cascade correction |1> -> |2>, |0> -> |1>, cyclically completed."""
         u = np.zeros((3, 3), dtype=np.complex128)
         u[2, 1] = 1.0
         u[1, 0] = 1.0
@@ -160,8 +161,6 @@ class UnravelingConfig:
     max_jumps: int = 4
     n_samples: int = 10_000
     rng_seed: int = 12345
-    truncation_bound: float = 1e-4
-    cull_floor: float = 1e-12
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -239,7 +238,7 @@ class StepOperators:
         _check_rate_resolution(model, dt)
         self.model = model
         self.dt = float(dt)
-        self.policy = policy if (policy is not None and policy.enabled) else None
+        self.policy = policy
         self.immediate_feedback = self.policy is not None and self.policy.delay == 0.0
         self.queued_feedback = self.policy is not None and self.policy.delay > 0.0
 
@@ -281,20 +280,11 @@ class StepOperators:
         return int(math.ceil(jump_step_index + 0.5 + self.policy.delay / self.dt - 1e-12))
 
 
-def no_jump_step(model: OpenSystemModel, psi: np.ndarray, dt: float, first_order: bool = False):
-    """No-detection update: unnormalized psi' and its probability |psi'|^2.
-
-    Default is the exact exponential exp(-1/2 G dt); ``first_order`` selects
-    the truncated operator 1 - (dt/2) G instead.
-    """
+def no_jump_step(model: OpenSystemModel, psi: np.ndarray, dt: float):
+    """No-detection update exp(-1/2 G dt): unnormalized psi' and its probability |psi'|^2."""
     psi = as_vector(psi)
     _check_rate_resolution(model, dt)
-    func_of_g = _function_of_generator(model)
-    if first_order:
-        op = np.eye(model.dim, dtype=np.complex128) - 0.5 * dt * model.decay_generator
-    else:
-        op = func_of_g(lambda lam: np.exp(-lam * dt / 2.0))
-    out = op @ psi
+    out = _function_of_generator(model)(lambda lam: np.exp(-lam * dt / 2.0)) @ psi
     return out, float(np.vdot(out, out).real)
 
 
@@ -309,8 +299,6 @@ def jump_step(model: OpenSystemModel, psi: np.ndarray, channel: int, dt: float):
 
 def apply_feedback(policy: FeedbackPolicy, psi: np.ndarray, slot: int, layout) -> np.ndarray:
     """Apply the slot's correction unitary, embedded in the full space."""
-    if not policy.enabled:
-        raise ValueError("feedback policy is disabled")
     layout = make_layout(layout)
     u = embed(policy.unitaries[slot], slot, layout)
     return u @ as_vector(psi)
@@ -385,12 +373,12 @@ class _ExactEngine:
     """
 
     def __init__(self, model, psi0, config: UnravelingConfig, policy: FeedbackPolicy | None):
-        if policy is not None and policy.enabled and policy.efficiency < 1.0:
+        if policy is not None and policy.efficiency < 1.0:
             raise ValueError(
                 "exact enumeration supports efficiency 1 only; "
                 "use sample_density_trajectories for eta < 1"
             )
-        if policy is not None and policy.enabled and policy.delay > 0.0:
+        if policy is not None and policy.delay > 0.0:
             raise ValueError(
                 "exact enumeration supports immediate feedback only; "
                 "use sample_trajectories for delay > 0"
@@ -518,7 +506,7 @@ class _ExactEngine:
         called on every class row and reduced here as the weighted sum
         sum(fn(states, counts) * weights). Returns {label: np.ndarray over
         grid_steps}. Raises :class:`TruncationError` when the mass of
-        patterns deeper than ``max_jumps`` exceeds ``truncation_bound``.
+        patterns deeper than ``max_jumps`` exceeds ``TRUNCATION_BOUND``.
         """
         observables = observables or {}
         n_steps = self.config.n_steps
@@ -534,10 +522,10 @@ class _ExactEngine:
             if step == n_steps:
                 break
             self._step(step)
-        if self.truncation_mass > self.config.truncation_bound:
+        if self.truncation_mass > TRUNCATION_BOUND:
             raise TruncationError(
                 f"truncation mass {self.truncation_mass:.3e} exceeds bound "
-                f"{self.config.truncation_bound:.1e}; increase max_jumps"
+                f"{TRUNCATION_BOUND:.1e}; increase max_jumps"
             )
         return curves
 
@@ -573,7 +561,7 @@ class _ExactEngine:
         weights = np.bincount(rank[all_ids], weights=all_weights, minlength=rep.size)
 
         # cull negligible classes (their mass is reported, not lost silently)
-        tiny = weights < cfg.cull_floor
+        tiny = weights < _CULL_FLOOR
         self.culled_mass += float(weights[tiny].sum())
         rep, self.weights = rep[~tiny], weights[~tiny]
         self.ids, self.counts = all_ids[rep], all_counts[rep]
@@ -617,7 +605,7 @@ def enumerate_trajectories(
 
     Returned probabilities plus the reported truncation mass sum to one.
     Raises :class:`TruncationError` when the mass of patterns deeper than
-    ``max_jumps`` exceeds ``config.truncation_bound``.
+    ``max_jumps`` exceeds ``TRUNCATION_BOUND``.
     """
     engine = _ExactEngine(model, psi0, config, policy)
     engine.run()

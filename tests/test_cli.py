@@ -136,10 +136,15 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
     (["cavity-2x3", "--mode", "sampled"], "mode must be 'exact' for cavity-2x3"),
     (["cavity-thermal", "--mode", "exact"], "mode must be 'sampled' for cavity-thermal"),
     (["cavity-thermal", "--nbar="], "nbar must list at least one value"),
+    (["cavity-thermal", "--nbar", "0,0"], "nbar values must be distinct for cavity-thermal, got 0,0"),
+    (["bell-monitoring", "--t-max", "0.01", "--grid-points", "51"],
+     "grid-points 51 exceeds the 11 points of 10 steps"),
 ])
 def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
+    # argv's own flags come last, so they win over the short defaults
     out = tmp_path / "out"
-    rc = main(["run"] + argv + ["--t-max", "0.2", "--grid-points", "3", "--out-dir", str(out)])
+    rc = main(["run", argv[0], "--t-max", "0.2", "--grid-points", "3"] + argv[1:]
+              + ["--out-dir", str(out)])
     assert rc == 2
     assert match in capsys.readouterr().err
     assert not (out / "summary.json").exists()

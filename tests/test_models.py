@@ -153,6 +153,25 @@ def test_lindblad_rhs_dark_state_and_tracelessness():
     assert abs(np.trace(lindblad_rhs(model, rho))) < 1e-12
 
 
+@pytest.mark.parametrize("model", [
+    build_thermal_oscillator(0.7, ThermalSpec(0.3), 4),
+    build_qutrit_pair(CascadeSpec.custom(1.3, 0.6, distinguishable=True)),
+], ids=["thermal-ladder", "distinguishable-cascade"])
+def test_lindblad_rhs_matches_dissipator_sum(model):
+    # oracle: sum_k gamma_k (L rho L+ - 1/2 {L+ L, rho}), channel by channel
+    rng = np.random.default_rng(11)
+    d = model.dim
+    for _ in range(3):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        expected = np.zeros((d, d), dtype=np.complex128)
+        for ch, L in zip(model.channels, model.embedded_ops):
+            LdL = L.conj().T @ L
+            expected += ch.rate * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+        assert np.max(np.abs(lindblad_rhs(model, rho) - expected)) < 1e-13
+
+
 def test_bell_population_derivative():
     model = build_qubit_pair(1.0)
     psi = bell_2q()

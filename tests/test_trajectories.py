@@ -97,14 +97,6 @@ def test_no_jump_code_subspace_is_decoherence_free():
     assert abs(p - math.exp(-2e-3)) < 1e-12
 
 
-def test_first_order_no_jump_flag():
-    model = build_qubit_pair(1.0)
-    psi = bell2()
-    out, p = no_jump_step(model, psi, 1e-3, first_order=True)
-    expected = (np.eye(4) - 0.5e-3 * model.decay_generator) @ psi
-    assert np.allclose(out, expected)
-
-
 def test_jump_step_degenerate_mapping():
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     out, p = jump_step(model, code_bell3(), 0, 1e-3)
@@ -162,7 +154,6 @@ def test_single_step_helpers_skip_step_operators(monkeypatch):
     monkeypatch.setattr(trajectories, "StepOperators", None)
     model = build_qubit_pair(1.0)
     no_jump_step(model, bell2(), 1e-3)
-    no_jump_step(model, bell2(), 1e-3, first_order=True)
     assert kraus_defect(model, 1e-3) < 1e-5
 
 
