@@ -123,9 +123,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _number(v: float) -> str:
+    """``v`` with ``:g`` where that reads back as ``v``, else its full repr."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
+
 def _text(value) -> str:
     """A config value as config files spell it; nbar is comma-separated."""
-    return ",".join(f"{v:g}" for v in value) if isinstance(value, (list, tuple)) else str(value)
+    return ",".join(map(_number, value)) if isinstance(value, (list, tuple)) else str(value)
 
 
 def _atomic_write(path: str, text: str):

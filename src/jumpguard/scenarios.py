@@ -83,6 +83,11 @@ class ScenarioConfig:
         spec = SCENARIOS.get(self.scenario)
         if spec is None:
             raise ScenarioError(f"unknown scenario '{self.scenario}'")
+        for key in ("gamma", "alpha", "eta", "tau", "dt", "t_max", "nbar"):
+            value = getattr(self, key)
+            values = value if key == "nbar" else () if value is None else (value,)
+            if not all(math.isfinite(v) for v in values):
+                raise ScenarioError(f"{key.replace('_', '-')} must be finite, got {value}")
         if self.gamma <= 0:
             raise ScenarioError(f"gamma must be positive, got {self.gamma}")
         if not 0.0 <= self.eta <= 1.0:

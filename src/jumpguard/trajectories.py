@@ -23,8 +23,8 @@ discrete jumps. Three drivers are provided.
   counter-based uniform u(rng_seed, i, s): a SplitMix64 finalizer of the
   key derived from (rng_seed, i) plus the step counter, top 53 bits. No
   generator state is carried, so results are reproducible and independent
-  of trajectory order and of the block or batch size. A delayed correction
-  waits in its trajectory's FIFO queue until its due step.
+  of trajectory order and of the block or batch size. Delayed corrections
+  wait in one FIFO per block, an entry per jump step, until their due step.
 
 * Density-matrix sampling (`sample_density_trajectories`): required when
   detection efficiency eta < 1. The same sampler steps real rows T vec(rho)
@@ -39,7 +39,10 @@ exp(-1/2 G dt) with G = sum_k gamma_k L_k+ L_k, so the no-jump probability
 composes multiplicatively and survives machine-exact over any horizon.
 Jump branches are weighted through W = sqrt((1 - e^{-G dt}) / (G dt)), which
 makes the per-step splitting exactly complete; their states are placed at
-mid-step. Exact enumeration, with its two-jumps-in-one-step sector, is
+mid-step. :class:`StepOperators` builds every branch once, in one spawn
+table of single jumps and jump pairs with immediate feedback folded in: the
+exact engine spawns all of them, the samplers the single jumps only.
+Exact enumeration, with its two-jumps-in-one-step sector, is
 second order in dt without feedback but first order under immediate
 feedback on the harmonic-oscillator cascade (a jump pair's weight omits the
 first correction U_k); a merged class keeps the counts of its fewest-jump
@@ -58,6 +61,7 @@ Hamiltonian is rejected, since only the master equation includes one.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +236,19 @@ def _function_of_generator(model: OpenSystemModel):
 
 
 class StepOperators:
-    """Precomputed per-step matrices for one (model, dt, policy) combination."""
+    """Per-step matrices for one (model, dt, policy) combination.
+
+    The spawn table lists a step's jump branches: the K single jumps, then
+    the K^2 jump pairs (k then l), the two-jumps-in-one-step sector that
+    makes exact enumeration second order in dt. Branch b has a weight root
+    R_b, whose |R_b psi|^2 is its mass per unit weight, and a mid-step state
+    map with immediate feedback folded in. Singles: R_k = B_k =
+    sqrt(gamma_k dt) L_k W and map sqrt(gamma_k dt) N_half U L_k N_half.
+    Pairs: R_kl = sqrt(gamma_k gamma_l / 2) dt L_l L_k and map
+    sqrt(gamma_k gamma_l / 2) dt N_half U L_l U L_k N_half. A pair's mass
+    is split off its first jump's single mass. ``split_maps`` are the B_k,
+    and ``jump_maps`` the feedback-free single maps for unrecorded jumps.
+    """
 
     def __init__(self, model: OpenSystemModel, dt: float, policy: FeedbackPolicy | None = None):
         _check_rate_resolution(model, dt)
@@ -244,8 +260,8 @@ class StepOperators:
 
         func_of_g = _function_of_generator(model)
         self.no_jump = func_of_g(lambda lam: np.exp(-lam * dt / 2.0))
-        self.no_jump_half = func_of_g(lambda lam: np.exp(-lam * dt / 4.0))
-        self.weight_root = func_of_g(lambda lam: np.sqrt(_mass_fraction(lam * dt)))  # W
+        half = func_of_g(lambda lam: np.exp(-lam * dt / 4.0))  # N_half
+        W = func_of_g(lambda lam: np.sqrt(_mass_fraction(lam * dt)))
 
         self.slots = [ch.slot for ch in model.channels]
         self.unitaries_embedded = {}
@@ -257,19 +273,24 @@ class StepOperators:
                     self.policy.unitaries[slot], slot, model.layout
                 )
 
-        self.split_maps = []      # B_k = sqrt(gamma_k dt) L W; channel k's mass is |B_k psi|^2
-        self.jump_maps = []       # sqrt(gamma_k dt) N_half L N_half
-        self.jump_maps_fb = []    # immediate feedback: U folded in; else jump_maps
-        for ch, L in zip(model.channels, model.embedded_ops):
-            g = ch.rate * dt
-            W = self.weight_root
-            self.split_maps.append(math.sqrt(g) * (L @ W))
-            self.jump_maps.append(math.sqrt(g) * (self.no_jump_half @ L @ self.no_jump_half))
-            if self.immediate_feedback:
-                u = self.unitaries_embedded[ch.slot]
-                self.jump_maps_fb.append(math.sqrt(g) * (self.no_jump_half @ u @ L @ self.no_jump_half))
-            else:
-                self.jump_maps_fb.append(self.jump_maps[-1])
+        ops, rates, K = model.embedded_ops, [ch.rate for ch in model.channels], self.n_channels
+        fed = [self.unitaries_embedded[s] @ L if self.immediate_feedback else L
+               for s, L in zip(self.slots, ops)]
+        self.branches = [(k,) for k in range(K)] + [(k, l) for k in range(K) for l in range(K)]
+        roots, maps = [], []
+        for k in range(K):
+            g = math.sqrt(rates[k] * dt)
+            roots.append(g * (ops[k] @ W))
+            maps.append(g * (half @ fed[k] @ half))
+        for k, l in self.branches[K:]:
+            scale = math.sqrt(rates[k] * rates[l] / 2.0) * dt
+            roots.append(scale * (ops[l] @ ops[k]))
+            maps.append(scale * (half @ fed[l] @ fed[k] @ half))
+        d = model.dim
+        self.spawn_roots = np.reshape(roots, (len(roots), d, d))
+        self.spawn_maps = np.reshape(maps, (len(maps), d, d))
+        self.split_maps = self.spawn_roots[:K]
+        self.jump_maps = [math.sqrt(r * dt) * (half @ L @ half) for r, L in zip(rates, ops)]
 
     @property
     def n_channels(self) -> int:
@@ -349,15 +370,12 @@ def _canonical_keys(states: np.ndarray) -> np.ndarray:
     return np.concatenate([re, im], axis=1)
 
 
-def _grown(arr: np.ndarray, size: int, axis: int = 0, fill=-1) -> np.ndarray:
-    """``arr`` with room for ``size`` entries along ``axis`` (capacity
-    doubles); new entries hold ``fill``."""
-    if arr.shape[axis] >= size:
+def _grown(arr: np.ndarray, size: int) -> np.ndarray:
+    """``arr`` with room for ``size`` rows (capacity doubles); new rows hold -1."""
+    if len(arr) >= size:
         return arr
-    shape = list(arr.shape)
-    shape[axis] = max(size, 2 * arr.shape[axis])
-    out = np.full(shape, fill, dtype=arr.dtype)
-    out[tuple(slice(n) for n in arr.shape)] = arr
+    out = np.full((max(size, 2 * len(arr)),) + arr.shape[1:], -1, dtype=arr.dtype)
+    out[: len(arr)] = arr
     return out
 
 
@@ -386,32 +404,10 @@ class _ExactEngine:
         psi0 = _initial_state(psi0, model.dim, ndim=1)
         self.ops = ops = StepOperators(model, config.dt, policy)
         self.config = config
-        K = ops.n_channels
-
-        # spawn maps: the K single jumps, then the two-jumps-in-one-step
-        # sector (k then l) with weight roots sqrt(g_k g_l / 2) dt L_l L_k and
-        # mid-step placed state maps. Keeping this sector makes the per-step
-        # splitting second order in dt.
-        self.chans = [(k,) for k in range(K)] + [(k, l) for k in range(K) for l in range(K)]
-        self.needed = np.array([len(c) for c in self.chans])
-        d = model.dim
-        self.split_maps = np.reshape(ops.split_maps, (K, d, d))
-        pair_weight_ops = []
-        maps = list(ops.jump_maps_fb)
-        for k, l in self.chans[K:]:
-            Lk, Ll = model.embedded_ops[k], model.embedded_ops[l]
-            scale = math.sqrt(model.channels[k].rate * model.channels[l].rate / 2.0) * config.dt
-            pair_weight_ops.append(scale * (Ll @ Lk))
-            if ops.immediate_feedback:
-                uk = ops.unitaries_embedded[model.channels[k].slot]
-                ul = ops.unitaries_embedded[model.channels[l].slot]
-                Ll, Lk = ul @ Ll, uk @ Lk
-            maps.append(scale * (ops.no_jump_half @ Ll @ Lk @ ops.no_jump_half))
-        self.pair_weight_ops = np.reshape(pair_weight_ops, (K * K, d, d))
-        self.maps = np.reshape(maps, (len(maps), d, d))
+        self.needed = np.array([len(b) for b in ops.branches])  # jumps per spawn branch
 
         # state table, one row per id; succ stays -1 until the row is filled
-        J = len(maps)
+        J, d = len(ops.branches), model.dim
         self.table_states = np.empty((0, d), dtype=np.complex128)
         self.stay, self.succ = np.empty(0), np.empty(0, dtype=np.int64)
         self.mass, self.child = np.empty((0, J)), np.empty((0, J), dtype=np.int64)
@@ -459,13 +455,12 @@ class _ExactEngine:
             return
         ops, K, m = self.ops, self.ops.n_channels, new.size
         psi = self.table_states[new]
-        # per-channel raw masses |B_k psi|^2 (sum exactly to 1 - |N psi|^2)
-        # less the two-jump sector split off them; pair masses are >= 0, so
-        # one clip after the subtractions equals a clip after each
-        raw1 = psi @ self.split_maps.transpose(0, 2, 1)
-        singles = np.einsum("kbi,kbi->kb", raw1.conj(), raw1).real
-        raw2 = psi @ self.pair_weight_ops.transpose(0, 2, 1)
-        pairs = np.einsum("pbi,pbi->pb", raw2.conj(), raw2).real
+        # spawn masses |R_b psi|^2; the singles (raw |B_k psi|^2, summing
+        # exactly to 1 - |N psi|^2) lose the pairs split off them; pair masses
+        # are >= 0, so one clip after the subtractions equals a clip after each
+        raw = psi @ ops.spawn_roots.transpose(0, 2, 1)
+        masses = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
+        singles, pairs = masses[:K], masses[K:]
         for l in range(K):
             singles = singles - pairs[l::K]  # the pairs (k, l), k = 0..K-1
         self.mass[new] = np.concatenate([np.clip(singles, 0.0, None), pairs]).T
@@ -475,7 +470,7 @@ class _ExactEngine:
         # a stored state serves every visit, so its no-jump probability is
         # taken relative to its own norm, whose rounding would compound per step
         stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
-        raw = psi @ self.maps.transpose(0, 2, 1)
+        raw = psi @ ops.spawn_maps.transpose(0, 2, 1)
         nrm2 = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
         maps, rows = np.nonzero(nrm2 > _NORM_FLOOR)
         states = np.concatenate(
@@ -569,7 +564,7 @@ class _ExactEngine:
         node_of = np.concatenate([self.node_of, self.node_of[rows]])
         t_mid = (step + 0.5) * cfg.dt
         for r in rep[rep >= B]:
-            for c in self.chans[maps[r - B]]:
+            for c in self.ops.branches[maps[r - B]]:
                 self.nodes.append((int(node_of[r]), t_mid, self.ops.slots[c], int(c)))
                 node_of[r] = len(self.nodes) - 1
         self.node_of = node_of[rep]
@@ -670,29 +665,6 @@ def _step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     return (_splitmix64(keys + offset) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-_EMPTY = np.iinfo(np.int64).max  # free pending-queue entry
-
-
-def _pop_due_corrections(states, queues, limit, n_slots, corrections):
-    """Apply and dequeue the pending corrections whose codes lie below ``limit``.
-
-    A code is (due step) * n_slots + slot; column 0 holds each row's next
-    correction and one entry per row is popped per pass, so a row's
-    corrections act in queue order. ``corrections`` maps slot -> the
-    transposed row map, applied as ``rows @ corrections[slot]``.
-    """
-    while queues.shape[1]:
-        rows = np.nonzero(queues[:, 0] < limit)[0]
-        if rows.size == 0:
-            return
-        for slot, ut in corrections.items():
-            sel = rows[queues[rows, 0] % n_slots == slot]
-            if sel.size:
-                states[sel] = states[sel] @ ut
-        queues[rows, :-1] = queues[rows, 1:]
-        queues[rows, -1] = _EMPTY
-
-
 class _Sampler:
     """Vectorized Monte Carlo unraveling over blocks of trajectory rows.
 
@@ -728,7 +700,7 @@ class _Sampler:
         self.advance = (no_jump + (1.0 - eta) * sum(map(lift, ops.jump_maps))).T
         # tr(N rho N^+) per row, needed when the advance holds unrecorded jumps
         self.no_jump_trace = no_jump[:d].sum(axis=0) if eta < 1.0 else None
-        self.jumps = np.concatenate([lift(S).T for S in ops.jump_maps_fb], axis=1)
+        self.jumps = np.concatenate([lift(S).T for S in ops.spawn_maps[:ops.n_channels]], axis=1)
         self.splits = np.concatenate([lift(B).T for B in ops.split_maps], axis=1)
         self.corrections = {slot: lift(u).T for slot, u in ops.unitaries_embedded.items()}
 
@@ -753,7 +725,6 @@ class _Sampler:
         grid = _checked_grid(grid_steps, n_steps)
         n = cfg.n_samples
         K = ops.n_channels
-        n_slots = ops.model.layout.n_subsystems
         D = self.x0.size  # row length
         acc = {lab: np.zeros((2, len(grid))) for lab in observables}  # sums of f and f^2
         records: list[TrajectoryRecord] = []
@@ -766,14 +737,18 @@ class _Sampler:
             states = np.repeat(self.x0[None], m, axis=0)
             counts = np.zeros(m, dtype=np.int64)
             events = [[] for _ in range(m)] if collect_records else None
-            # FIFO queues of (due step) * n_slots + slot codes, widened on demand
-            pending = np.full((m, 0), _EMPTY, dtype=np.int64)
+            # delayed corrections, (due step, rows, slots) per jump step; due
+            # steps rise with the jump step, so at most one entry falls due
+            pending = deque()
             grid_pos = 0
 
             for step in range(n_steps + 1):
-                if ops.queued_feedback:
-                    _pop_due_corrections(states, pending, (step + 1) * n_slots, n_slots,
-                                         self.corrections)
+                while pending and pending[0][0] <= step:
+                    _, rows, slots = pending.popleft()
+                    for slot, ut in self.corrections.items():
+                        sel = rows[slots == slot]
+                        if sel.size:
+                            states[sel] = states[sel] @ ut
                 while grid_pos < len(grid) and grid[grid_pos] == step:
                     for lab, fn in observables.items():
                         vals = fn(self._states(states), counts)
@@ -807,9 +782,7 @@ class _Sampler:
                     counts[jumpers] += 1
                     slots = np.asarray(ops.slots)[chosen]
                     if ops.queued_feedback:
-                        depth = (pending[jumpers] != _EMPTY).sum(axis=1)
-                        pending = _grown(pending, depth.max(initial=0) + 1, axis=1, fill=_EMPTY)
-                        pending[jumpers, depth] = ops.due_step(step) * n_slots + slots
+                        pending.append((ops.due_step(step), jumpers, slots))
                     if events is not None:
                         t_mid = (step + 0.5) * cfg.dt
                         for i, slot, k in zip(jumpers, slots.tolist(), chosen.tolist()):

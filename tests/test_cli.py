@@ -139,6 +139,18 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
     (["cavity-thermal", "--nbar", "0,0"], "nbar values must be distinct for cavity-thermal, got 0,0"),
     (["bell-monitoring", "--t-max", "0.01", "--grid-points", "51"],
      "grid-points 51 exceeds the 11 points of 10 steps"),
+    (["bell-monitoring", "--gamma", "nan"], "gamma must be finite, got nan"),
+    (["bell-monitoring", "--gamma", "inf"], "gamma must be finite, got inf"),
+    (["singlet-conversion", "--alpha", "nan"], "alpha must be finite, got nan"),
+    (["qutrit-protection", "--eta", "nan"], "eta must be finite, got nan"),
+    (["qutrit-protection", "--tau", "nan"], "tau must be finite, got nan"),
+    (["qutrit-protection", "--tau", "inf"], "tau must be finite, got inf"),
+    (["bell-monitoring", "--dt", "nan"], "dt must be finite, got nan"),
+    (["bell-monitoring", "--dt", "inf"], "dt must be finite, got inf"),
+    (["bell-monitoring", "--t-max", "nan"], "t-max must be finite, got nan"),
+    (["bell-monitoring", "--t-max", "inf"], "t-max must be finite, got inf"),
+    (["cavity-thermal", "--nbar", "nan"], "nbar must be finite, got (nan,)"),
+    (["cavity-thermal", "--nbar", "0,inf"], "nbar must be finite, got (0.0, inf)"),
 ])
 def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     # argv's own flags come last, so they win over the short defaults
@@ -213,6 +225,21 @@ def test_config_echo_round_trip(tmp_path):
         {"alpha": 0.25, "t_max": 1.0, "grid_points": 5},
     )
     assert cfg1 == cfg2
+
+
+def test_config_echo_reproduces_thermal_run(tmp_path):
+    # nbar 0.1234567 has more digits than :g prints; its echo must keep them
+    first, rerun = tmp_path / "a", tmp_path / "b"
+    argv = ["run", "cavity-thermal", "--nbar", "0.1234567", "--t-max", "0.5",
+            "--grid-points", "3", "--samples", "50"]
+    assert main(argv + ["--out-dir", str(first)]) == 0
+    echo = first / "config_echo.txt"
+    assert "nbar = 0.1234567" in echo.read_text().splitlines()
+    assert main(["run", "cavity-thermal", "--config", str(echo), "--out-dir", str(rerun)]) == 0
+    csvs = sorted(name for name in os.listdir(first) if name.endswith(".csv"))
+    assert csvs
+    for name in csvs + ["config_echo.txt"]:
+        assert (first / name).read_bytes() == (rerun / name).read_bytes()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

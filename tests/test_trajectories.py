@@ -15,6 +15,7 @@ from jumpguard.models import (
     build_qutrit_pair,
     build_thermal_oscillator,
     evolve_master,
+    lowering_operator,
 )
 from jumpguard.trajectories import (
     FeedbackPolicy,
@@ -488,6 +489,26 @@ def test_long_delay_queue_grows_without_changing_records():
     for ra, rb in zip(plain, queued, strict=True):
         assert ra.events == rb.events
         assert np.array_equal(ra.state, rb.state)
+
+
+@pytest.mark.parametrize("dt, delay", [(0.005, 0.08), (0.004, 0.1)])
+def test_queued_correction_lands_on_its_due_step(dt, delay):
+    # one decaying qubit from |1> with an X correction: a jump leaves |0>,
+    # where it cannot jump again, until its correction restores |1>; so a
+    # record ends in |1> exactly when its last correction fell due by the
+    # final step, whose due corrections apply before the final state is read
+    model = OpenSystemModel(make_layout((2,)), (DecayChannel(0, lowering_operator(2), 1.0),))
+    policy = FeedbackPolicy(unitaries={0: np.array([[0.0, 1.0], [1.0, 0.0]])}, delay=delay)
+    cfg = UnravelingConfig(dt=dt, t_max=0.5, n_samples=2000, rng_seed=3)
+    ops = trajectories.StepOperators(model, dt, policy)
+    n_steps = cfg.n_steps
+    last_due = set()
+    for rec in sample_trajectories(model, basis_state(2, 1), cfg, policy).records:
+        due = ops.due_step(round(rec.events[-1].time / dt - 0.5)) if rec.events else 0
+        last_due.add(due)
+        expected = basis_state(2, 1 if due <= n_steps else 0)
+        assert np.allclose(rec.state, expected, rtol=0.0, atol=1e-12)
+    assert {n_steps, n_steps + 1} <= last_due
 
 
 @pytest.mark.parametrize("driver, x0, match", [
