@@ -118,6 +118,9 @@ class ScenarioConfig:
             raise ScenarioError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.grid_points < 2:
             raise ScenarioError("grid-points must be >= 2")
+        for key in ("alpha_points", "surface_time_points"):  # config-file keys only
+            if getattr(self, key) < 2:
+                raise ScenarioError(f"{key} must be >= 2, got {getattr(self, key)}")
         dt, n_steps = _resolve_steps(self)
         if self.grid_points > n_steps + 1:
             raise ScenarioError(f"grid-points {self.grid_points} exceeds the {n_steps + 1} "

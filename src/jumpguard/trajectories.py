@@ -497,22 +497,36 @@ class _ExactEngine:
     def run(self, grid_steps=(), observables=None):
         """Sweep to t_max; evaluate ``observables`` at each grid step.
 
-        observables: dict label -> per-row fn(states, counts) -> float array,
-        called on every class row and reduced here as the weighted sum
-        sum(fn(states, counts) * weights). Returns {label: np.ndarray over
-        grid_steps}. Raises :class:`TruncationError` when the mass of
-        patterns deeper than ``max_jumps`` exceeds ``TRUNCATION_BOUND``.
+        observables: dict label -> row-local fn(states, counts) -> float
+        array (a row's value depends only on its state and count), evaluated
+        once per distinct (state id, jump count), since table states never
+        change, and reduced as sum(fn(states, counts) * weights). Returns
+        {label: np.ndarray over grid_steps}. Raises :class:`TruncationError`
+        when the mass of patterns deeper than ``max_jumps`` exceeds
+        ``TRUNCATION_BOUND``.
         """
         observables = observables or {}
         n_steps = self.config.n_steps
         grid = _checked_grid(grid_steps, n_steps)
         curves = {label: np.empty(len(grid)) for label in observables}
+        # values[label][id, count] of each pair seen; columns follow the counts reached
+        seen = np.zeros((0, 0), dtype=bool)
+        values = dict.fromkeys(observables, np.empty((0, 0)))
         grid_pos = 0
         for step in range(n_steps + 1):
             while grid_pos < len(grid) and grid[grid_pos] == step:
-                states = self.states
+                ids, counts = self.ids, self.counts
+                width = max(seen.shape[1], counts.max(initial=0) + 1)
+                pad = ((0, self.size - len(seen)), (0, width - seen.shape[1]))
+                seen = np.pad(seen, pad)
+                values = {label: np.pad(v, pad) for label, v in values.items()}
+                fresh = ~seen[ids, counts]
+                new_ids, new_counts = ids[fresh], counts[fresh]
+                seen[new_ids, new_counts] = True
                 for label, fn in observables.items():
-                    curves[label][grid_pos] = float((fn(states, self.counts) * self.weights).sum())
+                    if new_ids.size:
+                        values[label][new_ids, new_counts] = fn(self.table_states[new_ids], new_counts)
+                    curves[label][grid_pos] = float((values[label][ids, counts] * self.weights).sum())
                 grid_pos += 1
             if step == n_steps:
                 break
@@ -614,10 +628,12 @@ def enumerate_trajectories(
 def run_exact_grid(model, psi0, config, policy, grid_steps, observables):
     """Scenario-facing sweep: observable curves over a step grid.
 
-    Observables are per-row functions fn(states, counts) -> float array, as
-    for the samplers; each curve value is the probability-weighted sum over
-    the classes. Returns (curves, engine) so callers can read truncation
-    diagnostics; raises :class:`TruncationError` as enumeration does.
+    Observables are row-local functions fn(states, counts) -> float array,
+    as for the samplers; each curve value is the probability-weighted sum
+    over the classes, each observable evaluated once per distinct (state
+    id, jump count). Returns (curves, engine) so callers can read
+    truncation diagnostics; raises :class:`TruncationError` as enumeration
+    does.
     """
     engine = _ExactEngine(model, psi0, config, policy)
     curves = engine.run(grid_steps, observables)

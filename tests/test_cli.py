@@ -162,6 +162,22 @@ def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("line, match", [
+    ("alpha_points = -1", "alpha_points must be >= 2, got -1"),
+    ("surface_time_points = 0", "surface_time_points must be >= 2, got 0"),
+])
+def test_bad_config_file_grid_exit_code_2(tmp_path, capsys, line, match):
+    # the two config-file-only grids of cavity-2x3 are checked before the run
+    cfg_file = tmp_path / "grid.cfg"
+    cfg_file.write_text(line + "\n")
+    out = tmp_path / "out"
+    rc = main(["run", "cavity-2x3", "--config", str(cfg_file), "--t-max", "0.2",
+               "--grid-points", "3", "--out-dir", str(out)])
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ignored_flags_warned(tmp_path, capsys):
     # bell-monitoring reads neither alpha nor nbar; every scenario checks --mode
     cfg_file = tmp_path / "bell.cfg"

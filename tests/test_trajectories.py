@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jumpguard import trajectories
+from jumpguard.entanglement import entropy_batch_pure, negativity_batch_pure
 from jumpguard.linalg import basis_state, make_layout, normalized, product_basis_state
 from jumpguard.models import (
     CascadeSpec,
@@ -251,6 +252,91 @@ def test_enumerate_slowly_relaxing_state_keeps_evolving():
     y = math.sqrt(1 - a) * math.exp(-t)
     assert abs(abs(nj.state[3]) / (y / math.sqrt(a + y * y)) - 1.0) < 1e-9
     assert abs(nj.probability / (a + y * y) - 1.0) < 1e-12
+
+
+def counted(observables):
+    """The observables, each counting the rows it is handed in ``rows``."""
+    rows = dict.fromkeys(observables, 0)
+
+    def wrap(label, fn):
+        def fn_counted(states, counts):
+            rows[label] += len(states)
+            return fn(states, counts)
+        return fn_counted
+
+    return {label: wrap(label, fn) for label, fn in observables.items()}, rows
+
+
+def uncached_sweep(model, psi0, cfg, policy, grid, observables):
+    """Curves evaluated on every class row, and the (id, count) pairs seen."""
+    engine = trajectories._ExactEngine(model, psi0, cfg, policy)
+    curves = {label: [] for label in observables}
+    pairs, n_rows = set(), 0
+    for step in range(cfg.n_steps + 1):
+        if step in grid:
+            pairs.update(zip(engine.ids.tolist(), engine.counts.tolist()))
+            n_rows += engine.ids.size
+            for label, fn in observables.items():
+                curves[label].append((fn(engine.states, engine.counts) * engine.weights).sum())
+        if step < cfg.n_steps:
+            engine._step(step)
+    return curves, pairs, n_rows
+
+
+def assert_cache_exact(model, psi0, cfg, policy, n_grid, observables):
+    """Cached curves equal the uncached sums at every grid point, each
+    observable sees each distinct (id, count) once; returns the pairs."""
+    grid = np.linspace(0, cfg.n_steps, n_grid).astype(int)
+    wrapped, rows = counted(observables)
+    curves, engine = run_exact_grid(model, psi0, cfg, policy, grid, wrapped)
+    want, pairs, n_rows = uncached_sweep(model, psi0, cfg, policy, set(grid.tolist()), observables)
+    for label, fn in observables.items():
+        assert curves[label].tolist() == want[label], label
+        assert curves[label][-1] == (fn(engine.states, engine.counts) * engine.weights).sum()
+        assert rows[label] == len(pairs) < n_rows, label
+    return pairs
+
+
+def test_exact_grid_evaluates_each_state_once():
+    # E_3's model: most class states recur between grid points
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0)
+    observables = {
+        "neg": lambda s, c: negativity_batch_pure(s, LAY3),
+        "entropy": lambda s, c: entropy_batch_pure(s, LAY3),
+    }
+    assert_cache_exact(model, code_bell3(), cfg, None, 11, observables)
+
+
+def test_exact_grid_cache_keys_counts_under_feedback():
+    # feedback spreads the classes over many jump counts, which the k-jump
+    # indicators read; the relaxing-state test below has one id at two counts
+    model = build_qutrit_pair(CascadeSpec.harmonic_oscillator(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, max_jumps=12)
+    observables = {f"P{k}": (lambda s, c, k=k: (c == k).astype(float)) for k in (0, 1, 2)}
+    observables["neg"] = lambda s, c: negativity_batch_pure(s, LAY3)
+    pairs = assert_cache_exact(
+        model, code_bell3(), cfg, FeedbackPolicy.qutrit_cyclic(), 11, observables
+    )
+    assert len({c for _, c in pairs}) > 3
+
+
+def test_exact_grid_cache_follows_relaxing_state():
+    # the no-jump state of the relaxing test above moves to a new id at each
+    # step until its key reaches |00>, whose class then drops from 2 jumps to 0
+    a = 0.1
+    psi0 = normalized(
+        math.sqrt(a) * product_basis_state(LAY2, (0, 0))
+        + math.sqrt(1 - a) * product_basis_state(LAY2, (1, 1))
+    )
+    cfg = UnravelingConfig(dt=1e-2, t_max=25.0, max_jumps=2)
+    observables = {
+        "P11": lambda s, c: abs(s[:, 3]) ** 2,
+        "P2": lambda s, c: (c == 2).astype(float),
+    }
+    pairs = assert_cache_exact(build_qubit_pair(1.0), psi0, cfg, None, 11, observables)
+    ids = [i for i, _ in pairs]
+    assert len(set(ids)) < len(ids)  # some id is seen with two jump counts
 
 
 @pytest.mark.parametrize(
