@@ -15,13 +15,13 @@ discrete jumps. Three drivers are provided.
   (earliest on ties). Delayed feedback and detection efficiency below one
   run on the samplers only.
 
-* Monte Carlo sampling (`sample_trajectories`): standard wavefunction
-  stepping, one uniform draw per step, channels resolved by cumulative
-  probability in (slot, channel) order. A step jumps with probability
-  q_tot = 1 - |N psi|^2, read off the no-jump advance N psi that the step
-  computes anyway. The draw of trajectory ``i`` at step ``s`` is a
-  counter-based uniform u(rng_seed, i, s): a SplitMix64 finalizer of the
-  key derived from (rng_seed, i) plus the step counter, top 53 bits. No
+* Monte Carlo sampling (`sample_trajectories`): norm-threshold
+  (waiting-time) wavefunction stepping, with the law of a per-step draw
+  that jumps with probability 1 - |N psi|^2 / |psi|^2 and picks channels by
+  cumulative probability in (slot, channel) order (see `_Sampler`). The
+  threshold of trajectory ``i`` for its waiting period ``j`` is a
+  counter-based u(rng_seed, i, j) in (0, 1]: one minus the top 53 bits of a
+  SplitMix64 finalizer of the key derived from (rng_seed, i) plus j. No
   generator state is carried, so results are reproducible and independent
   of trajectory order and of the block or batch size. Delayed corrections
   wait in one FIFO per block, an entry per jump step, until their due step.
@@ -42,13 +42,13 @@ makes the per-step splitting exactly complete; their states are placed at
 mid-step. :class:`StepOperators` builds every branch once, in one spawn
 table of single jumps and jump pairs with immediate feedback folded in: the
 exact engine spawns all of them, the samplers the single jumps only.
-Exact enumeration, with its two-jumps-in-one-step sector, is
-second order in dt without feedback but first order under immediate
-feedback on the harmonic-oscillator cascade (a jump pair's weight omits the
-first correction U_k); a merged class keeps the counts of its fewest-jump
-member, so under feedback a k-jump indicator differs between the drivers.
-The samplers are first order: one jump per step, and a delayed correction's
-due step is rounded up.
+Exact enumeration, with its two-jumps-in-one-step sector, is second order in
+dt without feedback but first order under immediate feedback on the
+harmonic-oscillator cascade (a jump pair's weight omits the first correction
+U_k); a merged class keeps the counts of its fewest-jump member, so under
+feedback a k-jump indicator differs between the drivers. The samplers are
+first order, their thresholds keeping the per-step law: one jump per step,
+and a delayed correction's due step is rounded up.
 
 An exact run fails with :class:`TruncationError` when the mass of patterns
 deeper than ``max_jumps`` exceeds ``TRUNCATION_BOUND``; classes lighter than
@@ -675,35 +675,37 @@ def _trajectory_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return _splitmix64(base + np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
 
 
-def _step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    """u(seed, i, step) in [0, 1): top 53 bits of SplitMix64(key_i + (step+1) * golden)."""
-    offset = np.uint64(((step + 1) * _GOLDEN) & _MASK64)
-    return (_splitmix64(keys + offset) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def _thresholds(keys: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """u(seed, i, j) in (0, 1]: 1 - 2**-53 top53(SplitMix64(key_i + (j+1) * golden))."""
+    offset = (periods.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+    return 1.0 - (_splitmix64(keys + offset) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 class _Sampler:
-    """Vectorized Monte Carlo unraveling over blocks of trajectory rows.
+    """Vectorized norm-threshold Monte Carlo unraveling over blocks of rows.
 
-    A row is a state vector psi, or the real coordinates T vec(rho) of a
-    density matrix in the Hermitian basis T (`linalg.hermitian_basis`). A
-    per-step map A acts through its lift, A itself or the real
-    T (A (x) A*) T^+ (rho -> A rho A^+), as ``rows @ lift(A).T``. A row's
-    weight is |psi|^2 or tr rho, the sum of its first d coordinates. Recorded
-    jumps (a fraction eta of the physical ones) update the row projectively
-    and trigger feedback; unrecorded jumps fold into the no-record map
-    N (x) N* + (1 - eta) sum_k S_k (x) S_k*. Observables are per-row
-    functions fn(states, counts) -> float array, density rows as complex
-    (n, d, d) matrices, averaged with weight 1/n_samples.
+    A row is psi, or T vec(rho) in the Hermitian basis T, with weight |psi|^2
+    or tr rho; a per-step map A acts as ``rows @ lift(A).T``. Rows stay
+    unnormalized between recorded jumps (a fraction eta of the physical
+    ones) and carry their survival since the last one: at eta = 1 their
+    weight, else the running product of per-step no-record probabilities
+    1 - eta (1 - tr(N rho N^+) / tr rho), as the no-record map loses trace.
+    A row jumps at the first step whose survival falls below its threshold
+    u; (S_before - u) / (S_before - S_after), scaled by the split total,
+    picks the channel. A jumped row is normalized and draws a new threshold,
+    which unitary corrections keep. Observables fn(states, counts) read
+    normalized copies, density rows as complex (n, d, d) matrices.
     """
 
-    def __init__(self, model, x0, config: UnravelingConfig, policy: FeedbackPolicy | None):
+    def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
         self.config = config
+        x0 = _initial_state(x0, model.dim, ndim)
         if not 0 <= config.rng_seed <= _MASK64:
             raise ValueError(f"rng_seed must lie in [0, 2**64), got {config.rng_seed}")
         self.ops = ops = StepOperators(model, config.dt, policy)
         self.eta = eta = ops.policy.efficiency if ops.policy is not None else 1.0
         self.d = d = model.dim
-        self.density = x0.ndim == 2
+        self.density = ndim == 2
         if eta < 1.0 and not self.density:
             raise ValueError("pure-state sampling supports efficiency 1 only; "
                              "use sample_density_trajectories for eta < 1")
@@ -721,37 +723,38 @@ class _Sampler:
         self.corrections = {slot: lift(u).T for slot, u in ops.unitaries_embedded.items()}
 
     def _weight(self, rows):
-        """|psi|^2 or tr rho along the last axis."""
+        """|psi|^2 or tr rho (the sum of the first d coordinates) along the last axis."""
         if self.density:
             return rows[..., : self.d].sum(axis=-1)
         return np.einsum("...i,...i->...", rows.view(np.float64), rows.view(np.float64))
 
     def _normalize(self, rows, weight):
-        """Scale freshly computed rows to unit weight in place."""
+        """Scale rows (or their matrices) of the given weights to unit weight in place."""
         rows.view(np.float64)[:] *= (1.0 / (weight if self.density else np.sqrt(weight)))[:, None]
         return rows
 
     def _states(self, rows):
-        return (rows @ self.basis.conj()).reshape(-1, self.d, self.d) if self.density else rows
+        """Normalized copies of the rows, density rows as (n, d, d) matrices."""
+        weight = self._weight(rows)
+        if self.density:
+            return self._normalize(rows @ self.basis.conj(), weight).reshape(-1, self.d, self.d)
+        return self._normalize(rows.copy(), weight)
 
     def run(self, grid_steps=(), observables=None, collect_records=False):
         observables = observables or {}
         cfg, ops = self.config, self.ops
-        n_steps = cfg.n_steps
+        n_steps, n, K, D = cfg.n_steps, cfg.n_samples, ops.n_channels, self.x0.size  # D: row length
         grid = _checked_grid(grid_steps, n_steps)
-        n = cfg.n_samples
-        K = ops.n_channels
-        D = self.x0.size  # row length
         acc = {lab: np.zeros((2, len(grid))) for lab in observables}  # sums of f and f^2
         records: list[TrajectoryRecord] = []
         block = max(1, _SAMPLE_CHUNK * self.d // D)
 
         for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            m = hi - lo
-            keys = _trajectory_keys(cfg.rng_seed, lo, hi)
+            m = min(block, n - lo)
+            keys = _trajectory_keys(cfg.rng_seed, lo, lo + m)
             states = np.repeat(self.x0[None], m, axis=0)
             counts = np.zeros(m, dtype=np.int64)
+            survival, threshold = np.ones(m), _thresholds(keys, counts)  # since the last jump
             events = [[] for _ in range(m)] if collect_records else None
             # delayed corrections, (due step, rows, slots) per jump step; due
             # steps rise with the jump step, so at most one entry falls due
@@ -773,29 +776,29 @@ class _Sampler:
                 if step == n_steps:
                     break
 
-                # N^+ N = 1 - dt W G W, so the no-jump weight gives the total
-                # (recorded) jump probability of the step
+                # N^+ N = 1 - dt W G W: at eta = 1 the advanced weight is the survival
                 adv = states @ self.advance
-                weight = self._weight(adv)
-                stay = weight if self.no_jump_trace is None else states @ self.no_jump_trace
-                q_tot = self.eta * (1.0 - stay)
-                u = _step_uniforms(keys, step)
-                jumpers = np.nonzero(u < q_tot)[0]
-                pre = states[jumpers]
-                states = self._normalize(adv, weight)
+                if self.no_jump_trace is None:
+                    after = self._weight(adv)
+                else:
+                    stay = (states @ self.no_jump_trace) / self._weight(states)
+                    after = survival * (1.0 - self.eta * (1.0 - stay))
+                jumpers = np.nonzero(after < threshold)[0]
+                pre, before = states[jumpers], survival[jumpers]
+                states, survival = adv, after
 
                 if jumpers.size:
                     split = self._weight((pre @ self.splits).reshape(jumpers.size, K, D))
                     cum = np.cumsum(split, axis=1)
                     ok = cum[:, -1] > 0.0
-                    jumpers, pre, cum = jumpers[ok], pre[ok], cum[ok]
-                    # rescale the draw so the channel split uses the same
-                    # floating-point total as the jump decision did
-                    r = u[jumpers] * (cum[:, -1] / q_tot[jumpers])
-                    chosen = np.minimum((r[:, None] >= cum).sum(axis=1), K - 1)
+                    jumpers, pre, before, cum = jumpers[ok], pre[ok], before[ok], cum[ok]
+                    drop = (before - threshold[jumpers]) / (before - after[jumpers])
+                    chosen = np.minimum(((drop * cum[:, -1])[:, None] >= cum).sum(axis=1), K - 1)
                     y = (pre @ self.jumps).reshape(-1, K, D)[np.arange(chosen.size), chosen]
                     states[jumpers] = self._normalize(y, self._weight(y))
+                    survival[jumpers] = 1.0
                     counts[jumpers] += 1
+                    threshold[jumpers] = _thresholds(keys[jumpers], counts[jumpers])
                     slots = np.asarray(ops.slots)[chosen]
                     if ops.queued_feedback:
                         pending.append((ops.due_step(step), jumpers, slots))
@@ -805,7 +808,7 @@ class _Sampler:
                             events[i].append(JumpEvent(time=t_mid, slot=slot, channel=k))
 
             if collect_records:
-                records += [TrajectoryRecord(tuple(ev), x.copy(), 1.0 / n)
+                records += [TrajectoryRecord(tuple(ev), x, 1.0 / n)
                             for ev, x in zip(events, self._states(states))]
 
         mean = {lab: a[0] / n for lab, a in acc.items()}
@@ -821,8 +824,7 @@ def sample_trajectories(
     policy: FeedbackPolicy | None = None,
 ) -> SampleResult:
     """Monte Carlo wavefunction records; weight 1/n_samples each."""
-    sampler = _Sampler(model, _initial_state(psi0, model.dim, ndim=1), config, policy)
-    return SampleResult(records=sampler.run(collect_records=True)[1])
+    return SampleResult(records=_Sampler(model, psi0, 1, config, policy).run(collect_records=True)[1])
 
 
 def sample_density_trajectories(
@@ -832,17 +834,14 @@ def sample_density_trajectories(
     policy: FeedbackPolicy | None = None,
 ) -> SampleResult:
     """Inefficient-monitoring records: density matrices conditioned on recorded jumps."""
-    sampler = _Sampler(model, _initial_state(rho0, model.dim, ndim=2), config, policy)
-    return SampleResult(records=sampler.run(collect_records=True)[1])
+    return SampleResult(records=_Sampler(model, rho0, 2, config, policy).run(collect_records=True)[1])
 
 
 def run_sampled_grid(model, psi0, config, policy, grid_steps, observables) -> SampledCurves:
     """Wavefunction Monte Carlo mean and SEM of per-row fn(states, counts) observables."""
-    sampler = _Sampler(model, _initial_state(psi0, model.dim, ndim=1), config, policy)
-    return sampler.run(grid_steps, observables)[0]
+    return _Sampler(model, psi0, 1, config, policy).run(grid_steps, observables)[0]
 
 
 def run_density_grid(model, rho0, config, policy, grid_steps, observables) -> SampledCurves:
     """Density-matrix Monte Carlo mean and SEM of per-row fn(rhos, counts) observables."""
-    sampler = _Sampler(model, _initial_state(rho0, model.dim, ndim=2), config, policy)
-    return sampler.run(grid_steps, observables)[0]
+    return _Sampler(model, rho0, 2, config, policy).run(grid_steps, observables)[0]

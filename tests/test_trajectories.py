@@ -475,6 +475,105 @@ def test_sample_events_independent_of_block_size(monkeypatch):
             assert np.allclose(ra.state, rb.state, atol=1e-12)
 
 
+def _expected_first_jump(stays, split_masses, u):
+    """(step, channel) of the first jump of a row whose every threshold is u.
+
+    The step is the first whose running product of per-step no-jump
+    probabilities ``stays`` falls below u; the channel is where
+    (S_before - u) / (S_before - S_after) falls within that step's
+    cumulative ``split_masses(step)``. Both are decided by more than 1e-12.
+    """
+    survival = np.concatenate([[1.0], np.cumprod(stays)])
+    step = int(np.argmax(survival[1:] < u))
+    before, after = survival[step], survival[step + 1]
+    assert after < u - 1e-12 < u + 1e-12 < before
+    cum = np.cumsum(split_masses(step))
+    place = (before - u) / (before - after)
+    assert np.min(np.abs(cum / cum[-1] - place)) > 1e-12
+    return step, int((place >= cum / cum[-1]).sum())
+
+
+def _first_jumps(records, dt):
+    return {(round(r.events[0].time / dt - 0.5), r.events[0].channel) for r in records}
+
+
+@pytest.mark.parametrize("u", [0.9, 0.5, 0.1, 1e-3])
+def test_threshold_sets_first_jump(monkeypatch, u):
+    # with every threshold fixed at u, a row first jumps at the first step
+    # where the product of its per-step no-jump (no-record) probabilities,
+    # computed here with the single-step helpers, falls below u, in the
+    # channel that u's place within that step's drop picks
+    monkeypatch.setattr(trajectories, "_thresholds", lambda keys, periods: np.full(keys.size, u))
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    cfg = UnravelingConfig(dt=5e-3, t_max=6.0, n_samples=3)
+
+    splits = trajectories.StepOperators(model, cfg.dt).split_maps
+    psi, psis, stays = psi0, [], []
+    for _ in range(cfg.n_steps):
+        psis.append(psi)
+        psi, p = no_jump_step(model, psi, cfg.dt)
+        stays.append(p)
+        psi = psi / math.sqrt(p)
+    expected = _expected_first_jump(
+        stays, lambda s: [np.linalg.norm(B @ psis[s]) ** 2 for B in splits], u)
+    assert _first_jumps(sample_trajectories(model, psi0, cfg).records, cfg.dt) == {expected}
+
+    eta = 0.92
+    policy = FeedbackPolicy.qutrit_cyclic(efficiency=eta)
+    ops = trajectories.StepOperators(model, cfg.dt, policy)
+    N = ops.no_jump
+    rho, rhos, stays = np.outer(psi0, psi0.conj()), [], []
+    for _ in range(cfg.n_steps):
+        rhos.append(rho)
+        stays.append(1.0 - eta * (1.0 - np.trace(N @ rho @ N.conj().T).real))
+        rho = N @ rho @ N.conj().T + (1.0 - eta) * sum(S @ rho @ S.conj().T for S in ops.jump_maps)
+        rho = rho / np.trace(rho).real
+    expected = _expected_first_jump(
+        stays, lambda s: [np.trace(B @ rhos[s] @ B.conj().T).real for B in ops.split_maps], u)
+    records = sample_density_trajectories(model, np.outer(psi0, psi0.conj()), cfg, policy).records
+    assert _first_jumps(records, cfg.dt) == {expected}
+
+
+def test_eta_zero_records_no_jump_at_scale():
+    # the no-record map M loses trace at first order in dt, so a threshold on
+    # tr(M^k rho) would record about 12 of these 2,000 rows; the product of
+    # per-step no-record probabilities stays exactly 1 at eta = 0
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    rho0 = np.outer(psi0, psi0.conj())
+    policy = FeedbackPolicy.qutrit_cyclic(efficiency=0.0)
+    cfg = UnravelingConfig(dt=5e-3, t_max=5.0, n_samples=2000, rng_seed=5)
+    ops = trajectories.StepOperators(model, cfg.dt, policy)
+    rho = rho0
+    for _ in range(cfg.n_steps):
+        rho = ops.no_jump @ rho @ ops.no_jump.conj().T + sum(S @ rho @ S.conj().T for S in ops.jump_maps)
+    assert cfg.n_samples * (1.0 - np.trace(rho).real) > 10
+    out = run_density_grid(model, rho0, cfg, policy, [cfg.n_steps],
+                           {"jumps": lambda rhos, counts: counts.astype(float)})
+    assert out.mean["jumps"][0] == 0.0
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_grid_reads_leave_rows_untouched(density):
+    # reading rows at grid points works on normalized copies, so a 51-point
+    # grid gives the same jumps and states at t_max as a 2-point grid
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    x0 = np.outer(psi0, psi0.conj()) if density else psi0
+    policy = FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.9 if density else 1.0)
+    driver = run_density_grid if density else run_sampled_grid
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=100, rng_seed=19)
+    obs = {"jumps": lambda states, counts: counts.astype(float),
+           "p0": lambda states, counts: np.abs(states.reshape(len(states), -1)[:, 0])}
+    coarse = driver(model, x0, cfg, policy, [0, cfg.n_steps], obs)
+    fine = driver(model, x0, cfg, policy, np.linspace(0, cfg.n_steps, 51).astype(int), obs)
+    assert coarse.mean["jumps"][-1] > 0
+    for label in obs:
+        assert coarse.mean[label][-1] == fine.mean[label][-1]
+        assert coarse.sem[label][-1] == fine.sem[label][-1]
+
+
 # -- inefficiency and delay -------------------------------------------------
 
 
