@@ -9,11 +9,12 @@ discrete jumps. Three drivers are provided.
   feedback. Branches whose conditional states share one direction are
   merged, with their probabilities summed; this is exact for every
   downstream use and keeps the tree finite when ideal feedback keeps
-  restoring the initial state. Each distinct state is interned once, with
-  its spawn masses and memoized successor and child ids, so a step is a
-  table lookup. A merged record keeps the events of its fewest-jump pattern
-  (earliest on ties). Delayed feedback and detection efficiency below one
-  run on the samplers only.
+  restoring the initial state. Each distinct state is interned once with
+  fixed edges to its successor and children; a step moves a dense weight
+  vector along them with one `bincount`. A merged record keeps the events
+  of its fewest-jump pattern (ties: stays, then branch order, then lower
+  source id). Delayed feedback and detection efficiency below one run on
+  the samplers only.
 
 * Monte Carlo sampling (`sample_trajectories`): norm-threshold
   (waiting-time) wavefunction stepping, with the law of a per-step draw
@@ -370,11 +371,11 @@ def _canonical_keys(states: np.ndarray) -> np.ndarray:
     return np.concatenate([re, im], axis=1)
 
 
-def _grown(arr: np.ndarray, size: int) -> np.ndarray:
-    """``arr`` with room for ``size`` rows (capacity doubles); new rows hold -1."""
+def _grown(arr: np.ndarray, size: int, fill=-1) -> np.ndarray:
+    """``arr`` with room for ``size`` rows (capacity doubles); new rows hold ``fill``."""
     if len(arr) >= size:
         return arr
-    out = np.full((max(size, 2 * len(arr)),) + arr.shape[1:], -1, dtype=arr.dtype)
+    out = np.full((max(size, 2 * len(arr)),) + arr.shape[1:], fill, dtype=arr.dtype)
     out[: len(arr)] = arr
     return out
 
@@ -382,12 +383,14 @@ def _grown(arr: np.ndarray, size: int) -> np.ndarray:
 class _ExactEngine:
     """Branch-merged tree enumeration on the dt grid over interned states.
 
-    A state's id keys its direction. Its table entry, filled when it first
-    carries a class, holds the no-jump probability, the spawn mass of each
-    map per unit weight, and the successor and child ids (-1: culled). A
-    class is an (id, weight, count, node) entry; merged classes keep the
-    fewest-jump member's count and events, ties going to the earliest row
-    (parents, then children in map order).
+    A state's id keys its direction. An id is filled when it first carries a
+    class: it gets fixed edges, each with a mass per unit weight, a jump
+    count and a rank: the stay (rank 0) to its no-jump successor and one per
+    spawn branch b with mass (rank b + 1) to its child (culled below the
+    norm floor). A class is a nonzero entry of the dense weight vector ``W``
+    over ids, with the count ``C`` (``empty`` without a class) and event
+    ``node`` of its fewest-jump member, ties going to stays, then branch
+    order, then the lower source id.
     """
 
     def __init__(self, model, psi0, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -404,27 +407,32 @@ class _ExactEngine:
         psi0 = _initial_state(psi0, model.dim, ndim=1)
         self.ops = ops = StepOperators(model, config.dt, policy)
         self.config = config
-        self.needed = np.array([len(b) for b in ops.branches])  # jumps per spawn branch
+        self.needed = np.array([0] + [len(b) for b in ops.branches])  # jumps per edge rank
+        # merge key (count, rank, source id): count << shift | rank << 32 | source
+        self.shift = 32 + len(ops.branches).bit_length()
+        # the count of an id with no class, above the budget (at most two jumps a step)
+        self.empty = min(config.max_jumps, 2 * config.n_steps) + 1
 
-        # state table, one row per id; succ stays -1 until the row is filled
-        J, d = len(ops.branches), model.dim
-        self.table_states = np.empty((0, d), dtype=np.complex128)
-        self.stay, self.succ = np.empty(0), np.empty(0, dtype=np.int64)
-        self.mass, self.child = np.empty((0, J)), np.empty((0, J), dtype=np.int64)
+        # the state table and dense vectors over its ids
+        self.table_states = np.empty((0, model.dim), dtype=np.complex128)
+        self.W, self.C, self.node, self.filled = (np.empty(0, dtype=t) for t in ("f8", "i8", "i8", "?"))
         self.index: dict[bytes, int] = {}  # key -> id of its latest entry
-        self.size = 0
+        # per edge: source, bin (destination id + 2; 1: culled), merge key base
+        # (jumps, rank, source) and mass, then _step's scratch key, bin and flow
+        self.edges = [np.empty(0, dtype=t) for t in ("i8", "i8", "i8", "f8", "i8", "i8", "f8")]
+        self.nodes = np.empty((0, 3), dtype=np.int64)  # (parent, step, edge rank) per spawn
+        self.size = self.n_edges = self.n_nodes = 0
 
-        self.ids = self._intern(psi0[None, :])
-        self.weights = np.ones(1)
-        self.counts = np.zeros(1, dtype=np.int64)
-        self.nodes: list[tuple[int, float, int, int]] = []  # (parent, time, slot, channel)
-        self.node_of = np.array([-1], dtype=np.int64)
-        self.truncation_mass = 0.0
-        self.culled_mass = 0.0
+        first = self._intern(psi0[None, :])
+        self.W[first], self.C[first] = 1.0, 0
+        self._fill(first)
+        self.truncation_mass = self.culled_mass = 0.0
 
-    @property
-    def states(self) -> np.ndarray:
-        return np.take(self.table_states, self.ids, axis=0)
+    # the classes, in id order
+    ids = property(lambda self: np.flatnonzero(self.W))
+    weights = property(lambda self: self.W[self.ids])
+    counts = property(lambda self: self.C[self.ids])
+    states = property(lambda self: np.take(self.table_states, self.ids, axis=0))
 
     # -- state table --------------------------------------------------------
 
@@ -443,33 +451,35 @@ class _ExactEngine:
         """New table entries for the rows' states; returns their ids."""
         ids = np.arange(self.size, self.size + len(states))
         self.size += len(states)
-        for name in ("table_states", "stay", "succ", "mass", "child"):
-            setattr(self, name, _grown(getattr(self, name), self.size))
+        for name, fill in (("table_states", 0), ("W", 0), ("C", self.empty), ("node", -1),
+                           ("filled", False)):
+            setattr(self, name, _grown(getattr(self, name), self.size, fill))
         self.table_states[ids] = states
         return ids
 
     def _fill(self, ids: np.ndarray):
-        """Fill the table entries of the ids in ``ids`` that have none yet."""
-        new = ids[self.succ[ids] < 0]
+        """Add the edges of the ids in ``ids`` that have none yet."""
+        new = ids[~self.filled[ids]]
         if new.size == 0:
             return
         ops, K, m = self.ops, self.ops.n_channels, new.size
         psi = self.table_states[new]
-        # spawn masses |R_b psi|^2; the singles (raw |B_k psi|^2, summing
-        # exactly to 1 - |N psi|^2) lose the pairs split off them; pair masses
-        # are >= 0, so one clip after the subtractions equals a clip after each
+        adv = psi @ ops.no_jump.T
+        adv2 = np.einsum("bi,bi->b", adv.conj(), adv).real
+        # edge masses per unit weight by rank. A stored state serves every
+        # visit, so its stay mass is taken relative to its own norm, whose
+        # rounding would compound per step. Spawn masses are |R_b psi|^2; the
+        # singles (raw |B_k psi|^2, summing exactly to 1 - |N psi|^2) lose the
+        # pairs split off them; pair masses are >= 0, so one clip after the
+        # subtractions equals a clip after each
+        stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
         raw = psi @ ops.spawn_roots.transpose(0, 2, 1)
         masses = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
         singles, pairs = masses[:K], masses[K:]
         for l in range(K):
             singles = singles - pairs[l::K]  # the pairs (k, l), k = 0..K-1
-        self.mass[new] = np.concatenate([np.clip(singles, 0.0, None), pairs]).T
+        masses = np.concatenate([stay[None], np.clip(singles, 0.0, None), pairs])
 
-        adv = psi @ ops.no_jump.T
-        adv2 = np.einsum("bi,bi->b", adv.conj(), adv).real
-        # a stored state serves every visit, so its no-jump probability is
-        # taken relative to its own norm, whose rounding would compound per step
-        stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
         raw = psi @ ops.spawn_maps.transpose(0, 2, 1)
         nrm2 = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
         maps, rows = np.nonzero(nrm2 > _NORM_FLOOR)
@@ -486,11 +496,16 @@ class _ExactEngine:
             keys = map(bytes, _canonical_keys(states[moving]))
             self.index.update(zip(keys, reached[moving]))
 
-        self.stay[new] = stay
-        self.succ[new] = reached[:m]
-        child = np.full(nrm2.shape, -1, dtype=np.int64)
-        child[maps, rows] = reached[m:]
-        self.child[new] = child.T
+        # edges with mass, stays (rank 0) first, then branch b's (rank b + 1)
+        self.filled[new] = True
+        dst = np.full(masses.shape, -1, dtype=np.int64)
+        dst[0], dst[maps + 1, rows] = reached[:m], reached[m:]
+        rank, row = np.nonzero(masses > 0.0)
+        lo, hi, src = self.n_edges, self.n_edges + rank.size, new[row]
+        base = (self.needed[rank] << self.shift) + (rank << 32) + src
+        self.n_edges, self.edges = hi, [_grown(a, hi) for a in self.edges]
+        for a, v in zip(self.edges, (src, dst[rank, row] + 2, base, masses[rank, row])):
+            a[lo:hi] = v
 
     # -- main sweep --------------------------------------------------------
 
@@ -515,7 +530,7 @@ class _ExactEngine:
         grid_pos = 0
         for step in range(n_steps + 1):
             while grid_pos < len(grid) and grid[grid_pos] == step:
-                ids, counts = self.ids, self.counts
+                ids, counts, weights = self.ids, self.counts, self.weights
                 width = max(seen.shape[1], counts.max(initial=0) + 1)
                 pad = ((0, self.size - len(seen)), (0, width - seen.shape[1]))
                 seen = np.pad(seen, pad)
@@ -526,7 +541,7 @@ class _ExactEngine:
                 for label, fn in observables.items():
                     if new_ids.size:
                         values[label][new_ids, new_counts] = fn(self.table_states[new_ids], new_counts)
-                    curves[label][grid_pos] = float((values[label][ids, counts] * self.weights).sum())
+                    curves[label][grid_pos] = float((values[label][ids, counts] * weights).sum())
                 grid_pos += 1
             if step == n_steps:
                 break
@@ -539,69 +554,54 @@ class _ExactEngine:
         return curves
 
     def _step(self, step: int):
-        cfg = self.config
-        ids, counts = self.ids, self.counts
-        B = ids.size
-        self._fill(ids)
-
-        # (map, class) arrays; flat indices run through maps, then classes
-        mass = np.take(self.mass, ids, axis=0).T * self.weights
-        child = np.take(self.child, ids, axis=0).T
-        eligible = counts <= cfg.max_jumps - self.needed[:, None]
-        self.truncation_mass += float(mass[~eligible].sum())
-        spawn = eligible & (mass > 0.0)
-        culled = spawn & (child < 0)
-        self.culled_mass += float(mass[culled].sum())
-        flat = np.flatnonzero(spawn & ~culled)
-        maps = flat // B
-        rows = flat - maps * B
-
-        all_ids = np.concatenate([np.take(self.succ, ids), np.take(child, flat)])
-        all_weights = np.concatenate([self.weights * np.take(self.stay, ids), np.take(mass, flat)])
-        all_counts = np.concatenate([counts, counts[rows] + self.needed[maps]])
-        # merge by id; each class is represented by its fewest-jump row,
-        # ties going to the earliest, and classes follow their representatives
-        n = all_ids.size
-        order = all_counts * n + np.arange(n)
-        rank = np.full(self.size, np.iinfo(np.int64).max)
-        np.minimum.at(rank, all_ids, order)
-        rep = np.nonzero(rank[all_ids] == order)[0]
-        rank[all_ids[rep]] = np.arange(rep.size)
-        weights = np.bincount(rank[all_ids], weights=all_weights, minlength=rep.size)
+        src, dst, base, mass, key, bins, flow = (a[: self.n_edges] for a in self.edges)
+        # each edge's member of its destination class, keyed (count, rank, source id)
+        np.take(self.C, src, out=key, mode="clip")
+        key <<= self.shift
+        key += base
+        np.take(self.W, src, out=flow, mode="clip")
+        flow *= mass
+        np.less(key, self.empty << self.shift, out=bins)
+        bins *= dst  # 0: truncated (beyond the budget), 1: culled, id + 2: kept
+        out = np.bincount(bins, weights=flow, minlength=self.W.size + 2)
+        best = np.full(out.size, self.empty << self.shift)  # no member within the budget
+        np.minimum.at(best, bins, key)
+        self.truncation_mass += float(out[0])
+        self.culled_mass += float(out[1])
 
         # cull negligible classes (their mass is reported, not lost silently)
-        tiny = weights < _CULL_FLOOR
-        self.culled_mass += float(weights[tiny].sum())
-        rep, self.weights = rep[~tiny], weights[~tiny]
-        self.ids, self.counts = all_ids[rep], all_counts[rep]
-        # a child representing a class records its jumps as new event nodes
-        node_of = np.concatenate([self.node_of, self.node_of[rows]])
-        t_mid = (step + 0.5) * cfg.dt
-        for r in rep[rep >= B]:
-            for c in self.ops.branches[maps[r - B]]:
-                self.nodes.append((int(node_of[r]), t_mid, self.ops.slots[c], int(c)))
-                node_of[r] = len(self.nodes) - 1
-        self.node_of = node_of[rep]
+        self.W = W = out[2:]
+        tiny = W < _CULL_FLOOR
+        self.culled_mass += float(W[tiny].sum())
+        W[tiny] = 0.0
+        ids = np.flatnonzero(W)
+        rep = best[2:][ids]
+        self.C.fill(self.empty)
+        self.C[ids] = rep >> self.shift
+        rank, node = (rep >> 32) & ((1 << (self.shift - 32)) - 1), self.node[rep & 0xFFFFFFFF]
+        # a class represented by a spawn records its branch as a new event node
+        spawned = np.flatnonzero(rank)
+        if spawned.size:
+            lo, hi = self.n_nodes, self.n_nodes + spawned.size
+            self.n_nodes, self.nodes = hi, _grown(self.nodes, hi)
+            self.nodes[lo:hi] = np.stack([node[spawned], np.full(spawned.size, step), rank[spawned]], 1)
+            node[spawned] = np.arange(lo, hi)
+        self.node[ids] = node  # read for classes only
+        self._fill(ids)
 
     def _events_for(self, node: int) -> tuple[JumpEvent, ...]:
         out = []
         while node >= 0:
-            parent, t, slot, ch = self.nodes[node]
-            out.append(JumpEvent(time=t, slot=slot, channel=ch))
-            node = parent
+            node, step, rank = self.nodes[node].tolist()
+            for ch in reversed(self.ops.branches[rank - 1]):
+                out.append(JumpEvent((step + 0.5) * self.config.dt, self.ops.slots[ch], ch))
         return tuple(reversed(out))
 
     def records(self) -> list[TrajectoryRecord]:
-        order = np.argsort(-self.weights, kind="stable")
-        states = self.states
-        return [
-            TrajectoryRecord(
-                events=self._events_for(int(self.node_of[i])),
-                state=states[i],
-                probability=float(self.weights[i]),
-            )
-            for i in order
-        ]
+        ids = self.ids
+        return [TrajectoryRecord(self._events_for(int(self.node[i])), self.table_states[i].copy(),
+                                 float(self.W[i]))
+                for i in ids[np.argsort(-self.W[ids], kind="stable")]]
 
 
 def enumerate_trajectories(

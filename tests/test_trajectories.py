@@ -201,6 +201,15 @@ def test_enumerate_truncation_error_advises_depth():
         enumerate_trajectories(model, code_bell3(), cfg)
 
 
+def test_enumerate_budget_beyond_reach_changes_nothing():
+    # a run takes at most two jumps a step, so any larger budget is the same
+    model = build_qubit_pair(1.0)
+    runs = [enumerate_trajectories(model, bell2(), UnravelingConfig(dt=1e-2, t_max=0.1, max_jumps=j))
+            for j in (20, 10**12)]
+    assert [(r.events, r.probability) for r in runs[0].records] == \
+        [(r.events, r.probability) for r in runs[1].records]
+
+
 def test_enumerate_rejects_inefficient_policy():
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     policy = FeedbackPolicy.qutrit_cyclic(efficiency=0.9)
@@ -337,6 +346,97 @@ def test_exact_grid_cache_follows_relaxing_state():
     pairs = assert_cache_exact(build_qubit_pair(1.0), psi0, cfg, None, 11, observables)
     ids = [i for i, _ in pairs]
     assert len(set(ids)) < len(ids)  # some id is seen with two jump counts
+
+
+# the qutrit curve family at its scenario jump budgets (the feedback floor of 12)
+QUTRIT_FAMILY = {
+    "E_3": (CascadeSpec.degenerate, False, 4),
+    "E_3f": (CascadeSpec.degenerate, True, 12),
+    "E_3ho": (CascadeSpec.harmonic_oscillator, False, 4),
+    "E_3fho": (CascadeSpec.harmonic_oscillator, True, 12),
+}
+
+
+def qutrit_family_run(label, grid_steps, observables):
+    """run_exact_grid on one family curve's config at gamma t = 1."""
+    spec, feedback, budget = QUTRIT_FAMILY[label]
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, max_jumps=budget)
+    policy = FeedbackPolicy.qutrit_cyclic() if feedback else None
+    return run_exact_grid(build_qutrit_pair(spec(1.0)), code_bell3(), cfg, policy,
+                          grid_steps(cfg.n_steps), observables)
+
+
+@pytest.mark.parametrize("label", list(QUTRIT_FAMILY))
+def test_exact_grid_books_balance(label):
+    # kept + truncated + culled mass is one; E_3fho truncates and culls
+    _, engine = qutrit_family_run(label, lambda n: [0, n], {})
+    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) < 1e-12
+    if label == "E_3fho":
+        assert engine.truncation_mass > 1e-8 and engine.culled_mass > 1e-12
+
+
+def test_exact_books_balance_past_the_truncation_bound():
+    # a one-jump budget truncates about half the mass; the sweep finishes first
+    engine = trajectories._ExactEngine(
+        build_qutrit_pair(CascadeSpec.degenerate(1.0)), code_bell3(),
+        UnravelingConfig(dt=5e-3, t_max=1.0, max_jumps=1), None)
+    with pytest.raises(TruncationError):
+        engine.run()
+    assert engine.truncation_mass > 0.4
+    assert set(engine.counts.tolist()) == {0, 1}
+    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("label", ["E_3", "E_3fho"])
+def test_exact_curves_independent_of_grid(label):
+    # grid reads and table fills leave the weight and count vectors untouched
+    observables = {"neg": lambda s, c: negativity_batch_pure(s, LAY3),
+                   "P1": lambda s, c: (c == 1).astype(float)}
+    coarse, c_engine = qutrit_family_run(label, lambda n: [0, n], observables)
+    fine, f_engine = qutrit_family_run(
+        label, lambda n: np.linspace(0, n, 51).astype(int), observables)
+    for name in observables:
+        assert coarse[name][0] == fine[name][0] and coarse[name][-1] == fine[name][-1]
+    assert np.array_equal(c_engine.ids, f_engine.ids)
+    assert np.array_equal(c_engine.counts, f_engine.counts)
+    assert np.array_equal(c_engine.weights, f_engine.weights)
+    assert c_engine.truncation_mass == f_engine.truncation_mass
+    assert c_engine.culled_mass == f_engine.culled_mass
+
+
+def test_merged_record_keeps_fewest_jump_events():
+    # both channels take (|10> + |01>)/sqrt(2) to |00> in one jump: an
+    # equal-count tie, which goes to the first branch (channel 0) at the
+    # first step; later steps' jumps tie with the stay, which wins
+    dt = 1e-2
+    res = enumerate_trajectories(build_qubit_pair(1.0), bell2(), UnravelingConfig(dt=dt, t_max=1.0))
+    one = next(r for r in res.records if r.n_jumps == 1)
+    assert one.events == (trajectories.JumpEvent(time=0.5 * dt, slot=0, channel=0),)
+    assert abs(one.probability - (1.0 - math.exp(-1.0))) < 1e-12
+    assert abs(abs(one.state[0]) - 1.0) < 1e-12
+    # from |11> the jump pairs (0, 1) and (1, 0) of the first step tie; the
+    # first in branch order is kept
+    psi0 = product_basis_state(LAY2, (1, 1))
+    res = enumerate_trajectories(build_qubit_pair(1.0), psi0,
+                                 UnravelingConfig(dt=dt, t_max=1.0, max_jumps=2))
+    two = next(r for r in res.records if r.n_jumps == 2)
+    assert [(e.time, e.channel) for e in two.events] == [(0.5 * dt, 0), (0.5 * dt, 1)]
+
+
+def test_merged_record_keeps_fewest_jump_count():
+    # the no-jump state of sqrt(a)|00> + sqrt(1-a)|11> relaxes onto |00>,
+    # whose class already holds two-jump members: the merged class counts 0
+    a = 0.1
+    psi0 = normalized(
+        math.sqrt(a) * product_basis_state(LAY2, (0, 0))
+        + math.sqrt(1 - a) * product_basis_state(LAY2, (1, 1))
+    )
+    res = enumerate_trajectories(build_qubit_pair(1.0), psi0,
+                                 UnravelingConfig(dt=1e-2, t_max=25.0, max_jumps=2))
+    ground = res.records[0]
+    assert abs(abs(ground.state[0]) - 1.0) < 1e-12
+    assert ground.n_jumps == 0 and ground.events == ()
+    assert ground.probability > 1.0 - 1e-9  # the two-jump mass, 1 - a, is in it
 
 
 @pytest.mark.parametrize(
