@@ -16,24 +16,24 @@ discrete jumps. Three drivers are provided.
   source id). Delayed feedback and detection efficiency below one run on
   the samplers only.
 
-* Monte Carlo sampling (`sample_trajectories`): norm-threshold
-  (waiting-time) wavefunction stepping, with the law of a per-step draw
-  that jumps with probability 1 - |N psi|^2 / |psi|^2 and picks channels by
-  cumulative probability in (slot, channel) order (see `_Sampler`). The
-  threshold of trajectory ``i`` for its waiting period ``j`` is a
-  counter-based u(rng_seed, i, j) in (0, 1]: one minus the top 53 bits of a
-  SplitMix64 finalizer of the key derived from (rng_seed, i) plus j. No
-  generator state is carried, so results are reproducible and independent
-  of trajectory order and of the block or batch size. Delayed corrections
-  wait in one FIFO per block, an entry per jump step, until their due step.
+* Monte Carlo sampling (`sample_trajectories`): event-driven norm-threshold
+  (waiting-time) sampling with the law of a per-step draw that jumps with
+  probability 1 - |N psi|^2 / |psi|^2 and picks channels by cumulative
+  probability in (slot, channel) order. A row moves from event to event (a
+  threshold crossing, a due correction, a table's end, the end), its state
+  and survival in between in closed form (see `_Sampler`). Trajectory i's
+  threshold for its waiting period j is a counter-based u(rng_seed, i, j)
+  in (0, 1]: one minus the top 53 bits of a SplitMix64 finalizer of the key
+  derived from (rng_seed, i) plus j. No generator state is carried, so
+  results are reproducible and, to rounding, independent of trajectory order
+  and of the block or batch size; they never depend on the time grid.
 
 * Density-matrix sampling (`sample_density_trajectories`): required when
-  detection efficiency eta < 1. The same sampler steps real rows T vec(rho)
+  detection efficiency eta < 1. The same sampler moves real rows T vec(rho)
   in an orthonormal Hermitian basis T, where a map A acts as the real
-  T (A (x) A*) T^+; rows become matrices only at grid points and records.
-  Recorded jumps update the state projectively and trigger feedback;
-  unrecorded jumps fold into the no-record map N (x) N* + (1 - eta) sum_k
-  S_k (x) S_k*, which mixes the observer's conditional state.
+  T (A (x) A*) T^+. Recorded jumps update the state projectively and trigger
+  feedback; unrecorded jumps fold into the no-record map M = N (x) N* +
+  (1 - eta) sum_k S_k (x) S_k*, which mixes the observer's conditional state.
 
 Per step of length dt the no-jump update is the exact exponential
 exp(-1/2 G dt) with G = sum_k gamma_k L_k+ L_k, so the no-jump probability
@@ -62,8 +62,8 @@ Hamiltonian is rejected, since only the master equation includes one.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,7 +74,8 @@ from .models import OpenSystemModel
 MAX_GAMMA_DT = 1e-2
 TRUNCATION_BOUND = 1e-4
 _CULL_FLOOR = 1e-12
-_SAMPLE_CHUNK = 16384
+_SAMPLE_CHUNK = 4096
+_TABLE_CAP = 32  # sampler stretch length, and the most steps a density row takes in one product
 _NORM_FLOOR = 1e-250
 
 
@@ -227,13 +228,13 @@ def _mass_fraction(u: np.ndarray) -> np.ndarray:
 
 
 def _function_of_generator(model: OpenSystemModel):
-    """f -> f(G) for the decay generator G, through its clipped eigenvalues."""
+    """(f -> f(G), lam, V) for the decay generator G = V diag(lam) V^+, lam clipped at 0."""
     if model.hamiltonian is not None:
         raise ValueError("trajectory drivers take no Hamiltonian; use evolve_master")
     lam, V = np.linalg.eigh(model.decay_generator)
     lam = np.clip(lam, 0.0, None)
     Vd = dagger(V)
-    return lambda f: (V * f(lam)[None, :]) @ Vd
+    return (lambda f: (V * f(lam)[None, :]) @ Vd), lam, V
 
 
 class StepOperators:
@@ -248,7 +249,8 @@ class StepOperators:
     Pairs: R_kl = sqrt(gamma_k gamma_l / 2) dt L_l L_k and map
     sqrt(gamma_k gamma_l / 2) dt N_half U L_l U L_k N_half. A pair's mass
     is split off its first jump's single mass. ``split_maps`` are the B_k,
-    and ``jump_maps`` the feedback-free single maps for unrecorded jumps.
+    ``jump_maps`` the feedback-free single maps for unrecorded jumps, and
+    ``lam`` and ``eigvecs`` G's clipped eigenvalues and eigenvectors.
     """
 
     def __init__(self, model: OpenSystemModel, dt: float, policy: FeedbackPolicy | None = None):
@@ -259,7 +261,7 @@ class StepOperators:
         self.immediate_feedback = self.policy is not None and self.policy.delay == 0.0
         self.queued_feedback = self.policy is not None and self.policy.delay > 0.0
 
-        func_of_g = _function_of_generator(model)
+        func_of_g, self.lam, self.eigvecs = _function_of_generator(model)
         self.no_jump = func_of_g(lambda lam: np.exp(-lam * dt / 2.0))
         half = func_of_g(lambda lam: np.exp(-lam * dt / 4.0))  # N_half
         W = func_of_g(lambda lam: np.sqrt(_mass_fraction(lam * dt)))
@@ -297,16 +299,17 @@ class StepOperators:
     def n_channels(self) -> int:
         return len(self.model.channels)
 
-    def due_step(self, jump_step_index: int) -> int:
+    def due_step(self, jump_step):
+        """The step at whose start a correction for a jump in ``jump_step`` (int or array) lands."""
         assert self.policy is not None
-        return int(math.ceil(jump_step_index + 0.5 + self.policy.delay / self.dt - 1e-12))
+        return np.ceil(np.asarray(jump_step) + 0.5 + self.policy.delay / self.dt - 1e-12).astype(np.int64)
 
 
 def no_jump_step(model: OpenSystemModel, psi: np.ndarray, dt: float):
     """No-detection update exp(-1/2 G dt): unnormalized psi' and its probability |psi'|^2."""
     psi = as_vector(psi)
     _check_rate_resolution(model, dt)
-    out = _function_of_generator(model)(lambda lam: np.exp(-lam * dt / 2.0)) @ psi
+    out = _function_of_generator(model)[0](lambda lam: np.exp(-lam * dt / 2.0)) @ psi
     return out, float(np.vdot(out, out).real)
 
 
@@ -682,19 +685,22 @@ def _thresholds(keys: np.ndarray, periods: np.ndarray) -> np.ndarray:
 
 
 class _Sampler:
-    """Vectorized norm-threshold Monte Carlo unraveling over blocks of rows.
+    """Event-driven norm-threshold Monte Carlo unraveling over blocks of rows.
 
-    A row is psi, or T vec(rho) in the Hermitian basis T, with weight |psi|^2
-    or tr rho; a per-step map A acts as ``rows @ lift(A).T``. Rows stay
-    unnormalized between recorded jumps (a fraction eta of the physical
-    ones) and carry their survival since the last one: at eta = 1 their
-    weight, else the running product of per-step no-record probabilities
-    1 - eta (1 - tr(N rho N^+) / tr rho), as the no-record map loses trace.
-    A row jumps at the first step whose survival falls below its threshold
-    u; (S_before - u) / (S_before - S_after), scaled by the split total,
-    picks the channel. A jumped row is normalized and draws a new threshold,
-    which unitary corrections keep. Observables fn(states, counts) read
-    normalized copies, density rows as complex (n, d, d) matrices.
+    A row is V^+ psi (V: G's eigenvectors) or T vec(rho) in the Hermitian
+    basis T; a map A acts as ``rows @ lift(A)``. A row keeps an anchor, its
+    state, step and survival when it last changed, and moves from event to
+    event: its first survival below its threshold u, its next due correction,
+    ``cap`` steps on, or the end. In between the no-jump (no-record) map acts
+    in closed form: V^+ psi scales by e^{-lam k dt/2}, survival sum |c_i|^2
+    e^{-lam_i k dt}; rho takes the tabulated M^k (M can be defective), with
+    survival tr(M^k rho) at eta = 1, else the running product of 1 - eta
+    (1 - tr(N rho N^+) / tr rho), as M loses trace. A crossing is bisected;
+    (S_before - u) / (S_before - S_after), scaled by the split total, picks
+    the channel; a jumped row is normalized and draws a new u, which unitary
+    corrections keep. Rows take one event per round in stretches of
+    ``_TABLE_CAP`` steps, so which rows share a product never depends on the
+    grid. Grid reads are normalized copies, rho as complex (n, d, d).
     """
 
     def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -709,18 +715,25 @@ class _Sampler:
         if eta < 1.0 and not self.density:
             raise ValueError("pure-state sampling supports efficiency 1 only; "
                              "use sample_density_trajectories for eta < 1")
-        self.basis = T = hermitian_basis(d) if self.density else None
-        self.x0 = (T @ x0.reshape(-1)).real if self.density else x0
-        lift = (lambda A: real_superoperator(np.kron(A, A.conj()), T)) if self.density else (lambda A: A)
-
-        # transposed row maps: rows @ map
-        no_jump = lift(ops.no_jump)
-        self.advance = (no_jump + (1.0 - eta) * sum(map(lift, ops.jump_maps))).T
-        # tr(N rho N^+) per row, needed when the advance holds unrecorded jumps
-        self.no_jump_trace = no_jump[:d].sum(axis=0) if eta < 1.0 else None
-        self.jumps = np.concatenate([lift(S).T for S in ops.spawn_maps[:ops.n_channels]], axis=1)
-        self.splits = np.concatenate([lift(B).T for B in ops.split_maps], axis=1)
-        self.corrections = {slot: lift(u).T for slot, u in ops.unitaries_embedded.items()}
+        if self.density:
+            T = hermitian_basis(d)
+            self.x0, self.basis = (T @ x0.reshape(-1)).real, T.conj()
+            lift = lambda A: real_superoperator(np.kron(A, A.conj()), T).T  # noqa: E731
+        else:
+            V = ops.eigvecs
+            # log_stay: -lam dt, the log of each eigencomponent's per-step survival
+            self.x0, self.basis, self.log_stay = x0 @ V.conj(), V.T, -ops.lam * config.dt
+            lift = lambda A: V.T @ A.T @ V.conj()  # noqa: E731
+        self.jumps = np.concatenate([lift(S) for S in ops.spawn_maps[:ops.n_channels]], axis=1)
+        self.splits = np.concatenate([lift(B) for B in ops.split_maps], axis=1)
+        self.corrections = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()}
+        self.cap = min(_TABLE_CAP, config.n_steps) if self.density else config.n_steps + 1
+        if self.density:  # M^k for k <= cap, and per k the rows giving tr, tr(N . N^+) of M^k rho
+            no_jump = lift(ops.no_jump)
+            advance = no_jump + (1.0 - eta) * sum(map(lift, ops.jump_maps))
+            self.powers = np.stack(list(accumulate([advance] * self.cap, np.matmul, initial=np.eye(len(advance)))))
+            self.traces = self.powers[:, :, :d].sum(axis=2)
+            self.no_jump_traces = self.powers @ no_jump[:, :d].sum(axis=1)
 
     def _weight(self, rows):
         """|psi|^2 or tr rho (the sum of the first d coordinates) along the last axis."""
@@ -734,11 +747,51 @@ class _Sampler:
         return rows
 
     def _states(self, rows):
-        """Normalized copies of the rows, density rows as (n, d, d) matrices."""
-        weight = self._weight(rows)
-        if self.density:
-            return self._normalize(rows @ self.basis.conj(), weight).reshape(-1, self.d, self.d)
-        return self._normalize(rows.copy(), weight)
+        """Normalized copies of the rows, psi or (n, d, d) density matrices."""
+        out = self._normalize(rows @ self.basis, self._weight(rows))
+        return out.reshape(-1, self.d, self.d) if self.density else out
+
+    def _observe(self, observables, rows, counts, acc, g):
+        """Add each observable's sum and sum of squares over the rows to acc[:, g]."""
+        states = self._states(rows)
+        for lab, fn in observables.items():
+            vals = fn(states, counts)
+            acc[lab][:, g] += vals.sum(), (vals * vals).sum()
+
+    def _advance(self, rows, k):
+        """The rows k steps past their anchors."""
+        if not self.density:
+            return rows * np.exp(0.5 * np.multiply.outer(k, self.log_stay))
+        out = np.empty_like(rows)
+        for j in np.unique(k):
+            out[k == j] = rows[k == j] @ self.powers[j]
+        return out
+
+    def _next(self, rows, surv, u, at, due):
+        """(step, jumps, S_before, S_after) of each row's next event: the first
+        step whose survival falls below u, if before its next due correction,
+        ``cap`` steps and the end; else the first of those, or past the end."""
+        K = np.minimum(np.minimum(due, self.config.n_steps), at + self.cap) - at
+        if self.density:  # the survival 0..cap steps on
+            data = rows @ self.traces.T
+            if self.eta < 1.0:
+                stay = 1.0 - self.eta * (1.0 - (rows @ self.no_jump_traces.T) / data)
+                data = np.cumprod(np.column_stack([surv, stay[:, :-1]]), axis=1)
+            survival = lambda j, curve: np.take_along_axis(curve, j[:, None], 1)[:, 0]  # noqa: E731
+        else:  # |c_i|^2, and the survival sum |c_i|^2 e^{-lam_i j dt}
+            data = rows.real ** 2 + rows.imag ** 2
+            survival = lambda j, p: np.einsum("ij,ij->i", p, np.exp(np.multiply.outer(j, self.log_stay)))  # noqa: E731
+        found = (K > 0) & (survival(K, data) < u)
+        on, k, before = np.flatnonzero(found), K.copy(), np.ones(K.size)
+        # bisect the crossing rows: survival(lo) >= u > survival(hi), or lo = 0
+        lo, hi, u_on, data_on = np.zeros(on.size, dtype=np.int64), K[on], u[on], data[on]
+        for _ in range(int(hi.max(initial=0)).bit_length()):
+            mid = (lo + hi) // 2
+            below = survival(mid, data_on) < u_on
+            hi, lo = np.where(below & (mid > lo), mid, hi), np.where(below, lo, mid)
+        k[on], before[on] = hi, survival(hi - 1, data_on)
+        idle = ~found & ((K == 0) | (np.minimum(at + self.cap, due) > self.config.n_steps))
+        return np.where(idle, self.config.n_steps + 1, at + k), found, before, survival(k, data)
 
     def run(self, grid_steps=(), observables=None, collect_records=False):
         observables = observables or {}
@@ -747,69 +800,77 @@ class _Sampler:
         grid = _checked_grid(grid_steps, n_steps)
         acc = {lab: np.zeros((2, len(grid))) for lab in observables}  # sums of f and f^2
         records: list[TrajectoryRecord] = []
-        block = max(1, _SAMPLE_CHUNK * self.d // D)
+        block, never = max(1, _SAMPLE_CHUNK * self.d // D), n_steps + 1
+        # stretches of _TABLE_CAP steps, the last ending at or past the last step read
+        last = n_steps if collect_records else grid[-1] if grid else -1
+        stops = [min(s, n_steps) for s in range(0, last + _TABLE_CAP, _TABLE_CAP)] if last >= 0 else []
 
         for lo in range(0, n, block):
             m = min(block, n - lo)
             keys = _trajectory_keys(cfg.rng_seed, lo, lo + m)
-            states = np.repeat(self.x0[None], m, axis=0)
-            counts = np.zeros(m, dtype=np.int64)
-            survival, threshold = np.ones(m), _thresholds(keys, counts)  # since the last jump
+            rows = np.repeat(self.x0[None], m, axis=0)
+            at, counts, applied, unread = (np.zeros(m, dtype=np.int64) for _ in range(4))
+            surv, threshold = np.ones(m), _thresholds(keys, counts)  # since the last jump
+            # delayed corrections by jump number j, due in jump order: due step
+            # (never: none) and slot; a row's next is at j = applied
+            due, due_slot = np.full((1, m), never), np.zeros((1, m), dtype=np.int64)
             events = [[] for _ in range(m)] if collect_records else None
-            # delayed corrections, (due step, rows, slots) per jump step; due
-            # steps rise with the jump step, so at most one entry falls due
-            pending = deque()
-            grid_pos = 0
+            nxt, jump, before, after = self._next(rows, surv, threshold, at, due[0])
+            reads = {}  # grid index -> (rows advanced to it, counts), filled in one stretch
 
-            for step in range(n_steps + 1):
-                while pending and pending[0][0] <= step:
-                    _, rows, slots = pending.popleft()
+            def read(sel, until):  # the rows sel at their unread grid steps before until
+                first, end = unread[sel], np.searchsorted(grid, until)
+                for g in range(first.min(initial=len(grid)), end.max(initial=0)):
+                    on = sel[(first <= g) & (g < end)]
+                    x, c = reads.setdefault(g, (np.empty_like(rows), np.empty_like(counts)))
+                    x[on], c[on] = self._advance(rows[on], grid[g] - at[on]), counts[on]
+                unread[sel] = np.maximum(first, end)
+
+            for stop in stops:  # one event per row and round
+                while (sel := np.flatnonzero(nxt <= stop)).size:
+                    read(sel, nxt[sel])
+                    old, k, jumped, s = rows[sel], nxt[sel] - at[sel], jump[sel], after[sel]
+                    new, hit = np.empty_like(old), np.flatnonzero(jumped)
+                    if hit.size:
+                        pre = self._advance(old[hit], k[hit] - 1)
+                        cum = self._weight((pre @ self.splits).reshape(hit.size, K, D))
+                        for ch in range(1, K):  # np.cumsum is slow over a short axis
+                            cum[:, ch] += cum[:, ch - 1]
+                        ok = cum[:, -1] > 0.0
+                        jumped[hit[~ok]] = False  # nothing to jump into: it steps past its crossing
+                        hit, pre, cum, i = hit[ok], pre[ok], cum[ok], sel[hit[ok]]
+                        drop = (before[i] - threshold[i]) / (before[i] - after[i])
+                        chosen = np.minimum(((drop * cum[:, -1])[:, None] >= cum).sum(axis=1), K - 1)
+                        y = (pre @ self.jumps).reshape(-1, K, D)[np.arange(chosen.size), chosen]
+                        new[hit], s[hit] = self._normalize(y, self._weight(y)), 1.0
+                        slots = np.asarray(ops.slots)[chosen]
+                        if ops.queued_feedback:
+                            due, due_slot = _grown(due, counts[i].max() + 2, never), _grown(due_slot, len(due), 0)
+                            due[counts[i], i], due_slot[counts[i], i] = ops.due_step(nxt[i] - 1), slots
+                        if collect_records:
+                            for r, t, slot, ch in zip(i.tolist(), ((nxt[i] - 0.5) * cfg.dt).tolist(),
+                                                      slots.tolist(), chosen.tolist()):
+                                events[r].append(JumpEvent(time=t, slot=slot, channel=ch))
+                        counts[i] += 1
+                        threshold[i] = _thresholds(keys[i], counts[i])
+                    rest = np.flatnonzero(~jumped)
+                    new[rest], at[sel] = self._advance(old[rest], k[rest]), nxt[sel]
+                    landed = np.flatnonzero(due[applied[sel], sel] == at[sel])  # corrections due there
                     for slot, ut in self.corrections.items():
-                        sel = rows[slots == slot]
-                        if sel.size:
-                            states[sel] = states[sel] @ ut
-                while grid_pos < len(grid) and grid[grid_pos] == step:
-                    for lab, fn in observables.items():
-                        vals = fn(self._states(states), counts)
-                        acc[lab][:, grid_pos] += vals.sum(), (vals * vals).sum()
-                    grid_pos += 1
-                if step == n_steps:
-                    break
-
-                # N^+ N = 1 - dt W G W: at eta = 1 the advanced weight is the survival
-                adv = states @ self.advance
-                if self.no_jump_trace is None:
-                    after = self._weight(adv)
-                else:
-                    stay = (states @ self.no_jump_trace) / self._weight(states)
-                    after = survival * (1.0 - self.eta * (1.0 - stay))
-                jumpers = np.nonzero(after < threshold)[0]
-                pre, before = states[jumpers], survival[jumpers]
-                states, survival = adv, after
-
-                if jumpers.size:
-                    split = self._weight((pre @ self.splits).reshape(jumpers.size, K, D))
-                    cum = np.cumsum(split, axis=1)
-                    ok = cum[:, -1] > 0.0
-                    jumpers, pre, before, cum = jumpers[ok], pre[ok], before[ok], cum[ok]
-                    drop = (before - threshold[jumpers]) / (before - after[jumpers])
-                    chosen = np.minimum(((drop * cum[:, -1])[:, None] >= cum).sum(axis=1), K - 1)
-                    y = (pre @ self.jumps).reshape(-1, K, D)[np.arange(chosen.size), chosen]
-                    states[jumpers] = self._normalize(y, self._weight(y))
-                    survival[jumpers] = 1.0
-                    counts[jumpers] += 1
-                    threshold[jumpers] = _thresholds(keys[jumpers], counts[jumpers])
-                    slots = np.asarray(ops.slots)[chosen]
-                    if ops.queued_feedback:
-                        pending.append((ops.due_step(step), jumpers, slots))
-                    if events is not None:
-                        t_mid = (step + 0.5) * cfg.dt
-                        for i, slot, k in zip(jumpers, slots.tolist(), chosen.tolist()):
-                            events[i].append(JumpEvent(time=t_mid, slot=slot, channel=k))
+                        r = landed[due_slot[applied[sel[landed]], sel[landed]] == slot]
+                        new[r] = new[r] @ ut
+                    applied[sel[landed]] += 1
+                    rows[sel], surv[sel] = new, s
+                    nxt[sel], jump[sel], before[sel], after[sel] = self._next(
+                        new, s, threshold[sel], at[sel], due[applied[sel], sel])
+                if observables and np.searchsorted(grid, stop + 1) > unread.min():
+                    read(np.arange(m), stop + 1)
+                for g in sorted(reads):  # read at every row
+                    self._observe(observables, *reads.pop(g), acc, g)
 
             if collect_records:
-                records += [TrajectoryRecord(tuple(ev), x, 1.0 / n)
-                            for ev, x in zip(events, self._states(states))]
+                final = self._states(self._advance(rows, n_steps - at))
+                records += [TrajectoryRecord(tuple(ev), x, 1.0 / n) for ev, x in zip(events, final)]
 
         mean = {lab: a[0] / n for lab, a in acc.items()}
         sem = {lab: np.sqrt(np.clip(a[1] / n - mean[lab] ** 2, 0.0, None) / n)

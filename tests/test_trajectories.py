@@ -674,6 +674,184 @@ def test_grid_reads_leave_rows_untouched(density):
         assert coarse.sem[label][-1] == fine.sem[label][-1]
 
 
+def _per_step_chain(model, x0, cfg, policy, grid, thresholds=trajectories._thresholds):
+    """Each trajectory of the samplers by the per-step law, as an explicit chain.
+
+    Every step maps the unnormalized state by the no-jump (no-record) map;
+    the survival is its norm or trace, or at eta < 1 the running product of
+    per-step no-record probabilities; the row jumps where it falls below
+    its threshold, in the channel that (S_before - u) / (S_before - S_after)
+    picks, each decided with more than 1e-12 to spare. Returns per row its
+    events as (step, channel), its survival after every step, its normalized
+    state at each grid step and at the end.
+    """
+    ops = trajectories.StepOperators(model, cfg.dt, policy)
+    eta = policy.efficiency if policy is not None else 1.0
+    density = x0.ndim == 2
+    act = (lambda A, x: A @ x @ A.conj().T) if density else (lambda A, x: A @ x)
+    size = (lambda x: np.trace(x).real) if density else (lambda x: np.vdot(x, x).real)
+    keys = trajectories._trajectory_keys(cfg.rng_seed, 0, cfg.n_samples)
+    out = []
+    for key in keys:
+        x, survival, jumps, pending = x0, 1.0, 0, []
+        u = thresholds(key[None], np.array([0]))[0]
+        events, curve, reads = [], [], []
+        for step in range(cfg.n_steps + 1):
+            while pending and pending[0][0] <= step:
+                x = act(ops.unitaries_embedded[pending.pop(0)[1]], x)
+            if step in grid:
+                reads.append(x / (size(x) if density else math.sqrt(size(x))))
+            if step == cfg.n_steps:
+                break
+            nxt = act(ops.no_jump, x) + (1.0 - eta) * sum((act(S, x) for S in ops.jump_maps), 0.0 * x)
+            after = size(nxt) if eta == 1.0 else survival * (1.0 - eta * (1.0 - size(act(ops.no_jump, x)) / size(x)))
+            assert abs(after - u) > 1e-12
+            if after < u:
+                cum = np.cumsum([size(act(B, x)) for B in ops.split_maps])
+                place = (survival - u) / (survival - after) * cum[-1]
+                assert np.min(np.abs(cum - place)) > 1e-12 * cum[-1]
+                ch = int((place >= cum).sum())
+                nxt = act(ops.spawn_maps[ch], x)
+                nxt, after, jumps = nxt / (size(nxt) if density else math.sqrt(size(nxt))), 1.0, jumps + 1
+                u = thresholds(key[None], np.array([jumps]))[0]
+                events.append((step, ch))
+                if ops.queued_feedback:
+                    pending.append((int(ops.due_step(step)), ops.slots[ch]))
+            x, survival = nxt, after
+            curve.append(survival)
+        out.append((events, np.array(curve), reads, reads[-1] if cfg.n_steps in grid else None))
+    return out
+
+
+_CHAIN_CASES = [(False, 1.0, 0.0), (False, 1.0, 0.05), (True, 1.0, 0.0), (True, 1.0, 0.05),
+                (True, 0.9, 0.0), (True, 0.9, 0.05)]
+
+
+@pytest.mark.parametrize("density, eta, delay", _CHAIN_CASES,
+                         ids=[f"{'density' if d else 'pure'}-eta{e}-delay{t}" for d, e, t in _CHAIN_CASES])
+def test_event_loop_matches_per_step_chain(density, eta, delay):
+    # the event loop moves a row through closed forms between events; an
+    # explicit per-step chain (x @ A every step) must give the same survival
+    # at every step, the same jumps, and the same states at the grid steps
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    x0 = np.outer(psi0, psi0.conj()) if density else psi0
+    policy = FeedbackPolicy.qutrit_cyclic(delay=delay, efficiency=eta)
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=6, rng_seed=29)
+    grid = list(range(0, cfg.n_steps + 1, 20))
+    chain = _per_step_chain(model, x0, cfg, policy, grid)
+    assert sum(len(ev) for ev, *_ in chain) > 3
+
+    # survival and state k steps past the initial anchor, every k up to the
+    # run's end (pure rows) or the power table's end (density rows)
+    sampler = trajectories._Sampler(model, x0, x0.ndim, cfg, policy)
+    n = min(cfg.n_steps, sampler.cap)
+    rows, zero = np.repeat(sampler.x0[None], n, axis=0), np.zeros(n, dtype=np.int64)
+    steps = np.arange(1, n + 1)
+    no_jumps = _per_step_chain(model, x0, cfg, policy, list(range(n + 1)),
+                               thresholds=lambda keys, periods: np.zeros(keys.size))[0]
+    nxt, jumped, _, survival = sampler._next(rows, np.ones(n), np.zeros(n), zero, steps)
+    assert not jumped.any() and np.array_equal(nxt, steps)
+    assert np.max(np.abs(survival - no_jumps[1][:n])) < 1e-12
+    states = sampler._states(sampler._advance(rows, steps))
+    assert np.max(np.abs(states - np.array(no_jumps[2][1:n + 1]))) < 1e-12
+
+    # whole trajectories, with their jumps, corrections and table re-anchors
+    sample = sample_density_trajectories if density else sample_trajectories
+    records = sample(model, x0, cfg, policy).records
+    dt = cfg.dt
+    for rec, (events, _, reads, final) in zip(records, chain, strict=True):
+        assert [(round(e.time / dt - 0.5), e.channel) for e in rec.events] == events
+        assert np.max(np.abs(rec.state - final)) < 1e-12
+    obs = {f"x{j}": (lambda j: lambda states, counts: states.reshape(len(states), -1)[:, j].real)(j)
+           for j in range(0, x0.size, 4)}
+    driver = run_density_grid if density else run_sampled_grid
+    curves = driver(model, x0, cfg, policy, grid, obs)
+    for j in range(0, x0.size, 4):
+        expected = np.mean([[r.reshape(-1)[j].real for r in reads] for _, _, reads, _ in chain], axis=0)
+        assert np.max(np.abs(curves.mean[f"x{j}"] - expected)) < 1e-12
+
+
+def test_results_independent_of_table_cap(monkeypatch):
+    # the density table's length and the stretch length are one constant;
+    # at 3 steps every row re-anchors at least every third step, against
+    # one table over the horizon, with the same events and states
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    rho0 = np.outer(psi0, psi0.conj())
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=40, rng_seed=37)
+    grid = np.linspace(0, cfg.n_steps, 11).astype(int)
+    obs = {"p0": lambda states, counts: np.abs(states.reshape(len(states), -1)[:, 4]),
+           "jumps": lambda states, counts: counts.astype(float)}
+
+    def run_all():
+        policies = (FeedbackPolicy.qutrit_cyclic(delay=0.02), FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.9))
+        return ([sample_trajectories(model, psi0, cfg, policies[0]).records,
+                 sample_density_trajectories(model, rho0, cfg, policies[1]).records],
+                [run_sampled_grid(model, psi0, cfg, policies[0], grid, obs),
+                 run_density_grid(model, rho0, cfg, policies[1], grid, obs)])
+
+    default = run_all()
+    monkeypatch.setattr(trajectories, "_TABLE_CAP", 3)
+    short = run_all()
+    assert all(sum(r.n_jumps for r in recs) > 0 for recs in default[0])
+    for big, small in zip(default[0], short[0]):
+        for ra, rb in zip(big, small, strict=True):
+            assert ra.events == rb.events
+            assert np.allclose(ra.state, rb.state, rtol=0.0, atol=1e-12)
+    for big, small in zip(default[1], short[1]):
+        for label in obs:
+            assert np.allclose(big.mean[label], small.mean[label], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_crossing_without_a_branch_steps_on(density):
+    # a row whose survival falls below its threshold in a step with a zero
+    # split total takes no jump and moves past that step: it is not found
+    # again at the same step, and the run ends with the no-jump states
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    x0 = np.outer(psi0, psi0.conj()) if density else psi0
+    cfg = UnravelingConfig(dt=5e-3, t_max=0.5, n_samples=20, rng_seed=3)
+    sampler = trajectories._Sampler(model, x0, x0.ndim, cfg, None)
+    sampler.splits = np.zeros_like(sampler.splits)
+    calls, search = [], sampler._next
+
+    def counted(*args):
+        # each event moves a row at least a step: no more searches than
+        # steps after the first one (a row found again at its crossing
+        # would loop for ever)
+        calls.append(len(args[0]))
+        assert len(calls) <= cfg.n_steps + 1
+        return search(*args)
+
+    sampler._next = counted
+    records = sampler.run(collect_records=True)[1]
+    assert all(r.n_jumps == 0 for r in records)
+    assert len(calls) > 10  # rows crossed, and stepped on
+    no_jump = _per_step_chain(model, x0, cfg, None, [cfg.n_steps],
+                              thresholds=lambda keys, periods: np.zeros(keys.size))[0][3]
+    for rec in records:
+        assert np.max(np.abs(rec.state - no_jump)) < 1e-12
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_zero_step_run_keeps_initial_state(density):
+    # with no step to take (t_max = 0) every row ends where it started, and
+    # with one step the rows still reach the end
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    x0 = np.outer(psi0, psi0.conj()) if density else psi0
+    policy = FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.9 if density else 1.0)
+    sample = sample_density_trajectories if density else sample_trajectories
+    for t_max in (0.0, 5e-3):
+        cfg = UnravelingConfig(dt=5e-3, t_max=t_max, n_samples=3)
+        records = sample(model, x0, cfg, policy).records
+        assert len(records) == 3
+        if t_max == 0.0:
+            assert all(r.n_jumps == 0 and np.allclose(r.state, x0, rtol=0.0, atol=1e-12) for r in records)
+
+
 # -- inefficiency and delay -------------------------------------------------
 
 
@@ -763,7 +941,8 @@ def test_delayed_feedback_keeps_states_pure_and_entangled():
 def test_long_delay_queue_grows_without_changing_records():
     # a thermal ladder jumps up to 18 times per trajectory within gamma t = 2,
     # so a 0.5 delay keeps many corrections pending at once; identity
-    # corrections must leave every record equal to the run without feedback
+    # corrections must leave every record equal to the run without feedback,
+    # its state to rounding, as each one re-anchors the row's closed form
     model = build_thermal_oscillator(1.0, ThermalSpec(1.0), 4)
     psi0 = basis_state(4, 2)
     cfg = UnravelingConfig(dt=2.5e-3, t_max=2.0, n_samples=200, rng_seed=7)
@@ -773,7 +952,7 @@ def test_long_delay_queue_grows_without_changing_records():
     assert max(r.n_jumps for r in plain) > 8
     for ra, rb in zip(plain, queued, strict=True):
         assert ra.events == rb.events
-        assert np.array_equal(ra.state, rb.state)
+        assert np.allclose(ra.state, rb.state, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dt, delay", [(0.005, 0.08), (0.004, 0.1)])
