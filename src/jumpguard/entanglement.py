@@ -163,10 +163,6 @@ def measure_state(state: np.ndarray, measure: Measure, layout: SpaceLayout) -> f
     return float(measure_rows(np.asarray(state, dtype=np.complex128)[None], measure, layout)[0])
 
 
-def binary_entropy(p: float) -> float:
-    return float(_binary_entropy(p))
-
-
 def _two_qubit_density(rho: np.ndarray, measure: Measure) -> float:
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
@@ -177,18 +173,6 @@ def _two_qubit_density(rho: np.ndarray, measure: Measure) -> float:
 def concurrence_2q(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix."""
     return _two_qubit_density(rho, Measure.CONCURRENCE)
-
-
-def pure_concurrence_2q(psi: np.ndarray) -> float:
-    """2 s_1 s_2, equal to the mixed-state formula on projectors."""
-    psi = as_vector(psi)
-    if psi.shape != (4,):
-        raise ValueError("two-qubit pure state required")
-    return measure_state(psi, Measure.CONCURRENCE, (2, 2))
-
-
-def eof_from_concurrence(c: float) -> float:
-    return float(_eof(float(c)))
 
 
 def eof_2q(rho: np.ndarray) -> float:

@@ -263,13 +263,13 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
                 t_max=None, grid_points=None, **overrides) -> list[Curve]:
     """Trajectory averages of per-row observables over the configured grid.
 
-    ``observables`` maps label -> (measure, f), f(states, counts) giving one
-    value per record row. A density-matrix ``x0`` runs the density sampler;
-    otherwise ``mode`` (default ``cfg.mode``) 'exact' runs exact enumeration,
-    whose truncated plus culled mass is recorded under the first label (past
-    the truncation bound it raises :class:`ScenarioError`), and 'sampled'
-    the wavefunction sampler. ``overrides`` adjust the
-    :class:`UnravelingConfig`.
+    ``observables`` maps label -> (measure, f), f(states, counts) giving one value
+    per record row; f is row-local and deterministic, as every driver evaluates it
+    once per distinct (state, count). A density-matrix ``x0`` runs the density
+    sampler; otherwise ``mode`` (default ``cfg.mode``) 'exact' runs exact
+    enumeration, whose truncated plus culled mass is recorded under the first label
+    (past the truncation bound it raises :class:`ScenarioError`), and 'sampled' the
+    wavefunction sampler. ``overrides`` adjust the :class:`UnravelingConfig`.
     """
     dt, n_steps = _resolve_steps(cfg, t_max)
     gsteps = _grid_steps(n_steps, grid_points or cfg.grid_points)

@@ -631,7 +631,7 @@ def enumerate_trajectories(
 def run_exact_grid(model, psi0, config, policy, grid_steps, observables):
     """Scenario-facing sweep: observable curves over a step grid.
 
-    Observables are row-local functions fn(states, counts) -> float array,
+    Observables are row-local, deterministic fn(states, counts) -> float array,
     as for the samplers; each curve value is the probability-weighted sum
     over the classes, each observable evaluated once per distinct (state
     id, jump count). Returns (curves, engine) so callers can read
@@ -700,7 +700,8 @@ class _Sampler:
     the channel; a jumped row is normalized and draws a new u, which unitary
     corrections keep. Rows take one event per round in stretches of
     ``_TABLE_CAP`` steps, so which rows share a product never depends on the
-    grid. Grid reads are normalized copies, rho as complex (n, d, d).
+    grid. Grid reads are normalized copies, rho as complex (n, d, d), and evaluate
+    each row-local, deterministic fn(states, counts) once per distinct (state, count).
     """
 
     def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -717,7 +718,7 @@ class _Sampler:
                              "use sample_density_trajectories for eta < 1")
         if self.density:
             T = hermitian_basis(d)
-            self.x0, self.basis = (T @ x0.reshape(-1)).real, T.conj()
+            self.x0, self.upper = (T @ x0.reshape(-1)).real, np.triu_indices(d, 1)
             lift = lambda A: real_superoperator(np.kron(A, A.conj()), T).T  # noqa: E731
         else:
             V = ops.eigvecs
@@ -734,6 +735,7 @@ class _Sampler:
             self.powers = np.stack(list(accumulate([advance] * self.cap, np.matmul, initial=np.eye(len(advance)))))
             self.traces = self.powers[:, :, :d].sum(axis=2)
             self.no_jump_traces = self.powers @ no_jump[:, :d].sum(axis=1)
+        self.mix = _trajectory_keys(0, 0, 2 * x0.size + 1) | np.uint64(1)  # odd hash weights of a read
 
     def _weight(self, rows):
         """|psi|^2 or tr rho (the sum of the first d coordinates) along the last axis."""
@@ -747,24 +749,38 @@ class _Sampler:
         return rows
 
     def _states(self, rows):
-        """Normalized copies of the rows, psi or (n, d, d) density matrices."""
-        out = self._normalize(rows @ self.basis, self._weight(rows))
-        return out.reshape(-1, self.d, self.d) if self.density else out
+        """Normalized copies of the rows: psi, or rho (n, d, d) scattered from x = T vec(rho) as x @ T^*."""
+        if not self.density:
+            return self._normalize(rows @ self.basis, self._weight(rows))
+        (i, j), d = self.upper, self.d  # below, + 0.0 makes zeros +0, as in the product
+        re, im = np.split(rows[:, d:] * (1.0 / np.sqrt(2.0)) + 0.0, 2, axis=1)
+        out = np.zeros((len(rows), d, d), dtype=np.complex128)
+        out.real[:, range(d), range(d)], out.real[:, i, j], out.real[:, j, i] = rows[:, :d] + 0.0, re, re
+        out.imag[:, i, j], out.imag[:, j, i] = im, 0.0 - im
+        return self._normalize(out.reshape(len(rows), -1), self._weight(rows)).reshape(out.shape)
 
     def _observe(self, observables, rows, counts, acc, g):
-        """Add each observable's sum and sum of squares over the rows to acc[:, g]."""
-        states = self._states(rows)
+        """Add sums of f and f^2 over the rows to acc[:, g], each f run once per distinct (state, count)."""
+        words = (states := self._states(rows)).reshape(len(rows), -1).view(np.uint64)
+        order = np.argsort(words @ self.mix[:-1] + counts.astype(np.uint64) * self.mix[-1])  # wraps
+        ws, cs = np.take(words, order, axis=0), counts[order]  # a row equal to the one before repeats it
+        differ = np.ascontiguousarray((ws[1:] != ws[:-1]).T).any(axis=0)  # any() is slow over short rows
+        new = np.concatenate([[True], differ | (cs[1:] != cs[:-1])])
+        back = np.empty_like(order)
+        back[order] = np.cumsum(new) - 1
+        del words, ws  # the full states go before any evaluation
+        states, counts = states[order[new]], cs[new]
         for lab, fn in observables.items():
-            vals = fn(states, counts)
+            vals = fn(states, counts)[back]
             acc[lab][:, g] += vals.sum(), (vals * vals).sum()
 
     def _advance(self, rows, k):
         """The rows k steps past their anchors."""
         if not self.density:
             return rows * np.exp(0.5 * np.multiply.outer(k, self.log_stay))
-        out = np.empty_like(rows)
-        for j in np.unique(k):
-            out[k == j] = rows[k == j] @ self.powers[j]
+        out, order = np.empty_like(rows), np.argsort(k, kind="stable")
+        for on in np.split(order, np.flatnonzero(np.diff(k[order])) + 1) if k.size else ():
+            out[on] = rows[on] @ self.powers[k[on[0]]]  # the rows of one offset, in order
         return out
 
     def _next(self, rows, surv, u, at, due):
@@ -899,10 +915,10 @@ def sample_density_trajectories(
 
 
 def run_sampled_grid(model, psi0, config, policy, grid_steps, observables) -> SampledCurves:
-    """Wavefunction Monte Carlo mean and SEM of per-row fn(states, counts) observables."""
+    """Wavefunction Monte Carlo mean and SEM of row-local, deterministic fn(states, counts)."""
     return _Sampler(model, psi0, 1, config, policy).run(grid_steps, observables)[0]
 
 
 def run_density_grid(model, rho0, config, policy, grid_steps, observables) -> SampledCurves:
-    """Density-matrix Monte Carlo mean and SEM of per-row fn(rhos, counts) observables."""
+    """Density-matrix Monte Carlo mean and SEM of row-local, deterministic fn(rhos, counts)."""
     return _Sampler(model, rho0, 2, config, policy).run(grid_steps, observables)[0]

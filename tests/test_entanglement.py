@@ -7,13 +7,11 @@ from jumpguard import entanglement as ent
 from jumpguard.entanglement import (
     Measure,
     average_entanglement,
-    binary_entropy,
     concurrence_2q,
     entanglement_entropy,
     eof_2q,
-    eof_from_concurrence,
+    measure_state,
     negativity,
-    pure_concurrence_2q,
 )
 from jumpguard.linalg import (
     kron,
@@ -84,21 +82,21 @@ def test_pure_concurrence_equals_mixed_formula():
         psi /= np.linalg.norm(psi)
         proj = np.outer(psi, psi.conj())
         # sqrt of the near-degenerate zero eigenvalues limits the mixed route
-        assert abs(pure_concurrence_2q(psi) - concurrence_2q(proj)) < 1e-7
+        assert abs(measure_state(psi, Measure.CONCURRENCE, LAY2) - concurrence_2q(proj)) < 1e-7
 
 
 def test_eof_endpoints_and_value():
-    assert eof_from_concurrence(1.0) == 1.0
-    assert eof_from_concurrence(0.0) == 0.0
+    assert ent._eof(1.0) == 1.0
+    assert ent._eof(0.0) == 0.0
     c = math.exp(-1.0)
-    expected = binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
-    assert abs(eof_from_concurrence(c) - expected) < 1e-12
+    expected = float(ent._binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c))))
+    assert abs(ent._eof(c) - expected) < 1e-12
     assert abs(expected - 0.21918031073460847) < 1e-12  # frozen from the formula
 
 
 def test_eof_monotone_in_concurrence():
     cs = np.linspace(0, 1, 21)
-    es = [eof_from_concurrence(c) for c in cs]
+    es = [ent._eof(c) for c in cs]
     assert all(b >= a for a, b in zip(es, es[1:]))
 
 
@@ -162,8 +160,8 @@ def test_entropy_values():
     assert abs(entanglement_entropy(psi, LAY3) - 1.0) < 1e-12
     a = 0.25
     tilted = math.sqrt(a) * product_basis_state(LAY2, (0, 0)) + math.sqrt(1 - a) * product_basis_state(LAY2, (1, 1))
-    assert abs(entanglement_entropy(tilted, LAY2) - binary_entropy(0.25)) < 1e-12
-    assert abs(binary_entropy(0.25) - 0.8112781244591328) < 1e-15
+    assert abs(entanglement_entropy(tilted, LAY2) - ent._binary_entropy(0.25)) < 1e-12
+    assert abs(ent._binary_entropy(0.25) - 0.8112781244591328) < 1e-15
 
 
 def test_entropy_symmetric_between_slots():
@@ -295,7 +293,7 @@ def test_batched_helpers_agree_with_scalar_paths():
     assert np.all(ent.negativity_batch_pure(product, LAY3) == 0.0)
     assert ent.entropy_batch_pure(product, LAY3).max() < 1e-12
     assert np.allclose(ent.negativity_batch_pure(rank2, LAY3), math.sqrt(p * (1.0 - p)), atol=1e-12)
-    assert np.allclose(ent.entropy_batch_pure(rank2, LAY3), binary_entropy(p), atol=1e-12)
+    assert np.allclose(ent.entropy_batch_pure(rank2, LAY3), ent._binary_entropy(p), atol=1e-12)
 
     generic2 = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     generic2 /= np.linalg.norm(generic2, axis=1)[:, None]
@@ -319,9 +317,9 @@ def _random_rows(rng, n, layout):
 # the scalar function of each measure on a pure and on a mixed two-qubit state
 # (None: measure_state is the only one)
 _SCALAR = {
-    Measure.CONCURRENCE: (pure_concurrence_2q, concurrence_2q),
+    Measure.CONCURRENCE: (lambda psi: measure_state(psi, Measure.CONCURRENCE, LAY2), concurrence_2q),
     Measure.ENTANGLEMENT_OF_FORMATION: (
-        lambda psi: eof_from_concurrence(pure_concurrence_2q(psi)), eof_2q),
+        lambda psi: float(ent._eof(measure_state(psi, Measure.CONCURRENCE, LAY2))), eof_2q),
     Measure.NEGATIVITY: (None, lambda rho: negativity(rho, LAY2)),
     Measure.ENTROPY_OF_ENTANGLEMENT: (lambda psi: entanglement_entropy(psi, LAY2), None),
 }

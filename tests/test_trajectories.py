@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jumpguard import trajectories
-from jumpguard.entanglement import entropy_batch_pure, negativity_batch_pure
-from jumpguard.linalg import basis_state, make_layout, normalized, product_basis_state
+from jumpguard.entanglement import Measure, entropy_batch_pure, measure_rows, negativity_batch_pure
+from jumpguard.linalg import basis_state, hermitian_basis, make_layout, normalized, product_basis_state
 from jumpguard.models import (
     CascadeSpec,
     DecayChannel,
@@ -672,6 +672,122 @@ def test_grid_reads_leave_rows_untouched(density):
     for label in obs:
         assert coarse.mean[label][-1] == fine.mean[label][-1]
         assert coarse.sem[label][-1] == fine.sem[label][-1]
+
+
+def recorded(observables):
+    """The observables, each keeping copies of the (states, counts) of every call in ``calls``."""
+    calls = {label: [] for label in observables}
+
+    def wrap(label, fn):
+        def fn_recorded(states, counts):
+            calls[label].append((states.copy(), counts.copy()))
+            return fn(states, counts)
+        return fn_recorded
+
+    return {label: wrap(label, fn) for label, fn in observables.items()}, calls
+
+
+# (density rows, policy) of the sampler's grid-read runs below
+_GRID_READ_CASES = {
+    "delayed": (False, FeedbackPolicy.qutrit_cyclic(delay=0.02)),
+    "ideal": (False, FeedbackPolicy.qutrit_cyclic()),
+    "density": (True, FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.9)),
+}
+_NEG3 = {"neg": lambda states, counts: measure_rows(states, Measure.NEGATIVITY, LAY3)}
+
+
+def grid_read_run(case, observables, n_samples=200, grid_points=11):
+    density, policy = _GRID_READ_CASES[case]
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    x0 = np.outer(psi0, psi0.conj()) if density else psi0
+    driver = run_density_grid if density else run_sampled_grid
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=n_samples, rng_seed=29)
+    grid = np.linspace(0, cfg.n_steps, grid_points).astype(int)
+    return driver(model, x0, cfg, policy, grid, observables)
+
+
+@pytest.mark.parametrize("case", list(_GRID_READ_CASES))
+def test_grid_reads_evaluate_each_state_once(case):
+    # an observable sees each (state, count) of a read once, bitwise; under
+    # ideal feedback most rows share a few states, so a read of one block
+    # hands it fewer rows than the block holds
+    wrapped, calls = recorded(_NEG3)
+    grid_read_run(case, wrapped)
+    assert len(calls["neg"]) == 11
+    for states, counts in calls["neg"]:
+        assert len({(x.tobytes(), c) for x, c in zip(states, counts.tolist())}) == len(states)
+    if case == "ideal":
+        assert max(len(states) for states, _ in calls["neg"]) < 200
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_hash_collisions_leave_curves_unchanged(monkeypatch, density):
+    # with a zero mix every row of a read hashes alike and the sort leaves
+    # equal rows apart; only a row bitwise equal to its neighbour is a
+    # repeat, so more rows are evaluated, with the same bits
+    case = "density" if density else "delayed"
+    obs = {**_NEG3, "jumps": lambda states, counts: counts.astype(float),
+           "p1": lambda states, counts: (counts == 1).astype(float)}
+    wrapped, calls = recorded(obs)
+    normal = grid_read_run(case, wrapped)
+    n_normal = sum(len(states) for states, _ in calls["neg"])
+    init = trajectories._Sampler.__init__
+
+    def colliding(self, *args):
+        init(self, *args)
+        self.mix = np.zeros_like(self.mix)
+
+    monkeypatch.setattr(trajectories._Sampler, "__init__", colliding)
+    wrapped, calls = recorded(obs)
+    collided = grid_read_run(case, wrapped)
+    assert sum(len(states) for states, _ in calls["neg"]) > n_normal
+    assert normal.mean["jumps"][-1] > 0
+    for label in obs:
+        assert collided.mean[label].tolist() == normal.mean[label].tolist(), label
+        assert collided.sem[label].tolist() == normal.sem[label].tolist(), label
+
+
+def test_grid_reads_keep_counts_of_equal_states():
+    # ideal feedback restores the code state, so rows of one state carry
+    # different jump counts; each keeps its own k-jump indicator, and P(k)
+    # at t_max is the fraction of records with k jumps at the same seed
+    ks = range(4)
+    obs = {f"P{k}": (lambda states, counts, k=k: (counts == k).astype(float)) for k in ks}
+    wrapped, calls = recorded(obs)
+    curves = grid_read_run("ideal", wrapped, n_samples=400)
+    shared = 0
+    for states, counts in calls["P0"]:
+        by_state = {}
+        for x, c in zip(states, counts.tolist()):
+            by_state.setdefault(x.tobytes(), set()).add(c)
+        shared += sum(len(cs) > 1 for cs in by_state.values())
+    assert shared > 0
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=400, rng_seed=29)
+    records = sample_trajectories(model, code_bell3(), cfg, FeedbackPolicy.qutrit_cyclic()).records
+    for k in ks:
+        assert curves.mean[f"P{k}"][-1] == np.mean([r.n_jumps == k for r in records]), k
+    assert 0.0 < curves.mean["P1"][-1] < 1.0
+
+
+def test_density_states_equal_the_basis_product():
+    # grid reads scatter rho from its real coordinates; the bits equal those
+    # of the product with T^*, zeros and negative zeros included
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    cfg = UnravelingConfig(dt=5e-3, t_max=0.1, n_samples=4)
+    sampler = trajectories._Sampler(model, np.outer(psi0, psi0.conj()), 2, cfg, None)
+    rng = np.random.default_rng(41)
+    rows = np.where(rng.random((300, 81)) < 0.4, 0.0, rng.normal(size=(300, 81)))
+    rows[:, :9] = np.abs(rows[:, :9]) + 0.1
+    rows[::2][rows[::2] == 0.0] = -0.0
+    product = rows @ hermitian_basis(9).conj()
+    product.view(np.float64)[:] *= (1.0 / rows[:, :9].sum(axis=1))[:, None]  # as _normalize
+    for n in (1, 7, 300):
+        want = product[:n].reshape(-1, 9, 9)
+        assert sampler._states(rows[:n]).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert sampler._advance(rows[:0], np.zeros(0, dtype=np.int64)).shape == (0, 81)
 
 
 def _per_step_chain(model, x0, cfg, policy, grid, thresholds=trajectories._thresholds):
