@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import typing
 
 from . import __version__
 from .scenarios import (
@@ -33,24 +34,11 @@ class ConfigError(Exception):
     pass
 
 
-# config-file key -> ScenarioConfig field, with a parser each
-_KEY_PARSERS = {
-    "scenario": str,
-    "gamma": float,
-    "alpha": float,
-    "eta": float,
-    "tau": float,
-    "nbar": lambda s: tuple(float(x) for x in str(s).split(",") if x.strip() != ""),
-    "dt": float,
-    "t_max": float,
-    "grid_points": int,
-    "mode": str,
-    "n_samples": int,
-    "seed": int,
-    "max_jumps": int,
-    "alpha_points": int,
-    "surface_time_points": int,
-}
+# config-file key -> ScenarioConfig field, parsed as the field's type (X | None as X);
+# nbar is a comma-separated list
+_KEY_PARSERS = {key: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+                for key, hint in typing.get_type_hints(ScenarioConfig).items()}
+_KEY_PARSERS["nbar"] = lambda s: tuple(float(x) for x in str(s).split(",") if x.strip() != "")
 
 # config key -> its `run` flag: the key with dashes, n_samples as --samples;
 # the scenario and the cavity-2x3 surface resolution are config-file keys only

@@ -137,8 +137,8 @@ class OpenSystemModel:
     hamiltonian: np.ndarray | None = None
 
     # derived, filled in __post_init__
-    embedded_ops: tuple[np.ndarray, ...] = field(repr=False, default=())
-    decay_generator: np.ndarray = field(repr=False, default=None)  # sum_k gamma_k L_k+ L_k
+    embedded_ops: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    decay_generator: np.ndarray = field(init=False, repr=False)  # sum_k gamma_k L_k+ L_k
 
     def __post_init__(self):
         layout = make_layout(self.layout)

@@ -42,10 +42,10 @@ from .models import (
     thermal_channels,
 )
 from .trajectories import (
+    MAX_GAMMA_DT,
     FeedbackPolicy,
     TruncationError,
     UnravelingConfig,
-    enumerate_trajectories,
     run_density_grid,
     run_exact_grid,
     run_sampled_grid,
@@ -125,6 +125,12 @@ class ScenarioConfig:
         if self.grid_points > n_steps + 1:
             raise ScenarioError(f"grid-points {self.grid_points} exceeds the {n_steps + 1} "
                                 f"points of {n_steps} steps of dt {dt:g} to t-max {self.t_max:g}")
+        rate = self.gamma  # the largest channel rate of every preset but the thermal cavity's
+        if self.scenario == "cavity-thermal":
+            hottest = ThermalSpec(max(self.nbar))
+            rate = max(r for _, r in thermal_channels(self.gamma, hottest, THERMAL_CAVITY_DIM))
+        if rate * dt > MAX_GAMMA_DT * (1 + 1e-9):
+            raise ScenarioError(f"gamma_max*dt = {rate * dt:.3g} exceeds {MAX_GAMMA_DT}; decrease dt")
         if self.n_samples < 1:
             raise ScenarioError("samples must be >= 1")
         if self.scenario == "singlet-conversion":
@@ -241,22 +247,16 @@ def _jumps(k: int):
     return lambda states, counts: (counts == k).astype(float)
 
 
-def _truncated(label: str, ucfg: UnravelingConfig, exc: TruncationError) -> ScenarioError:
-    return ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps}, "
-                         f"set by --max-jumps)")
-
-
-def _exact_records(cfg, metadata, model, psi0, label: str, t: float):
-    """Exact records at time ``t``, their lost mass booked under ``label`` and
-    the truncation bound enforced as in :func:`_run_curves`."""
-    dt, n_steps = _resolve_steps(cfg, t_max=t)
-    ucfg = _ucfg(cfg, dt, n_steps)
+def _exact(metadata, label: str, model, psi0, ucfg, policy=None, gsteps=(), fns=None):
+    """(curves, engine) of :func:`run_exact_grid`, its truncated plus culled mass
+    booked under ``label``; past the truncation bound a :class:`ScenarioError`."""
     try:
-        res = enumerate_trajectories(model, psi0, ucfg)
+        curves, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns or {})
     except TruncationError as exc:
-        raise _truncated(label, ucfg, exc) from exc
-    metadata["truncation_mass"][label] = res.truncation_mass + res.culled_mass
-    return res.records
+        raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps}, "
+                            f"set by --max-jumps)") from exc
+    metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
+    return curves, engine
 
 
 def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
@@ -277,12 +277,7 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     fns = {label: f for label, (_, f) in observables.items()}
     sem = {}
     if x0.ndim == 1 and (mode or cfg.mode) == "exact":
-        label = next(iter(fns))
-        try:
-            mean, engine = run_exact_grid(model, x0, ucfg, policy, gsteps, fns)
-        except TruncationError as exc:
-            raise _truncated(label, ucfg, exc) from exc
-        metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
+        mean = _exact(metadata, next(iter(fns)), model, x0, ucfg, policy, gsteps, fns)[0]
     else:
         driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
         out = driver(model, x0, ucfg, policy, gsteps, fns)
@@ -352,7 +347,8 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     # conditional no-jump record exactly at t*
     p_ok, state = 1.0, psi0
     if t_star > 0.0:
-        records = _exact_records(cfg, metadata, model, psi0, "t_star", t_star)
+        ucfg = _ucfg(cfg, *_resolve_steps(cfg, t_star))
+        records = _exact(metadata, "t_star", model, psi0, ucfg)[1].records()
         nj = next(r for r in records if r.n_jumps == 0)
         p_ok, state = nj.probability, nj.state
     scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
@@ -550,7 +546,8 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     fid_nj, fid_oj, dp0, dp1 = [], [], [], []
     n_oj_classes = 0
     for t in check_times:
-        records = _exact_records(cfg, metadata, model, psi0, f"check_t{t:g}", t)
+        ucfg = _ucfg(cfg, *_resolve_steps(cfg, t))
+        records = _exact(metadata, f"check_t{t:g}", model, psi0, ucfg)[1].records()
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
         nj = next(r for r in records if r.n_jumps == 0)
         oj = [r for r in records if r.n_jumps == 1]

@@ -217,14 +217,8 @@ def _checked_grid(grid_steps, n_steps: int) -> list[int]:
 
 
 def _mass_fraction(u: np.ndarray) -> np.ndarray:
-    """(1 - exp(-u)) / u, stable at u -> 0."""
-    out = np.empty_like(u)
-    small = u < 1e-8
-    us = u[small]
-    out[small] = 1.0 - us / 2.0 + us * us / 6.0
-    ub = u[~small]
-    out[~small] = -np.expm1(-ub) / ub
-    return out
+    """(1 - exp(-u)) / u, exactly 1 at u = 0; expm1 keeps it accurate as u -> 0."""
+    return np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u != 0.0)
 
 
 def _function_of_generator(model: OpenSystemModel):
@@ -527,24 +521,20 @@ class _ExactEngine:
         n_steps = self.config.n_steps
         grid = _checked_grid(grid_steps, n_steps)
         curves = {label: np.empty(len(grid)) for label in observables}
-        # values[label][id, count] of each pair seen; columns follow the counts reached
-        seen = np.zeros((0, 0), dtype=bool)
+        # values[label][id, count], NaN until evaluated; columns follow the counts reached
         values = dict.fromkeys(observables, np.empty((0, 0)))
         grid_pos = 0
         for step in range(n_steps + 1):
             while grid_pos < len(grid) and grid[grid_pos] == step:
                 ids, counts, weights = self.ids, self.counts, self.weights
-                width = max(seen.shape[1], counts.max(initial=0) + 1)
-                pad = ((0, self.size - len(seen)), (0, width - seen.shape[1]))
-                seen = np.pad(seen, pad)
-                values = {label: np.pad(v, pad) for label, v in values.items()}
-                fresh = ~seen[ids, counts]
-                new_ids, new_counts = ids[fresh], counts[fresh]
-                seen[new_ids, new_counts] = True
                 for label, fn in observables.items():
-                    if new_ids.size:
-                        values[label][new_ids, new_counts] = fn(self.table_states[new_ids], new_counts)
-                    curves[label][grid_pos] = float((values[label][ids, counts] * weights).sum())
+                    v = values[label]
+                    pad = ((0, self.size - len(v)), (0, max(0, counts.max(initial=0) + 1 - v.shape[1])))
+                    values[label] = v = np.pad(v, pad, constant_values=np.nan)
+                    fresh = np.isnan(v[ids, counts])
+                    if fresh.any():
+                        v[ids[fresh], counts[fresh]] = fn(self.table_states[ids[fresh]], counts[fresh])
+                    curves[label][grid_pos] = float((v[ids, counts] * weights).sum())
                 grid_pos += 1
             if step == n_steps:
                 break
@@ -694,13 +684,15 @@ class _Sampler:
     ``cap`` steps on, or the end. In between the no-jump (no-record) map acts
     in closed form: V^+ psi scales by e^{-lam k dt/2}, survival sum |c_i|^2
     e^{-lam_i k dt}; rho takes the tabulated M^k (M can be defective), with
-    survival tr(M^k rho) at eta = 1, else the running product of 1 - eta
-    (1 - tr(N rho N^+) / tr rho), as M loses trace. A crossing is bisected;
+    survival the running product of 1 - eta (1 - tr(N rho N^+) / tr rho) for
+    every eta (at eta = 1 it telescopes to tr(M^k rho)). A crossing is bisected;
     (S_before - u) / (S_before - S_after), scaled by the split total, picks
-    the channel; a jumped row is normalized and draws a new u, which unitary
-    corrections keep. Rows take one event per round in stretches of
-    ``_TABLE_CAP`` steps, so which rows share a product never depends on the
-    grid. Grid reads are normalized copies, rho as complex (n, d, d), and evaluate
+    the channel; a jumped row is normalized and starts a new period, which
+    unitary corrections keep. u is recomputed from (seed, trajectory, period)
+    wherever it is needed, never stored. Rows take one event per round in
+    stretches of ``_TABLE_CAP`` steps, so which rows share a product never
+    depends on the grid; a row reads the stretch's grid steps from its anchor
+    on. Grid reads are normalized copies, rho as complex (n, d, d), and evaluate
     each row-local, deterministic fn(states, counts) once per distinct (state, count).
     """
 
@@ -788,11 +780,9 @@ class _Sampler:
         step whose survival falls below u, if before its next due correction,
         ``cap`` steps and the end; else the first of those, or past the end."""
         K = np.minimum(np.minimum(due, self.config.n_steps), at + self.cap) - at
-        if self.density:  # the survival 0..cap steps on
-            data = rows @ self.traces.T
-            if self.eta < 1.0:
-                stay = 1.0 - self.eta * (1.0 - (rows @ self.no_jump_traces.T) / data)
-                data = np.cumprod(np.column_stack([surv, stay[:, :-1]]), axis=1)
+        if self.density:  # the survival 0..cap steps on, surv times the steps' no-record probabilities
+            stay = 1.0 - self.eta * (1.0 - (rows @ self.no_jump_traces.T) / (rows @ self.traces.T))
+            data = np.cumprod(np.column_stack([surv, stay[:, :-1]]), axis=1)
             survival = lambda j, curve: np.take_along_axis(curve, j[:, None], 1)[:, 0]  # noqa: E731
         else:  # |c_i|^2, and the survival sum |c_i|^2 e^{-lam_i j dt}
             data = rows.real ** 2 + rows.imag ** 2
@@ -825,22 +815,20 @@ class _Sampler:
             m = min(block, n - lo)
             keys = _trajectory_keys(cfg.rng_seed, lo, lo + m)
             rows = np.repeat(self.x0[None], m, axis=0)
-            at, counts, applied, unread = (np.zeros(m, dtype=np.int64) for _ in range(4))
-            surv, threshold = np.ones(m), _thresholds(keys, counts)  # since the last jump
+            at, counts, applied = (np.zeros(m, dtype=np.int64) for _ in range(3))
+            surv = np.ones(m)  # since the last jump
             # delayed corrections by jump number j, due in jump order: due step
             # (never: none) and slot; a row's next is at j = applied
             due, due_slot = np.full((1, m), never), np.zeros((1, m), dtype=np.int64)
             events = [[] for _ in range(m)] if collect_records else None
-            nxt, jump, before, after = self._next(rows, surv, threshold, at, due[0])
-            reads = {}  # grid index -> (rows advanced to it, counts), filled in one stretch
+            nxt, jump, before, after = self._next(rows, surv, _thresholds(keys, counts), at, due[0])
+            reads, g0 = {}, 0  # grid index -> (rows advanced to it, counts); the stretch's first index
 
-            def read(sel, until):  # the rows sel at their unread grid steps before until
-                first, end = unread[sel], np.searchsorted(grid, until)
-                for g in range(first.min(initial=len(grid)), end.max(initial=0)):
-                    on = sel[(first <= g) & (g < end)]
+            def read(sel, until):  # the rows sel at the stretch's grid steps from their anchors to until
+                for g in range(g0, np.searchsorted(grid, until).max(initial=0)):
+                    on = sel[(at[sel] <= grid[g]) & (grid[g] < until)]
                     x, c = reads.setdefault(g, (np.empty_like(rows), np.empty_like(counts)))
                     x[on], c[on] = self._advance(rows[on], grid[g] - at[on]), counts[on]
-                unread[sel] = np.maximum(first, end)
 
             for stop in stops:  # one event per row and round
                 while (sel := np.flatnonzero(nxt <= stop)).size:
@@ -855,7 +843,7 @@ class _Sampler:
                         ok = cum[:, -1] > 0.0
                         jumped[hit[~ok]] = False  # nothing to jump into: it steps past its crossing
                         hit, pre, cum, i = hit[ok], pre[ok], cum[ok], sel[hit[ok]]
-                        drop = (before[i] - threshold[i]) / (before[i] - after[i])
+                        drop = (before[i] - _thresholds(keys[i], counts[i])) / (before[i] - after[i])
                         chosen = np.minimum(((drop * cum[:, -1])[:, None] >= cum).sum(axis=1), K - 1)
                         y = (pre @ self.jumps).reshape(-1, K, D)[np.arange(chosen.size), chosen]
                         new[hit], s[hit] = self._normalize(y, self._weight(y)), 1.0
@@ -868,7 +856,6 @@ class _Sampler:
                                                       slots.tolist(), chosen.tolist()):
                                 events[r].append(JumpEvent(time=t, slot=slot, channel=ch))
                         counts[i] += 1
-                        threshold[i] = _thresholds(keys[i], counts[i])
                     rest = np.flatnonzero(~jumped)
                     new[rest], at[sel] = self._advance(old[rest], k[rest]), nxt[sel]
                     landed = np.flatnonzero(due[applied[sel], sel] == at[sel])  # corrections due there
@@ -878,11 +865,11 @@ class _Sampler:
                     applied[sel[landed]] += 1
                     rows[sel], surv[sel] = new, s
                     nxt[sel], jump[sel], before[sel], after[sel] = self._next(
-                        new, s, threshold[sel], at[sel], due[applied[sel], sel])
-                if observables and np.searchsorted(grid, stop + 1) > unread.min():
-                    read(np.arange(m), stop + 1)
+                        new, s, _thresholds(keys[sel], counts[sel]), at[sel], due[applied[sel], sel])
+                read(np.arange(m), stop + 1)
                 for g in sorted(reads):  # read at every row
                     self._observe(observables, *reads.pop(g), acc, g)
+                g0 = np.searchsorted(grid, stop + 1)
 
             if collect_records:
                 final = self._states(self._advance(rows, n_steps - at))

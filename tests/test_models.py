@@ -241,3 +241,10 @@ def test_hamiltonian_term_enters_generator():
     rho = np.outer(psi, psi.conj())
     diff = lindblad_rhs(model, rho) - lindblad_rhs(base, rho)
     assert np.max(np.abs(diff - (-1j) * (h @ rho - rho @ h))) < 1e-12
+
+
+@pytest.mark.parametrize("derived", ["embedded_ops", "decay_generator"])
+def test_derived_fields_are_not_settable(derived):
+    base = build_qubit_pair(1.0)
+    with pytest.raises(TypeError):
+        OpenSystemModel(layout=base.layout, channels=base.channels, **{derived: getattr(base, derived)})

@@ -73,6 +73,15 @@ def test_no_jump_probability_composes_to_exponential():
     assert abs(abs(np.vdot(psi, bell2())) ** 2 - 1.0) < 1e-12
 
 
+def test_mass_fraction_matches_expm1_and_series():
+    assert trajectories._mass_fraction(np.zeros(1))[0] == 1.0
+    for u in (1e-300, 1e-12, 1e-8, 5e-3, 1.0):
+        value = trajectories._mass_fraction(np.array([u]))[0]
+        assert abs(value - -math.expm1(-u) / u) <= 1e-15 * value
+        if u < 1e-6:
+            assert abs(value - (1.0 - u / 2.0 + u * u / 6.0)) <= 1e-15 * value
+
+
 def test_no_jump_dark_state():
     model = build_qubit_pair(1.0)
     g = product_basis_state(LAY2, (0, 0))
