@@ -88,7 +88,20 @@ def negativity_batch_pure(states: np.ndarray, layout: SpaceLayout) -> np.ndarray
 
 
 def negativity_batch_density(rhos: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    eig = np.linalg.eigvalsh(partial_transpose(rhos, 1, layout))
+    """Negativity of each matrix of a stack (n, d, d), from the eigenvalues of
+    its partial transpose by block. Indices joined by a nonzero entry of any
+    matrix of the batch share a block (connected components of the batch's
+    exact zeros), so each block is one diagonal block of every matrix up to
+    an index permutation; ``eigvalsh`` runs once per block size. A dense
+    batch is one block of size d."""
+    pt = partial_transpose(rhos, 1, layout)
+    nonzero = (pt != 0).any(axis=0) | np.eye(pt.shape[-1], dtype=bool)
+    linked = np.linalg.matrix_power(nonzero | nonzero.T, len(nonzero))  # linked[i, j]: i and j share a block
+    blocks = {}  # block size -> the index rows of its blocks
+    for first in np.unique(linked.argmax(axis=1)):
+        blocks.setdefault(np.count_nonzero(linked[first]), []).append(np.flatnonzero(linked[first]))
+    eig = np.concatenate([np.linalg.eigvalsh(pt[:, idx[:, :, None], idx[:, None, :]]).reshape(len(pt), idx.size)
+                          for idx in map(np.array, blocks.values())], axis=1)
     eig = np.where(np.abs(eig) < _EIG_CLIP, 0.0, eig)
     return -np.where(eig < 0, eig, 0.0).sum(axis=-1)
 

@@ -125,12 +125,6 @@ class ScenarioConfig:
         if self.grid_points > n_steps + 1:
             raise ScenarioError(f"grid-points {self.grid_points} exceeds the {n_steps + 1} "
                                 f"points of {n_steps} steps of dt {dt:g} to t-max {self.t_max:g}")
-        rate = self.gamma  # the largest channel rate of every preset but the thermal cavity's
-        if self.scenario == "cavity-thermal":
-            hottest = ThermalSpec(max(self.nbar))
-            rate = max(r for _, r in thermal_channels(self.gamma, hottest, THERMAL_CAVITY_DIM))
-        if rate * dt > MAX_GAMMA_DT * (1 + 1e-9):
-            raise ScenarioError(f"gamma_max*dt = {rate * dt:.3g} exceeds {MAX_GAMMA_DT}; decrease dt")
         if self.n_samples < 1:
             raise ScenarioError("samples must be >= 1")
         if self.scenario == "singlet-conversion":
@@ -143,6 +137,15 @@ class ScenarioConfig:
             a = self.resolved_alpha
             if not 0.0 <= a <= 1.0:
                 raise ScenarioError(f"alpha must lie in [0, 1], got {a}")
+        rate = self.gamma  # the largest channel rate of every preset but the thermal cavity's
+        if self.scenario == "cavity-thermal":
+            hottest = ThermalSpec(max(self.nbar))
+            rate = max(r for _, r in thermal_channels(self.gamma, hottest, THERMAL_CAVITY_DIM))
+        for t in (self.t_max, *_checkpoints(self)):  # each run resolves its own dt
+            dt, n_steps = _resolve_steps(self, t)
+            if rate * dt > MAX_GAMMA_DT * (1 + 1e-9):
+                raise ScenarioError(f"gamma_max*dt = {rate * dt:.3g} exceeds {MAX_GAMMA_DT} on the {n_steps} "
+                                    f"steps to t = {t:.6g}; decrease dt")
 
     @property
     def resolved_alpha(self) -> float | None:
@@ -190,6 +193,17 @@ def _resolve_steps(cfg: ScenarioConfig, t_max: float | None = None):
     requested = cfg.dt if cfg.dt is not None else SCENARIOS[cfg.scenario].gamma_dt / cfg.gamma
     n_steps = max(1, int(round(t_max / requested)))
     return t_max / n_steps, n_steps
+
+
+def _checkpoints(cfg: ScenarioConfig) -> list[float]:
+    """Horizons of the checkpoint runs, each resolving its own dt: singlet conversion's t*,
+    e^{-2 gamma t*} = alpha / (1 - alpha) (0, no run, from alpha = 1/2); cavity-2x3's check times."""
+    gamma, alpha = cfg.gamma, cfg.resolved_alpha
+    if cfg.scenario == "singlet-conversion":
+        return [math.log((1.0 - alpha) / alpha) / (2.0 * gamma) if alpha < 0.5 else 0.0]
+    if cfg.scenario == "cavity-2x3":
+        return [t for t in (0.2 / gamma, 0.5 / gamma, 1.0 / gamma, 2.0 / gamma) if t <= cfg.t_max]
+    return []
 
 
 def _grid_steps(n_steps: int, grid_points: int) -> np.ndarray:
@@ -341,7 +355,7 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     model = build_qubit_pair(gamma)
     layout = model.layout
     psi0 = _superposition(layout, alpha, (0, 0), (1, 1))
-    t_star = math.log((1.0 - alpha) / alpha) / (2.0 * gamma) if alpha < 0.5 else 0.0
+    t_star, = _checkpoints(cfg)
 
     metadata = _metadata(cfg)
     # conditional no-jump record exactly at t*
@@ -542,10 +556,9 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     ]
 
     # state-level cross-checks at a few interior times
-    check_times = [t for t in (0.2 / gamma, 0.5 / gamma, 1.0 / gamma, 2.0 / gamma) if t <= cfg.t_max]
     fid_nj, fid_oj, dp0, dp1 = [], [], [], []
     n_oj_classes = 0
-    for t in check_times:
+    for t in _checkpoints(cfg):
         ucfg = _ucfg(cfg, *_resolve_steps(cfg, t))
         records = _exact(metadata, f"check_t{t:g}", model, psi0, ucfg)[1].records()
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))

@@ -677,23 +677,23 @@ def _thresholds(keys: np.ndarray, periods: np.ndarray) -> np.ndarray:
 class _Sampler:
     """Event-driven norm-threshold Monte Carlo unraveling over blocks of rows.
 
-    A row is V^+ psi (V: G's eigenvectors) or T vec(rho) in the Hermitian
-    basis T; a map A acts as ``rows @ lift(A)``. A row keeps an anchor, its
-    state, step and survival when it last changed, and moves from event to
-    event: its first survival below its threshold u, its next due correction,
-    ``cap`` steps on, or the end. In between the no-jump (no-record) map acts
-    in closed form: V^+ psi scales by e^{-lam k dt/2}, survival sum |c_i|^2
-    e^{-lam_i k dt}; rho takes the tabulated M^k (M can be defective), with
-    survival the running product of 1 - eta (1 - tr(N rho N^+) / tr rho) for
-    every eta (at eta = 1 it telescopes to tr(M^k rho)). A crossing is bisected;
-    (S_before - u) / (S_before - S_after), scaled by the split total, picks
-    the channel; a jumped row is normalized and starts a new period, which
-    unitary corrections keep. u is recomputed from (seed, trajectory, period)
-    wherever it is needed, never stored. Rows take one event per round in
-    stretches of ``_TABLE_CAP`` steps, so which rows share a product never
-    depends on the grid; a row reads the stretch's grid steps from its anchor
-    on. Grid reads are normalized copies, rho as complex (n, d, d), and evaluate
-    each row-local, deterministic fn(states, counts) once per distinct (state, count).
+    A row is V^+ psi (V: G's eigenvectors) or T vec(rho) in the Hermitian basis T on
+    its support, x0's nonzero coordinates closed under the exact nonzeros of every
+    lifted map (no-record, jumps, splits, corrections): 18 of 81 on the qutrit pair
+    with feedback. A map A acts as ``rows @ lift(A)``. A row keeps an anchor, its
+    state, step and survival when it last changed, and moves from event to event:
+    its first survival below its threshold u, its next due correction, ``cap`` steps
+    on, or the end. In between the no-jump (no-record) map acts in closed form: V^+
+    psi scales by e^{-lam k dt/2}, survival sum |c_i|^2 e^{-lam_i k dt}; rho takes
+    the tabulated M^k (M can be defective), with survival the running product of
+    1 - eta (1 - tr(N rho N^+) / tr rho) (at eta = 1, tr(M^k rho)). A crossing is
+    bisected; (S_before - u) / (S_before - S_after), scaled by the split total, picks
+    the channel; a jumped row is normalized and starts a new period, which corrections
+    keep. u is recomputed from (seed, trajectory, period) where needed, never stored.
+    Rows take one event per round in stretches of ``_TABLE_CAP`` steps, so which rows
+    share a product never depends on the grid; a row reads the stretch's grid steps
+    from its anchor on, keyed by its normalized values (psi, or rho's support entries):
+    each row-local, deterministic fn(states, counts) runs once per distinct (key, count).
     """
 
     def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -710,58 +710,68 @@ class _Sampler:
                              "use sample_density_trajectories for eta < 1")
         if self.density:
             T = hermitian_basis(d)
-            self.x0, self.upper = (T @ x0.reshape(-1)).real, np.triu_indices(d, 1)
-            lift = lambda A: real_superoperator(np.kron(A, A.conj()), T).T  # noqa: E731
+            x0, lift = (T @ x0.reshape(-1)).real, lambda A: real_superoperator(np.kron(A, A.conj()), T).T  # noqa: E731
         else:
             V = ops.eigvecs
             # log_stay: -lam dt, the log of each eigencomponent's per-step survival
-            self.x0, self.basis, self.log_stay = x0 @ V.conj(), V.T, -ops.lam * config.dt
+            x0, self.basis, self.log_stay = x0 @ V.conj(), V.T, -ops.lam * config.dt
             lift = lambda A: V.T @ A.T @ V.conj()  # noqa: E731
-        self.jumps = np.concatenate([lift(S) for S in ops.spawn_maps[:ops.n_channels]], axis=1)
-        self.splits = np.concatenate([lift(B) for B in ops.split_maps], axis=1)
-        self.corrections = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()}
+        jumps, splits = [lift(S) for S in ops.spawn_maps[:ops.n_channels]], [lift(B) for B in ops.split_maps]
+        corrections = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()}
+        advance = (no_jump := lift(ops.no_jump)) + (1.0 - eta) * sum(map(lift, ops.jump_maps))
+        # the support: x0's coordinates closed under the exact nonzeros R of every map, through (1 + R)^D
+        reach = np.any([A != 0 for A in (np.eye(x0.size), advance, *jumps, *splits, *corrections.values())], axis=0)
+        on = (x0 != 0) @ np.linalg.matrix_power(reach, x0.size) | (not self.density)  # pure rows keep all
+        self.support, self.x0, cut = np.flatnonzero(on), x0[on], lambda A: A[on][:, on]  # noqa: E731
+        self.jumps, self.splits = (np.concatenate([cut(A) for A in maps], axis=1) for maps in (jumps, splits))
+        self.corrections = {slot: cut(A) for slot, A in corrections.items()}
         self.cap = min(_TABLE_CAP, config.n_steps) if self.density else config.n_steps + 1
         if self.density:  # M^k for k <= cap, and per k the rows giving tr, tr(N . N^+) of M^k rho
-            no_jump = lift(ops.no_jump)
-            advance = no_jump + (1.0 - eta) * sum(map(lift, ops.jump_maps))
-            self.powers = np.stack(list(accumulate([advance] * self.cap, np.matmul, initial=np.eye(len(advance)))))
-            self.traces = self.powers[:, :, :d].sum(axis=2)
-            self.no_jump_traces = self.powers @ no_jump[:, :d].sum(axis=1)
-        self.mix = _trajectory_keys(0, 0, 2 * x0.size + 1) | np.uint64(1)  # odd hash weights of a read
+            self.n_diag = n = np.count_nonzero(on[:d])  # the support's diagonal coordinates come first
+            self.powers = np.stack(list(accumulate([cut(advance)] * self.cap, np.matmul, initial=np.eye(on.sum()))))
+            self.traces = self.powers[:, :, :n].sum(axis=2)
+            self.no_jump_traces = self.powers @ cut(no_jump)[:, :n].sum(axis=1)
+            Tc = T.conj()[on].view(np.float64)  # the float words of rho = x @ T^* each coordinate reaches
+            (self.take, self.put), self.scale, self.flip = np.nonzero(Tc), np.abs(Tc).max(axis=1), Tc[Tc != 0.0] < 0.0
+        self.mix = _trajectory_keys(0, 0, self.x0.nbytes // 8 + 1) | np.uint64(1)  # odd hash weights of a key's words
 
     def _weight(self, rows):
-        """|psi|^2 or tr rho (the sum of the first d coordinates) along the last axis."""
+        """|psi|^2 or tr rho (the sum of the support's diagonal coordinates) along the last axis."""
         if self.density:
-            return rows[..., : self.d].sum(axis=-1)
+            return rows[..., : self.n_diag].sum(axis=-1)
         return np.einsum("...i,...i->...", rows.view(np.float64), rows.view(np.float64))
 
     def _normalize(self, rows, weight):
-        """Scale rows (or their matrices) of the given weights to unit weight in place."""
+        """Scale rows of the given weights to unit weight in place."""
         rows.view(np.float64)[:] *= (1.0 / (weight if self.density else np.sqrt(weight)))[:, None]
         return rows
 
-    def _states(self, rows):
-        """Normalized copies of the rows: psi, or rho (n, d, d) scattered from x = T vec(rho) as x @ T^*."""
+    def _keys(self, rows):
+        """Normalized read values: psi, or x times rho's entry scale in T^* (+ 0.0 makes zeros +0, as in x @ T^*)."""
+        return self._normalize(rows * self.scale + 0.0 if self.density else rows @ self.basis, self._weight(rows))
+
+    def _place(self, keys):
+        """States from keys: psi as is; rho (n, d, d) gets each key at its words, as 0.0 - key where T^* is < 0."""
         if not self.density:
-            return self._normalize(rows @ self.basis, self._weight(rows))
-        (i, j), d = self.upper, self.d  # below, + 0.0 makes zeros +0, as in the product
-        re, im = np.split(rows[:, d:] * (1.0 / np.sqrt(2.0)) + 0.0, 2, axis=1)
-        out = np.zeros((len(rows), d, d), dtype=np.complex128)
-        out.real[:, range(d), range(d)], out.real[:, i, j], out.real[:, j, i] = rows[:, :d] + 0.0, re, re
-        out.imag[:, i, j], out.imag[:, j, i] = im, 0.0 - im
-        return self._normalize(out.reshape(len(rows), -1), self._weight(rows)).reshape(out.shape)
+            return keys
+        out, on = np.zeros((len(keys), self.d, self.d), dtype=np.complex128), keys[:, self.take]
+        out.reshape(len(keys), -1).view(np.float64)[:, self.put] = np.where(self.flip, 0.0 - on, on)
+        return out
+
+    def _states(self, rows):  # normalized copies of the rows, psi or rho (n, d, d): rho bitwise x @ T^* / tr
+        return self._place(self._keys(rows))
 
     def _observe(self, observables, rows, counts, acc, g):
         """Add sums of f and f^2 over the rows to acc[:, g], each f run once per distinct (state, count)."""
-        words = (states := self._states(rows)).reshape(len(rows), -1).view(np.uint64)
+        words = (keys := self._keys(rows)).view(np.uint64)
         order = np.argsort(words @ self.mix[:-1] + counts.astype(np.uint64) * self.mix[-1])  # wraps
         ws, cs = np.take(words, order, axis=0), counts[order]  # a row equal to the one before repeats it
         differ = np.ascontiguousarray((ws[1:] != ws[:-1]).T).any(axis=0)  # any() is slow over short rows
         new = np.concatenate([[True], differ | (cs[1:] != cs[:-1])])
         back = np.empty_like(order)
         back[order] = np.cumsum(new) - 1
-        del words, ws  # the full states go before any evaluation
-        states, counts = states[order[new]], cs[new]
+        states, counts = self._place(keys[order[new]]), cs[new]
+        del keys, words, ws  # the full keys go before any evaluation
         for lab, fn in observables.items():
             vals = fn(states, counts)[back]
             acc[lab][:, g] += vals.sum(), (vals * vals).sum()

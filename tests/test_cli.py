@@ -154,6 +154,9 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
     (["cavity-thermal", "--nbar", "0.5,5"], "gamma_max*dt = 0.03 exceeds 0.01"),
     (["qutrit-protection", "--dt", "0.05"], "gamma_max*dt = 0.05 exceeds 0.01"),
     (["bell-monitoring", "--gamma", "20", "--dt", "0.001"], "gamma_max*dt = 0.02 exceeds 0.01"),
+    # the main grid passes; the t* checkpoint (t* = 0.4236) takes 42 steps of 0.01009
+    (["singlet-conversion", "--alpha", "0.3", "--dt", "0.01"],
+     "gamma_max*dt = 0.0101 exceeds 0.01 on the 42 steps to t = 0.423649"),
 ])
 def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     # argv's own flags come last, so they win over the short defaults

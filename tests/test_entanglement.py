@@ -367,3 +367,40 @@ def test_measure_rows_two_qubit_measures_reject_other_layouts(measure):
                      (ent.measure_state, psis[0]), (ent.measure_state, rhos[0])):
         with pytest.raises(ValueError, match=f"{measure.value} requires a two-qubit layout"):
             fn(rows, measure, LAY3)
+
+
+def _random_density(rng, n, d, pattern=None):
+    """n random full-rank density matrices (n, d, d); entries outside ``pattern`` exactly zero."""
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rho = a @ a.conj().transpose(0, 2, 1)
+    if pattern is not None:
+        rho = np.where(pattern, rho, 0.0)  # a principal block of a PSD matrix stays PSD
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def test_negativity_by_block_matches_full_eigvalsh(monkeypatch):
+    # the density kernel splits each partial transpose along the batch's
+    # exact zeros; it must agree with one eigvalsh of the full matrices,
+    # and run one eigvalsh per block size
+    rng = np.random.default_rng(23)
+    excitation = np.add.outer(np.arange(3), np.arange(3)).reshape(-1)  # n1 + n2 on the qutrit pair
+    x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # two-qubit X-state
+    cases = [
+        (_random_density(rng, 40, 9), LAY3, [9]),
+        (_random_density(rng, 40, 9, excitation[:, None] == excitation[None, :]), LAY3, [1, 2, 3]),
+        (_random_density(rng, 40, 4, x_pattern), LAY2, [2]),
+        (np.zeros((0, 9, 9), dtype=np.complex128), LAY3, [1]),
+    ]
+    full_eigvalsh = np.linalg.eigvalsh
+    for rhos, layout, sizes in cases:
+        eig = full_eigvalsh(partial_transpose(rhos, 1, layout))
+        eig = np.where(np.abs(eig) < 1e-12, 0.0, eig)
+        want = -np.where(eig < 0, eig, 0.0).sum(axis=-1)
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or full_eigvalsh(m))
+        got = ent.negativity_batch_density(rhos, layout)
+        monkeypatch.undo()
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-14
+        assert sorted(shape[-1] for shape in shapes) == sizes
+        assert len(rhos) == 0 or want.max() > 0.01

@@ -5,7 +5,8 @@ import pytest
 
 from jumpguard import trajectories
 from jumpguard.entanglement import Measure, entropy_batch_pure, measure_rows, negativity_batch_pure
-from jumpguard.linalg import basis_state, hermitian_basis, make_layout, normalized, product_basis_state
+from jumpguard.linalg import (basis_state, hermitian_basis, make_layout, normalized, product_basis_state,
+                              real_superoperator)
 from jumpguard.models import (
     CascadeSpec,
     DecayChannel,
@@ -780,23 +781,85 @@ def test_grid_reads_keep_counts_of_equal_states():
     assert 0.0 < curves.mean["P1"][-1] < 1.0
 
 
+def generic_qutrit_pair(seed=3):
+    """A qutrit pair whose jump operators have no zero entry: no coordinate of rho stays zero."""
+    rng = np.random.default_rng(seed)
+    ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    return OpenSystemModel(LAY3, tuple(DecayChannel(s, L / np.linalg.norm(L, 2), 1.0) for s, L in enumerate(ops)))
+
+
 def test_density_states_equal_the_basis_product():
-    # grid reads scatter rho from its real coordinates; the bits equal those
-    # of the product with T^*, zeros and negative zeros included
-    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    # grid reads place rho's entries from the rows' support coordinates; the
+    # bits equal those of the full 81-coordinate row's product with T^*,
+    # zeros and negative zeros included, on the cascade's 18-coordinate
+    # support (a real rho) and on a generic model's full one
     psi0 = code_bell3()
     cfg = UnravelingConfig(dt=5e-3, t_max=0.1, n_samples=4)
-    sampler = trajectories._Sampler(model, np.outer(psi0, psi0.conj()), 2, cfg, None)
-    rng = np.random.default_rng(41)
-    rows = np.where(rng.random((300, 81)) < 0.4, 0.0, rng.normal(size=(300, 81)))
-    rows[:, :9] = np.abs(rows[:, :9]) + 0.1
-    rows[::2][rows[::2] == 0.0] = -0.0
-    product = rows @ hermitian_basis(9).conj()
-    product.view(np.float64)[:] *= (1.0 / rows[:, :9].sum(axis=1))[:, None]  # as _normalize
-    for n in (1, 7, 300):
-        want = product[:n].reshape(-1, 9, 9)
-        assert sampler._states(rows[:n]).view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    assert sampler._advance(rows[:0], np.zeros(0, dtype=np.int64)).shape == (0, 81)
+    policy = FeedbackPolicy.qutrit_cyclic(efficiency=0.9)
+    for model, width in ((build_qutrit_pair(CascadeSpec.degenerate(1.0)), 18), (generic_qutrit_pair(), 81)):
+        sampler = trajectories._Sampler(model, np.outer(psi0, psi0.conj()), 2, cfg, policy)
+        support = sampler.support
+        assert support.size == width
+        rng = np.random.default_rng(41)
+        rows = np.where(rng.random((300, width)) < 0.4, 0.0, rng.normal(size=(300, width)))
+        n_diag = np.count_nonzero(support < 9)  # the diagonal coordinates come first
+        rows[:, :n_diag] = np.abs(rows[:, :n_diag]) + 0.1
+        rows[::2][rows[::2] == 0.0] = -0.0
+        full = np.zeros((300, 81))
+        full[::2] = -0.0
+        full[:, support] = rows
+        product = full @ hermitian_basis(9).conj()
+        product.view(np.float64)[:] *= (1.0 / rows[:, :n_diag].sum(axis=1))[:, None]  # as _normalize
+        for n in (1, 7, 300):
+            want = product[:n].reshape(-1, 9, 9)
+            assert sampler._states(rows[:n]).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert sampler._advance(rows[:0], np.zeros(0, dtype=np.int64)).shape == (0, width)
+
+
+def test_density_rows_stay_on_their_support():
+    # the support closes x0's coordinates under the exact nonzeros of every
+    # map, so along whole trajectories of the 81-coordinate per-step chain,
+    # with jumps, delayed corrections and unrecorded jumps, every coordinate
+    # outside it stays exactly zero (the closure may hold coordinates that
+    # no row reaches, but never misses one that a row does)
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    rho0 = np.outer(psi0, psi0.conj())
+    policy = FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.9)
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=12, rng_seed=29)
+    sampler = trajectories._Sampler(model, rho0, 2, cfg, policy)
+    outside = np.ones(81, dtype=bool)
+    outside[sampler.support] = False
+    assert 0 < sampler.support.size < 81
+    chain = _per_step_chain(model, rho0, cfg, policy, list(range(cfg.n_steps + 1)))
+    assert sum(len(events) for events, *_ in chain) > 12
+    T = hermitian_basis(9)
+    for _, _, reads, _ in chain:
+        coords = (np.array(reads).reshape(len(reads), 81) @ T.T).real
+        assert not coords[:, outside].any()
+
+
+def test_density_rows_without_structure_keep_every_coordinate():
+    # a generic model leaves no coordinate exactly zero: the support is all
+    # 81, the maps are the unrestricted lifts bit for bit, and whole
+    # trajectories follow the per-step chain
+    model = generic_qutrit_pair()
+    psi0 = code_bell3()
+    rho0 = np.outer(psi0, psi0.conj())
+    policy = FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.9)
+    cfg = UnravelingConfig(dt=5e-3, t_max=0.5, n_samples=6, rng_seed=31)
+    sampler = trajectories._Sampler(model, rho0, 2, cfg, policy)
+    assert sampler.support.tolist() == list(range(81))
+    ops, T = sampler.ops, hermitian_basis(9)
+    lift = lambda A: real_superoperator(np.kron(A, A.conj()), T).T  # noqa: E731
+    assert np.array_equal(sampler.jumps, np.concatenate([lift(S) for S in ops.spawn_maps[:2]], axis=1))
+    assert np.array_equal(sampler.x0, (T @ rho0.reshape(-1)).real)
+    chain = _per_step_chain(model, rho0, cfg, policy, [cfg.n_steps])
+    records = sample_density_trajectories(model, rho0, cfg, policy).records
+    assert sum(r.n_jumps for r in records) > 0
+    for rec, (events, _, _, final) in zip(records, chain, strict=True):
+        assert [(round(e.time / cfg.dt - 0.5), e.channel) for e in rec.events] == events
+        assert np.max(np.abs(rec.state - final)) < 1e-12
 
 
 def _per_step_chain(model, x0, cfg, policy, grid, thresholds=trajectories._thresholds):
