@@ -132,7 +132,7 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
                   warnings: list[str], duration: float) -> dict:
     """Write curve CSVs, surfaces, config echo, summary and manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    outputs = []
+    outputs, config = [], dataclasses.asdict(cfg)
 
     def write(fname: str, lines: list[str]):
         _atomic_write(os.path.join(out_dir, fname), "\n".join(lines) + "\n")
@@ -145,7 +145,7 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
         write(f"{result.scenario}__{label}.csv", ["alpha," + ",".join(_fmt(t) for t in tgrid)] + [
             _fmt(a) + "," + ",".join(_fmt(v) for v in row) for a, row in zip(alphas, matrix)])
     write("config_echo.txt", [f"{key} = {_text(value)}"
-                              for key, value in result.metadata["config"].items()
+                              for key, value in config.items()
                               if value is not None])
 
     all_warnings = list(warnings) + list(result.metadata.get("warnings", []))
@@ -167,7 +167,7 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
         "scenario": result.scenario,
         "seed": cfg.seed,
         "duration_seconds": duration,
-        "config": result.metadata["config"],
+        "config": config,
         "outputs": outputs + ["manifest.json"],
         "warnings": all_warnings,
     }

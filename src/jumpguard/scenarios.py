@@ -20,7 +20,6 @@ exact run to its truncated plus culled mass, and is empty without one.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -210,7 +209,9 @@ def _grid_steps(n_steps: int, grid_points: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n_steps, grid_points)).astype(int))
 
 
-def _ucfg(cfg: ScenarioConfig, dt: float, n_steps: int, **overrides) -> UnravelingConfig:
+def _ucfg(cfg: ScenarioConfig, t_max: float | None = None, **overrides) -> UnravelingConfig:
+    """The unraveling controls of a run to ``t_max`` (default ``cfg.t_max``) on its own steps."""
+    dt, n_steps = _resolve_steps(cfg, t_max)
     kw = dict(
         dt=dt,
         t_max=dt * n_steps,
@@ -222,25 +223,14 @@ def _ucfg(cfg: ScenarioConfig, dt: float, n_steps: int, **overrides) -> Unraveli
     return UnravelingConfig(**kw)
 
 
-def _metadata(cfg: ScenarioConfig, warnings=()) -> dict:
-    """Config echo, warnings and the lost mass of every exact run by label."""
-    echo = dataclasses.asdict(cfg)
-    echo["nbar"] = list(cfg.nbar)
-    return {"config": echo, "warnings": list(warnings), "truncation_mass": {}}
+def _metadata(warnings=()) -> dict:
+    """Warnings and the lost mass of every exact run by label."""
+    return {"warnings": list(warnings), "truncation_mass": {}}
 
 
-def _bell_pair(d: int, a: int, b: int) -> np.ndarray:
-    """(|a b> + |b a>) / sqrt(2) on two d-level systems."""
-    layout = make_layout((d, d))
-    return normalized(product_basis_state(layout, (a, b)) + product_basis_state(layout, (b, a)))
-
-
-def _superposition(layout, alpha: float, a: tuple, b: tuple) -> np.ndarray:
-    """sqrt(alpha)|a> + sqrt(1 - alpha)|b>, normalized."""
-    return normalized(
-        math.sqrt(alpha) * product_basis_state(layout, a)
-        + math.sqrt(1.0 - alpha) * product_basis_state(layout, b)
-    )
+def _two_term(layout, x: float, a: tuple, y: float, b: tuple) -> np.ndarray:
+    """x|a> + y|b> on the product basis of ``layout``, normalized."""
+    return normalized(x * product_basis_state(layout, a) + y * product_basis_state(layout, b))
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +275,8 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     (past the truncation bound it raises :class:`ScenarioError`), and 'sampled' the
     wavefunction sampler. ``overrides`` adjust the :class:`UnravelingConfig`.
     """
-    dt, n_steps = _resolve_steps(cfg, t_max)
-    gsteps = _grid_steps(n_steps, grid_points or cfg.grid_points)
-    ucfg = _ucfg(cfg, dt, n_steps, **overrides)
+    ucfg = _ucfg(cfg, t_max, **overrides)
+    gsteps = _grid_steps(ucfg.n_steps, grid_points or cfg.grid_points)
     fns = {label: f for label, (_, f) in observables.items()}
     sem = {}
     if x0.ndim == 1 and (mode or cfg.mode) == "exact":
@@ -296,7 +285,7 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
         driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
         out = driver(model, x0, ucfg, policy, gsteps, fns)
         mean, sem = out.mean, out.sem
-    times = gsteps * dt
+    times = gsteps * ucfg.dt
     return [
         Curve(label, measure, times, mean[label], sem.get(label))
         for label, (measure, _) in observables.items()
@@ -308,7 +297,7 @@ def _qubit_pair_curves(cfg, metadata, observables, references) -> list[Curve]:
     curves of ``references`` on rho(t), then the trajectory curves of
     ``observables``, both label -> (measure, f) as in :func:`_run_curves`."""
     model = build_qubit_pair(cfg.gamma)
-    psi0 = _bell_pair(2, 1, 0)
+    psi0 = _two_term((2, 2), 1.0, (1, 0), 1.0, (0, 1))
     trajectory = _run_curves(cfg, metadata, model, psi0, observables)
     times = trajectory[0].times
     rho_grid = np.array(evolve_master(model, np.outer(psi0, psi0.conj()), times))
@@ -324,7 +313,7 @@ def _qubit_pair_curves(cfg, metadata, observables, references) -> list[Curve]:
 def run_bell_monitoring(cfg: ScenarioConfig) -> ScenarioResult:
     """Monitored qubit pair: E_F of the unmonitored state, the trajectory
     average E_2, and the no-jump probability P_NJ over the time grid."""
-    metadata = _metadata(cfg)
+    metadata = _metadata()
     eof = _measure(Measure.ENTANGLEMENT_OF_FORMATION, (2, 2))
     curves = _qubit_pair_curves(cfg, metadata, {"E_2": eof, "P_NJ": (_PROB, _jumps(0))},
                                 {"E_F": eof})
@@ -354,15 +343,14 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     gamma = cfg.gamma
     model = build_qubit_pair(gamma)
     layout = model.layout
-    psi0 = _superposition(layout, alpha, (0, 0), (1, 1))
+    psi0 = _two_term(layout, math.sqrt(alpha), (0, 0), math.sqrt(1.0 - alpha), (1, 1))
     t_star, = _checkpoints(cfg)
 
-    metadata = _metadata(cfg)
+    metadata = _metadata()
     # conditional no-jump record exactly at t*
     p_ok, state = 1.0, psi0
     if t_star > 0.0:
-        ucfg = _ucfg(cfg, *_resolve_steps(cfg, t_star))
-        records = _exact(metadata, "t_star", model, psi0, ucfg)[1].records()
+        records = _exact(metadata, "t_star", model, psi0, _ucfg(cfg, t_star))[1].records()
         nj = next(r for r in records if r.n_jumps == 0)
         p_ok, state = nj.probability, nj.state
     scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
@@ -402,15 +390,16 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     averages with and without ideal feedback (negativity, plus entropy
     variants for the degenerate pair), the qubit references E_2 and E_F in
     both negativity and entanglement-of-formation units, and the non-ideal
-    feedback variants: delayed correction (tau) and inefficient detection
-    (eta, necessarily run through the density-matrix sampler).
+    feedback variants: delayed correction (tau, which reaches E_3f_tau
+    only) and inefficient detection (eta, necessarily run through the
+    density-matrix sampler; E_3f_eta takes immediate feedback).
     """
     gamma = cfg.gamma
     layout3 = make_layout((3, 3))
-    psi0_3 = _bell_pair(3, 1, 2)
+    psi0_3 = _two_term(layout3, 1.0, (1, 2), 1.0, (2, 1))
     neg3 = _measure(Measure.NEGATIVITY, layout3)
     entropy3 = _measure(Measure.ENTROPY_OF_ENTANGLEMENT, layout3)
-    metadata = _metadata(cfg)
+    metadata = _metadata()
 
     # qubit references
     eof2 = _measure(Measure.ENTANGLEMENT_OF_FORMATION, (2, 2))
@@ -472,7 +461,7 @@ def _cavity_model(cfg: ScenarioConfig) -> tuple[OpenSystemModel, np.ndarray]:
     (op, rate), = build_qutrit_cascade(ops)
     model = OpenSystemModel(layout=layout, channels=(DecayChannel(1, op, rate),))
     alpha = cfg.resolved_alpha
-    psi0 = _superposition(layout, alpha, (1, 1), (0, 2))
+    psi0 = _two_term(layout, math.sqrt(alpha), (1, 1), math.sqrt(1.0 - alpha), (0, 2))
     return model, psi0
 
 
@@ -510,20 +499,13 @@ def cavity_closed_forms(alpha: float, gamma: float, times: np.ndarray) -> dict[s
 
 
 def cavity_nj_state(alpha: float, gamma: float, t: float) -> np.ndarray:
-    layout = make_layout((2, 3))
-    v = math.sqrt(alpha) * math.exp(-gamma * t / 2.0) * product_basis_state(layout, (1, 1)) + (
-        math.sqrt(1.0 - alpha) * math.exp(-gamma * t) * product_basis_state(layout, (0, 2))
-    )
-    return normalized(v)
+    return _two_term((2, 3), math.sqrt(alpha) * math.exp(-gamma * t / 2.0), (1, 1),
+                     math.sqrt(1.0 - alpha) * math.exp(-gamma * t), (0, 2))
 
 
 def cavity_oj_state(alpha: float, gamma: float, t: float) -> np.ndarray:
-    layout = make_layout((2, 3))
-    v = math.sqrt(alpha) * product_basis_state(layout, (1, 0)) + (
-        math.sqrt(2.0 * (1.0 - alpha)) * math.exp(-gamma * t / 2.0)
-        * product_basis_state(layout, (0, 1))
-    )
-    return normalized(v)
+    return _two_term((2, 3), math.sqrt(alpha), (1, 0),
+                     math.sqrt(2.0 * (1.0 - alpha)) * math.exp(-gamma * t / 2.0), (0, 1))
 
 
 def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
@@ -536,7 +518,7 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     notes = []
     if alpha > 0.5:
         notes.append("alpha > 1/2: less population in the decaying branch than the protected one")
-    metadata = _metadata(cfg, notes)
+    metadata = _metadata(notes)
 
     engine_e, engine_p0, engine_p1 = _run_curves(cfg, metadata, model, psi0, {
         "E_2x3": _measure(Measure.NEGATIVITY, layout),
@@ -559,8 +541,7 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     fid_nj, fid_oj, dp0, dp1 = [], [], [], []
     n_oj_classes = 0
     for t in _checkpoints(cfg):
-        ucfg = _ucfg(cfg, *_resolve_steps(cfg, t))
-        records = _exact(metadata, f"check_t{t:g}", model, psi0, ucfg)[1].records()
+        records = _exact(metadata, f"check_t{t:g}", model, psi0, _ucfg(cfg, t))[1].records()
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
         nj = next(r for r in records if r.n_jumps == 0)
         oj = [r for r in records if r.n_jumps == 1]
@@ -610,12 +591,12 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     gamma = cfg.gamma
     dim = THERMAL_CAVITY_DIM
     layout = make_layout((2, dim))
-    psi0 = _superposition(layout, alpha, (1, 1), (0, 2))
+    psi0 = _two_term(layout, math.sqrt(alpha), (1, 1), math.sqrt(1.0 - alpha), (0, 2))
     neg = _measure(Measure.NEGATIVITY, layout)
     # population of the guard level, the last cavity level
     guard_population = lambda s, c: (np.abs(s.reshape(len(s), 2, dim)[:, :, -1]) ** 2).sum(axis=1)
 
-    metadata = _metadata(cfg)
+    metadata = _metadata()
     curves = []
     scalars: dict[str, float] = {"alpha": alpha}
     for i, nbar in enumerate(cfg.nbar):

@@ -381,13 +381,13 @@ class _ExactEngine:
     """Branch-merged tree enumeration on the dt grid over interned states.
 
     A state's id keys its direction. An id is filled when it first carries a
-    class: it gets fixed edges, each with a mass per unit weight, a jump
-    count and a rank: the stay (rank 0) to its no-jump successor and one per
-    spawn branch b with mass (rank b + 1) to its child (culled below the
-    norm floor). A class is a nonzero entry of the dense weight vector ``W``
-    over ids, with the count ``C`` (``empty`` without a class) and event
-    ``node`` of its fewest-jump member, ties going to stays, then branch
-    order, then the lower source id.
+    class: one product with the step table gives its fixed edges, each with a
+    mass per unit weight, a jump count and a rank: the stay (table rank 0) to
+    its no-jump successor and one per spawn branch b with mass (rank b + 1)
+    to its child (culled below the norm floor). A class is a nonzero entry
+    of the dense weight vector ``W`` over ids, with the count ``C``
+    (``empty`` without a class) and event ``node`` of its fewest-jump
+    member, ties going to stays, then branch order, then the lower source id.
     """
 
     def __init__(self, model, psi0, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -405,6 +405,8 @@ class _ExactEngine:
         self.ops = ops = StepOperators(model, config.dt, policy)
         self.config = config
         self.needed = np.array([0] + [len(b) for b in ops.branches])  # jumps per edge rank
+        # the step table for psi @ table: weight roots R_b, no-jump map N (rank 0), spawn maps (rank b + 1)
+        self.step_table = np.hstack([A.T for A in (*ops.spawn_roots, ops.no_jump, *ops.spawn_maps)])
         # merge key (count, rank, source id): count << shift | rank << 32 | source
         self.shift = 32 + len(ops.branches).bit_length()
         # the count of an id with no class, above the budget (at most two jumps a step)
@@ -459,30 +461,25 @@ class _ExactEngine:
         new = ids[~self.filled[ids]]
         if new.size == 0:
             return
-        ops, K, m = self.ops, self.ops.n_channels, new.size
+        K, J, m = self.ops.n_channels, len(self.ops.branches), new.size
         psi = self.table_states[new]
-        adv = psi @ ops.no_jump.T
-        adv2 = np.einsum("bi,bi->b", adv.conj(), adv).real
+        images = (psi @ self.step_table).reshape(m, 2 * J + 1, -1)
+        norms = np.einsum("bji,bji->jb", images.conj(), images).real
         # edge masses per unit weight by rank. A stored state serves every
-        # visit, so its stay mass is taken relative to its own norm, whose
-        # rounding would compound per step. Spawn masses are |R_b psi|^2; the
-        # singles (raw |B_k psi|^2, summing exactly to 1 - |N psi|^2) lose the
-        # pairs split off them; pair masses are >= 0, so one clip after the
+        # visit, so its stay mass |N psi|^2 is taken relative to its own norm,
+        # whose rounding would compound per step. Spawn masses are |R_b psi|^2;
+        # the singles (raw |B_k psi|^2, summing exactly to 1 - |N psi|^2) lose
+        # the pairs split off them; pair masses are >= 0, so one clip after the
         # subtractions equals a clip after each
-        stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
-        raw = psi @ ops.spawn_roots.transpose(0, 2, 1)
-        masses = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
-        singles, pairs = masses[:K], masses[K:]
+        stay = norms[J] / np.einsum("bi,bi->b", psi.conj(), psi).real
+        singles, pairs = norms[:K], norms[K:J]
         for l in range(K):
             singles = singles - pairs[l::K]  # the pairs (k, l), k = 0..K-1
         masses = np.concatenate([stay[None], np.clip(singles, 0.0, None), pairs])
 
-        raw = psi @ ops.spawn_maps.transpose(0, 2, 1)
-        nrm2 = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
-        maps, rows = np.nonzero(nrm2 > _NORM_FLOOR)
-        states = np.concatenate(
-            [adv / np.sqrt(adv2)[:, None], raw[maps, rows] / np.sqrt(nrm2[maps, rows])[:, None]]
-        )
+        # the reached images by rank, stays first: every stay has nonzero norm
+        rank, rows = np.nonzero(norms[J:] > _NORM_FLOOR)
+        states = images[rows, J + rank] / np.sqrt(norms[J + rank, rows])[:, None]
         reached = self._intern(states)
         # a successor keyed like its own state without equalling it relaxes
         # more slowly than the key resolves; it gets a new entry (which takes
@@ -496,7 +493,7 @@ class _ExactEngine:
         # edges with mass, stays (rank 0) first, then branch b's (rank b + 1)
         self.filled[new] = True
         dst = np.full(masses.shape, -1, dtype=np.int64)
-        dst[0], dst[maps + 1, rows] = reached[:m], reached[m:]
+        dst[rank, rows] = reached
         rank, row = np.nonzero(masses > 0.0)
         lo, hi, src = self.n_edges, self.n_edges + rank.size, new[row]
         base = (self.needed[rank] << self.shift) + (rank << 32) + src
@@ -732,7 +729,7 @@ class _Sampler:
             self.traces = self.powers[:, :, :n].sum(axis=2)
             self.no_jump_traces = self.powers @ cut(no_jump)[:, :n].sum(axis=1)
             Tc = T.conj()[on].view(np.float64)  # the float words of rho = x @ T^* each coordinate reaches
-            (self.take, self.put), self.scale, self.flip = np.nonzero(Tc), np.abs(Tc).max(axis=1), Tc[Tc != 0.0] < 0.0
+            (self.take, self.put), self.scale, self.flip = np.nonzero(Tc), np.abs(Tc).max(axis=1), np.nonzero(Tc < 0.0)
         self.mix = _trajectory_keys(0, 0, self.x0.nbytes // 8 + 1) | np.uint64(1)  # odd hash weights of a key's words
 
     def _weight(self, rows):
@@ -754,9 +751,9 @@ class _Sampler:
         """States from keys: psi as is; rho (n, d, d) gets each key at its words, as 0.0 - key where T^* is < 0."""
         if not self.density:
             return keys
-        out, on = np.zeros((len(keys), self.d, self.d), dtype=np.complex128), keys[:, self.take]
-        out.reshape(len(keys), -1).view(np.float64)[:, self.put] = np.where(self.flip, 0.0 - on, on)
-        return out
+        words = np.zeros((len(keys), 2 * self.d * self.d))  # rho's float words
+        words[:, self.put], words[:, self.flip[1]] = keys[:, self.take], 0.0 - keys[:, self.flip[0]]
+        return words.view(np.complex128).reshape(len(keys), self.d, self.d)
 
     def _states(self, rows):  # normalized copies of the rows, psi or rho (n, d, d): rho bitwise x @ T^* / tr
         return self._place(self._keys(rows))

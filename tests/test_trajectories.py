@@ -273,6 +273,79 @@ def test_enumerate_slowly_relaxing_state_keeps_evolving():
     assert abs(nj.probability / (a + y * y) - 1.0) < 1e-12
 
 
+def three_product_fill(self, ids):
+    """``_ExactEngine._fill`` with the stays, the weight roots and the spawn
+    maps each in their own product, as it was before the step table."""
+    new = ids[~self.filled[ids]]
+    if new.size == 0:
+        return
+    ops, K, m = self.ops, self.ops.n_channels, new.size
+    psi = self.table_states[new]
+    adv = psi @ ops.no_jump.T
+    adv2 = np.einsum("bi,bi->b", adv.conj(), adv).real
+    stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
+    raw = psi @ ops.spawn_roots.transpose(0, 2, 1)
+    masses = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
+    singles, pairs = masses[:K], masses[K:]
+    for l in range(K):
+        singles = singles - pairs[l::K]
+    masses = np.concatenate([stay[None], np.clip(singles, 0.0, None), pairs])
+    raw = psi @ ops.spawn_maps.transpose(0, 2, 1)
+    nrm2 = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
+    maps, rows = np.nonzero(nrm2 > trajectories._NORM_FLOOR)
+    states = np.concatenate(
+        [adv / np.sqrt(adv2)[:, None], raw[maps, rows] / np.sqrt(nrm2[maps, rows])[:, None]]
+    )
+    reached = self._intern(states)
+    moving = np.nonzero((reached[:m] == new) & (abs(states[:m] - psi).max(axis=1) > 1e-14))[0]
+    if moving.size:
+        reached[moving] = self._add(states[moving])
+        keys = map(bytes, trajectories._canonical_keys(states[moving]))
+        self.index.update(zip(keys, reached[moving]))
+    self.filled[new] = True
+    dst = np.full(masses.shape, -1, dtype=np.int64)
+    dst[0], dst[maps + 1, rows] = reached[:m], reached[m:]
+    rank, row = np.nonzero(masses > 0.0)
+    lo, hi, src = self.n_edges, self.n_edges + rank.size, new[row]
+    base = (self.needed[rank] << self.shift) + (rank << 32) + src
+    self.n_edges, self.edges = hi, [trajectories._grown(a, hi) for a in self.edges]
+    for a, v in zip(self.edges, (src, dst[rank, row] + 2, base, masses[rank, row])):
+        a[lo:hi] = v
+
+
+FILL_CASES = {
+    "qubit": (build_qubit_pair(1.0), None),
+    "qutrit-feedback": (build_qutrit_pair(CascadeSpec.degenerate(1.0)), FeedbackPolicy.qutrit_cyclic()),
+    "oscillator": (build_qutrit_pair(CascadeSpec.harmonic_oscillator(1.0)), None),
+}
+
+
+@pytest.mark.parametrize("start", ["random", "ground"])
+@pytest.mark.parametrize("case", FILL_CASES)
+def test_fill_edges_equal_three_products(monkeypatch, case, start):
+    # one product over the step table gives, bit for bit, the edges (source,
+    # bin, merge key base, mass, in order) of separate stay, weight-root and
+    # spawn-map products; |00> has no spawn mass, so only its stay
+    model, policy = FILL_CASES[case]
+    if start == "ground":
+        psi0 = basis_state(model.dim, 0)
+    else:
+        psi0 = normalized([1.0, 1.0j] @ np.random.default_rng(7).normal(size=(2, model.dim)))
+    cfg = UnravelingConfig(dt=5e-3, t_max=0.1, max_jumps=6)
+
+    def edges():
+        engine = trajectories._ExactEngine(model, psi0, cfg, policy)
+        engine.run()
+        return [a[: engine.n_edges] for a in engine.edges[:4]]
+
+    got = edges()
+    monkeypatch.setattr(trajectories._ExactEngine, "_fill", three_product_fill)
+    want = edges()
+    assert len(want[0]) == 1 if start == "ground" else len(want[0]) > 100
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def counted(observables):
     """The observables, each counting the rows it is handed in ``rows``."""
     rows = dict.fromkeys(observables, 0)
