@@ -9,19 +9,19 @@ matrix evolves under
 with the interaction picture implied, so H defaults to absent.
 
 Three channel families cover every scenario in this package: two-level
-lowering (qubit pair), three-level cascade |2> -> |1> -> |0> in its
-degenerate and harmonic-oscillator variants, and a finite thermal ladder.
-The degenerate cascade is the physically loaded case: when both transitions
-are spectrally indistinguishable the environment carries no which-channel
-information, forcing the single coherent-sum jump operator
-|1><2| + |0><1| rather than two separate operators. That single-vs-two
-operator distinction changes the generator and is surfaced explicitly via
-``CascadeSpec``.
+lowering (qubit pair), the three-level cascade |2> -> |1> -> |0>, and a
+finite thermal ladder. The cascade's physical switch is whether its two
+transitions are spectrally distinguishable. When they are not, the
+environment carries no which-channel information, forcing one merged
+coherent-sum jump operator rather than two separate ones; that changes the
+generator, and ``CascadeSpec.distinguishable`` surfaces it. The degenerate
+cascade (|1><2| + |0><1|) and the harmonic-oscillator cascade (the
+truncated lowering operator) are the merged operator at two rate ratios,
+gamma21 / gamma10 = 1 and 2.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -64,53 +64,37 @@ class DecayChannel:
         object.__setattr__(self, "rate", float(self.rate))
 
 
-class CascadeKind(enum.Enum):
-    DEGENERATE = "degenerate"
-    HARMONIC_OSCILLATOR = "harmonic_oscillator"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class CascadeSpec:
-    """Three-level cascade decay configuration.
+    """Three-level cascade decay: rates of |2> -> |1> and |1> -> |0>.
 
-    degenerate:           gamma21 = gamma10 = gamma, one merged operator
-                          |1><2| + |0><1| at rate gamma.
-    harmonic_oscillator:  gamma21 = 2*gamma10, one merged operator
-                          |0><1| + sqrt(2)|1><2| at rate gamma10.
-    custom:               explicit rates; ``distinguishable`` selects two
-                          separate operators |1><2| and |0><1|.
+    ``distinguishable`` is the physical switch. A distinguishable cascade
+    has two separate operators |1><2| at gamma21 and |0><1| at gamma10; a
+    merged one has the single operator |0><1| + sqrt(gamma21/gamma10)|1><2|
+    at gamma10. The degenerate (gamma21 = gamma10) and harmonic-oscillator
+    (gamma21 = 2*gamma10) cascades are the merged operator at those two
+    rate ratios.
     """
 
-    kind: CascadeKind
     gamma21: float
     gamma10: float
     distinguishable: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", CascadeKind(self.kind))
         if self.gamma21 < 0 or self.gamma10 < 0:
             raise ValueError("cascade rates must be >= 0")
-        if self.kind is CascadeKind.DEGENERATE and self.gamma21 != self.gamma10:
-            raise ValueError("degenerate cascade requires gamma21 == gamma10")
-        if self.kind is CascadeKind.HARMONIC_OSCILLATOR and not math.isclose(
-            self.gamma21, 2.0 * self.gamma10, rel_tol=1e-12
-        ):
-            raise ValueError("harmonic-oscillator cascade requires gamma21 == 2*gamma10")
-        if self.kind is not CascadeKind.CUSTOM and self.distinguishable:
-            raise ValueError("merged cascades cannot be marked distinguishable")
 
     @classmethod
     def degenerate(cls, gamma: float) -> "CascadeSpec":
-        return cls(CascadeKind.DEGENERATE, gamma, gamma)
+        return cls(gamma, gamma)
 
     @classmethod
     def harmonic_oscillator(cls, gamma: float) -> "CascadeSpec":
-        return cls(CascadeKind.HARMONIC_OSCILLATOR, 2.0 * gamma, gamma)
+        return cls(2.0 * gamma, gamma)
 
     @classmethod
     def custom(cls, gamma21: float, gamma10: float, distinguishable: bool = True) -> "CascadeSpec":
-        return cls(CascadeKind.CUSTOM, gamma21, gamma10, distinguishable)
+        return cls(gamma21, gamma10, distinguishable)
 
 
 @dataclass(frozen=True)
@@ -178,33 +162,31 @@ class OpenSystemModel:
         return max((ch.rate for ch in self.channels), default=0.0)
 
 
+def _local(dims, ops, slots) -> OpenSystemModel:
+    """The model on ``dims`` with every (operator, rate) of ``ops`` on each of ``slots``."""
+    channels = tuple(DecayChannel(slot, op, rate) for slot in slots for op, rate in ops)
+    return OpenSystemModel(layout=make_layout(dims), channels=channels)
+
+
 def build_qubit_pair(gamma: float) -> OpenSystemModel:
     """Two qubits, each with local spontaneous emission at rate gamma."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    s = lowering_operator(2)
-    return OpenSystemModel(
-        layout=make_layout((2, 2)),
-        channels=(DecayChannel(0, s, gamma), DecayChannel(1, s, gamma)),
-    )
+    return _local((2, 2), [(lowering_operator(2), gamma)], (0, 1))
 
 
 def build_qutrit_cascade(spec: CascadeSpec) -> list[tuple[np.ndarray, float]]:
     """Local cascade jump operator(s) with rates for one qutrit.
 
-    Merged variants return a single (operator, rate) pair; the custom
-    distinguishable variant returns the two transition operators separately.
+    A merged cascade returns a single (operator, rate) pair; a
+    distinguishable one returns the two transition operators separately.
     """
     ket = lambda i, j: np.outer(
         np.eye(3, dtype=np.complex128)[:, i], np.eye(3, dtype=np.complex128)[j, :]
     )
-    if spec.kind is CascadeKind.DEGENERATE:
-        return [(ket(1, 2) + ket(0, 1), spec.gamma10)]
-    if spec.kind is CascadeKind.HARMONIC_OSCILLATOR:
-        return [(ket(0, 1) + math.sqrt(2.0) * ket(1, 2), spec.gamma10)]
     if spec.distinguishable:
         return [(ket(1, 2), spec.gamma21), (ket(0, 1), spec.gamma10)]
-    # custom but merged: weight the upper transition so it carries gamma21
+    # merged: weight the upper transition so it carries gamma21
     if spec.gamma10 == 0.0:
         return [(ket(1, 2), spec.gamma21)]
     return [(ket(0, 1) + math.sqrt(spec.gamma21 / spec.gamma10) * ket(1, 2), spec.gamma10)]
@@ -212,12 +194,7 @@ def build_qutrit_cascade(spec: CascadeSpec) -> list[tuple[np.ndarray, float]]:
 
 def build_qutrit_pair(spec: CascadeSpec) -> OpenSystemModel:
     """Two qutrits, each with the cascade channels of ``spec``."""
-    ops = build_qutrit_cascade(spec)
-    channels = []
-    for slot in (0, 1):
-        for op, rate in ops:
-            channels.append(DecayChannel(slot, op, rate))
-    return OpenSystemModel(layout=make_layout((3, 3)), channels=tuple(channels))
+    return _local((3, 3), build_qutrit_cascade(spec), (0, 1))
 
 
 def thermal_channels(gamma: float, spec: ThermalSpec, dim: int) -> list[tuple[np.ndarray, float]]:
@@ -235,10 +212,7 @@ def thermal_channels(gamma: float, spec: ThermalSpec, dim: int) -> list[tuple[np
 
 def build_thermal_oscillator(gamma: float, spec: ThermalSpec, dim: int) -> OpenSystemModel:
     """Single truncated oscillator coupled to a thermal reservoir."""
-    channels = tuple(
-        DecayChannel(0, op, rate) for op, rate in thermal_channels(gamma, spec, dim)
-    )
-    return OpenSystemModel(layout=make_layout((dim,)), channels=channels)
+    return _local((dim,), thermal_channels(gamma, spec, dim), (0,))
 
 
 def lindblad_rhs(model: OpenSystemModel, rho: np.ndarray) -> np.ndarray:

@@ -35,13 +35,13 @@ from .models import (
     OpenSystemModel,
     ThermalSpec,
     build_qubit_pair,
-    build_qutrit_cascade,
     build_qutrit_pair,
     evolve_master,
     thermal_channels,
 )
 from .trajectories import (
     MAX_GAMMA_DT,
+    _CULL_FLOOR,
     FeedbackPolicy,
     TruncationError,
     UnravelingConfig,
@@ -132,14 +132,16 @@ class ScenarioConfig:
                 raise ScenarioError(
                     f"alpha must lie in (0, 1/2] for singlet-conversion, got {a}"
                 )
+            if a < _CULL_FLOOR:  # the no-jump class, of mass 2 alpha, would be culled
+                raise ScenarioError(f"alpha must be >= {_CULL_FLOOR:g} for singlet-conversion, "
+                                    f"got {a}")
         if self.scenario in ("cavity-2x3", "cavity-thermal"):
             a = self.resolved_alpha
             if not 0.0 <= a <= 1.0:
                 raise ScenarioError(f"alpha must lie in [0, 1], got {a}")
         rate = self.gamma  # the largest channel rate of every preset but the thermal cavity's
         if self.scenario == "cavity-thermal":
-            hottest = ThermalSpec(max(self.nbar))
-            rate = max(r for _, r in thermal_channels(self.gamma, hottest, THERMAL_CAVITY_DIM))
+            rate = _cavity(self, max(self.nbar), THERMAL_CAVITY_DIM)[0].max_rate
         for t in (self.t_max, *_checkpoints(self)):  # each run resolves its own dt
             dt, n_steps = _resolve_steps(self, t)
             if rate * dt > MAX_GAMMA_DT * (1 + 1e-9):
@@ -454,15 +456,16 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _cavity_model(cfg: ScenarioConfig) -> tuple[OpenSystemModel, np.ndarray]:
-    """Atom (stable) times three-level cavity with oscillator cascade decay."""
-    layout = make_layout((2, 3))
-    ops = CascadeSpec.harmonic_oscillator(cfg.gamma)
-    (op, rate), = build_qutrit_cascade(ops)
-    model = OpenSystemModel(layout=layout, channels=(DecayChannel(1, op, rate),))
+def _cavity(cfg: ScenarioConfig, nbar: float = 0.0,
+            dim: int = 3) -> tuple[OpenSystemModel, np.ndarray]:
+    """Atom (stable) times a ``dim``-level cavity ladder in a reservoir at ``nbar``, and the
+    code state sqrt(a)|1,1> + sqrt(1-a)|0,2>. The cold 3-level ladder is the oscillator cascade."""
+    layout = make_layout((2, dim))
+    channels = tuple(DecayChannel(1, op, rate)
+                     for op, rate in thermal_channels(cfg.gamma, ThermalSpec(nbar), dim))
     alpha = cfg.resolved_alpha
     psi0 = _two_term(layout, math.sqrt(alpha), (1, 1), math.sqrt(1.0 - alpha), (0, 2))
-    return model, psi0
+    return OpenSystemModel(layout=layout, channels=channels), psi0
 
 
 def cavity_closed_forms(alpha: float, gamma: float, times: np.ndarray) -> dict[str, np.ndarray]:
@@ -513,7 +516,7 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     (alpha, t) surfaces for the branch contributions and the 2x3 - 2x2 gap."""
     alpha = cfg.resolved_alpha
     gamma = cfg.gamma
-    model, psi0 = _cavity_model(cfg)
+    model, psi0 = _cavity(cfg)
     layout = model.layout
     notes = []
     if alpha > 0.5:
@@ -588,11 +591,8 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     the runs are Monte Carlo sampled.
     """
     alpha = cfg.resolved_alpha
-    gamma = cfg.gamma
     dim = THERMAL_CAVITY_DIM
-    layout = make_layout((2, dim))
-    psi0 = _two_term(layout, math.sqrt(alpha), (1, 1), math.sqrt(1.0 - alpha), (0, 2))
-    neg = _measure(Measure.NEGATIVITY, layout)
+    neg = _measure(Measure.NEGATIVITY, (2, dim))
     # population of the guard level, the last cavity level
     guard_population = lambda s, c: (np.abs(s.reshape(len(s), 2, dim)[:, :, -1]) ** 2).sum(axis=1)
 
@@ -600,11 +600,7 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     curves = []
     scalars: dict[str, float] = {"alpha": alpha}
     for i, nbar in enumerate(cfg.nbar):
-        channels = tuple(
-            DecayChannel(1, op, rate)
-            for op, rate in thermal_channels(gamma, ThermalSpec(nbar), dim)
-        )
-        model = OpenSystemModel(layout=layout, channels=channels)
+        model, psi0 = _cavity(cfg, nbar, dim)
         tag = f"{nbar:g}"
         curve, guard_curve = _run_curves(cfg, metadata, model, psi0, {
             f"E_2x3_nbar_{tag}": neg,

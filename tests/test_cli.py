@@ -157,6 +157,9 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
     # the main grid passes; the t* checkpoint (t* = 0.4236) takes 42 steps of 0.01009
     (["singlet-conversion", "--alpha", "0.3", "--dt", "0.01"],
      "gamma_max*dt = 0.0101 exceeds 0.01 on the 42 steps to t = 0.423649"),
+    # the no-jump class, of mass 2 alpha, would fall below the exact engine's cull floor
+    (["singlet-conversion", "--alpha", "4e-13", "--t-max", "0.1", "--grid-points", "2"],
+     "alpha must be >= 1e-12 for singlet-conversion, got 4e-13"),
 ])
 def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     # argv's own flags come last, so they win over the short defaults

@@ -15,7 +15,9 @@ from jumpguard.models import (
     build_thermal_oscillator,
     evolve_master,
     lindblad_rhs,
+    lowering_operator,
 )
+from jumpguard.scenarios import ScenarioConfig, _cavity, _two_term
 
 LAY2 = make_layout((2, 2))
 LAY3 = make_layout((3, 3))
@@ -120,9 +122,36 @@ def test_harmonic_oscillator_cascade_weights():
 
 def test_cascade_spec_validation():
     with pytest.raises(ValueError):
-        CascadeSpec("degenerate", 1.0, 2.0)
-    with pytest.raises(ValueError):
         CascadeSpec.custom(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.7, 1.0, 3.0])
+def test_merged_cascades_are_the_closed_form_operators(gamma):
+    # the degenerate and oscillator cascades are the merged operator at rate
+    # ratios 1 and 2, and must equal their closed forms bit for bit
+    ket = lambda i, j: np.outer(np.eye(3, dtype=complex)[:, i], np.eye(3, dtype=complex)[j, :])
+    (op, rate), = build_qutrit_cascade(CascadeSpec.degenerate(gamma))
+    assert np.array_equal(op, ket(1, 2) + ket(0, 1)) and rate == gamma
+    (op, rate), = build_qutrit_cascade(CascadeSpec.harmonic_oscillator(gamma))
+    assert np.array_equal(op, lowering_operator(3)) and rate == gamma
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_cavity_model_equals_oscillator_cascade_on_slot_1(alpha):
+    # the cold 3-level ladder builds the 2x3 cavity exactly as the oscillator
+    # cascade on the cavity slot does
+    cfg = ScenarioConfig("cavity-2x3", gamma=0.7, alpha=alpha, t_max=0.5, grid_points=3)
+    model, psi0 = _cavity(cfg)
+    (op, rate), = build_qutrit_cascade(CascadeSpec.harmonic_oscillator(0.7))
+    layout = make_layout((2, 3))
+    reference = OpenSystemModel(layout=layout, channels=(DecayChannel(1, op, rate),))
+    ref_psi0 = _two_term(layout, math.sqrt(alpha), (1, 1), math.sqrt(1.0 - alpha), (0, 2))
+    assert model.layout == reference.layout
+    assert [(ch.slot, ch.rate) for ch in model.channels] == [(1, 0.7)]
+    assert np.array_equal(model.channels[0].jump_operator, op)
+    assert np.array_equal(model.embedded_ops[0], reference.embedded_ops[0])
+    assert np.array_equal(model.decay_generator, reference.decay_generator)
+    assert np.array_equal(psi0, ref_psi0)
 
 
 def test_distinguishable_cascade_has_two_channels():
@@ -183,7 +212,8 @@ def test_thermal_zero_temperature_reduces_to_damping():
     cold = build_thermal_oscillator(1.0, ThermalSpec(0.0), 3)
     assert len(cold.channels) == 1
     (op, rate), = build_qutrit_cascade(CascadeSpec.harmonic_oscillator(1.0))
-    assert np.allclose(cold.channels[0].jump_operator, op)
+    assert np.array_equal(cold.channels[0].jump_operator, op)
+    assert cold.channels[0].rate == rate
 
 
 def test_thermal_steady_state_ratios():
