@@ -659,7 +659,7 @@ SCENARIOS = {
     "cavity-2x3": _Scenario(
         run_cavity_2x3, 1e-3, ("exact",), 0.5, "Fig. 2a–c",
         "atom flying from a leaky 3-level cavity: closed forms vs trajectories",
-        ("alpha", "gamma", "t_max", "grid_points", "seed", "dt", "max_jumps")),
+        ("alpha", "gamma", "t_max", "grid_points", "dt", "max_jumps")),
     "cavity-thermal": _Scenario(
         run_cavity_thermal, 5e-3, ("sampled",), 0.5, "Fig. 2d",
         "cavity channel with a thermal reservoir at several nbar",

@@ -674,23 +674,24 @@ def _thresholds(keys: np.ndarray, periods: np.ndarray) -> np.ndarray:
 class _Sampler:
     """Event-driven norm-threshold Monte Carlo unraveling over blocks of rows.
 
-    A row is V^+ psi (V: G's eigenvectors) or T vec(rho) in the Hermitian basis T on
-    its support, x0's nonzero coordinates closed under the exact nonzeros of every
-    lifted map (no-record, jumps, splits, corrections): 18 of 81 on the qutrit pair
-    with feedback. A map A acts as ``rows @ lift(A)``. A row keeps an anchor, its
-    state, step and survival when it last changed, and moves from event to event:
-    its first survival below its threshold u, its next due correction, ``cap`` steps
-    on, or the end. In between the no-jump (no-record) map acts in closed form: V^+
-    psi scales by e^{-lam k dt/2}, survival sum |c_i|^2 e^{-lam_i k dt}; rho takes
-    the tabulated M^k (M can be defective), with survival the running product of
+    A row is V^+ psi (V: G's eigenvectors) or T vec(rho) in the Hermitian basis T on its
+    support, x0's nonzero coordinates closed under the exact nonzeros of every lifted
+    map (no-record, jumps, splits, queued corrections): on the qutrit pair 8 of 9 for
+    psi, 12 of 81 for rho, 18 with delay. A map A acts as ``rows @ lift(A)``. A row
+    keeps an anchor, its state, step and survival when it last changed, and moves from
+    event to event: its first survival below its threshold u, its next due correction,
+    ``cap`` steps on, or the end. In between the no-jump (no-record) map acts in closed
+    form: V^+ psi scales by e^{-lam k dt/2}, survival sum |c_i|^2 e^{-lam_i k dt}; rho
+    takes the tabulated M^k (M can be defective), with survival the running product of
     1 - eta (1 - tr(N rho N^+) / tr rho) (at eta = 1, tr(M^k rho)). A crossing is
     bisected; (S_before - u) / (S_before - S_after), scaled by the split total, picks
     the channel; a jumped row is normalized and starts a new period, which corrections
     keep. u is recomputed from (seed, trajectory, period) where needed, never stored.
     Rows take one event per round in stretches of ``_TABLE_CAP`` steps, so which rows
-    share a product never depends on the grid; a row reads the stretch's grid steps
-    from its anchor on, keyed by its normalized values (psi, or rho's support entries):
-    each row-local, deterministic fn(states, counts) runs once per distinct (key, count).
+    share a product never depends on the grid; a row reads the stretch's grid steps from
+    its anchor on, keyed by its normalized coordinates. Each distinct key becomes a
+    state, psi = c V^T or rho = x T^*, and each row-local, deterministic
+    fn(states, counts) runs once per (key, count).
     """
 
     def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -705,31 +706,29 @@ class _Sampler:
         if eta < 1.0 and not self.density:
             raise ValueError("pure-state sampling supports efficiency 1 only; "
                              "use sample_density_trajectories for eta < 1")
-        if self.density:
-            T = hermitian_basis(d)
+        if self.density:  # rho = x @ T^*
+            place = (T := hermitian_basis(d)).conj()
             x0, lift = (T @ x0.reshape(-1)).real, lambda A: real_superoperator(np.kron(A, A.conj()), T).T  # noqa: E731
-        else:
-            V = ops.eigvecs
-            # log_stay: -lam dt, the log of each eigencomponent's per-step survival
-            x0, self.basis, self.log_stay = x0 @ V.conj(), V.T, -ops.lam * config.dt
-            lift = lambda A: V.T @ A.T @ V.conj()  # noqa: E731
+        else:  # psi = c @ V^T
+            place = (V := ops.eigvecs).T
+            x0, lift = x0 @ V.conj(), lambda A: V.T @ A.T @ V.conj()  # noqa: E731
         jumps, splits = [lift(S) for S in ops.spawn_maps[:ops.n_channels]], [lift(B) for B in ops.split_maps]
-        corrections = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()}
+        corrections = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()} if ops.queued_feedback else {}
         advance = (no_jump := lift(ops.no_jump)) + (1.0 - eta) * sum(map(lift, ops.jump_maps))
-        # the support: x0's coordinates closed under the exact nonzeros R of every map, through (1 + R)^D
+        # the support: x0's coordinates closed under the exact nonzeros R of every map that acts, through (1 + R)^D
         reach = np.any([A != 0 for A in (np.eye(x0.size), advance, *jumps, *splits, *corrections.values())], axis=0)
-        on = (x0 != 0) @ np.linalg.matrix_power(reach, x0.size) | (not self.density)  # pure rows keep all
-        self.support, self.x0, cut = np.flatnonzero(on), x0[on], lambda A: A[on][:, on]  # noqa: E731
+        self.support = on = np.flatnonzero((x0 != 0) @ np.linalg.matrix_power(reach, x0.size))
+        self.x0, self.place, cut = x0[on], place[on], lambda A: A[on][:, on]  # noqa: E731
         self.jumps, self.splits = (np.concatenate([cut(A) for A in maps], axis=1) for maps in (jumps, splits))
         self.corrections = {slot: cut(A) for slot, A in corrections.items()}
         self.cap = min(_TABLE_CAP, config.n_steps) if self.density else config.n_steps + 1
         if self.density:  # M^k for k <= cap, and per k the rows giving tr, tr(N . N^+) of M^k rho
-            self.n_diag = n = np.count_nonzero(on[:d])  # the support's diagonal coordinates come first
-            self.powers = np.stack(list(accumulate([cut(advance)] * self.cap, np.matmul, initial=np.eye(on.sum()))))
+            self.n_diag = n = np.count_nonzero(on < d)  # the support's diagonal coordinates come first
+            self.powers = np.stack(list(accumulate([cut(advance)] * self.cap, np.matmul, initial=np.eye(on.size))))
             self.traces = self.powers[:, :, :n].sum(axis=2)
             self.no_jump_traces = self.powers @ cut(no_jump)[:, :n].sum(axis=1)
-            Tc = T.conj()[on].view(np.float64)  # the float words of rho = x @ T^* each coordinate reaches
-            (self.take, self.put), self.scale, self.flip = np.nonzero(Tc), np.abs(Tc).max(axis=1), np.nonzero(Tc < 0.0)
+        else:  # log_stay: -lam dt, the log of each eigencomponent's per-step survival
+            self.log_stay = -ops.lam[on] * config.dt
         self.mix = _trajectory_keys(0, 0, self.x0.nbytes // 8 + 1) | np.uint64(1)  # odd hash weights of a key's words
 
     def _weight(self, rows):
@@ -744,18 +743,14 @@ class _Sampler:
         return rows
 
     def _keys(self, rows):
-        """Normalized read values: psi, or x times rho's entry scale in T^* (+ 0.0 makes zeros +0, as in x @ T^*)."""
-        return self._normalize(rows * self.scale + 0.0 if self.density else rows @ self.basis, self._weight(rows))
+        """Normalized copies of the rows' coordinates."""
+        return self._normalize(rows.copy(), self._weight(rows))
 
     def _place(self, keys):
-        """States from keys: psi as is; rho (n, d, d) gets each key at its words, as 0.0 - key where T^* is < 0."""
-        if not self.density:
-            return keys
-        words = np.zeros((len(keys), 2 * self.d * self.d))  # rho's float words
-        words[:, self.put], words[:, self.flip[1]] = keys[:, self.take], 0.0 - keys[:, self.flip[0]]
-        return words.view(np.complex128).reshape(len(keys), self.d, self.d)
+        """States from keys in one product: psi (n, d) = c @ V^T, or rho (n, d, d) = x @ T^*."""
+        return (keys @ self.place).reshape(len(keys), *(self.d,) * (1 + self.density))
 
-    def _states(self, rows):  # normalized copies of the rows, psi or rho (n, d, d): rho bitwise x @ T^* / tr
+    def _states(self, rows):  # the rows' normalized states, psi (n, d) or rho (n, d, d)
         return self._place(self._keys(rows))
 
     def _observe(self, observables, rows, counts, acc, g):

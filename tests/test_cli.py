@@ -202,6 +202,8 @@ def test_ignored_flags_warned(tmp_path, capsys):
         assert json.loads((out / name).read_text())["warnings"] == expected
     _, warnings = parse_config("cavity-2x3", None, {"n_samples": 200, "alpha": 0.3})
     assert warnings == ["flag --samples is ignored by cavity-2x3"]
+    _, warnings = parse_config("cavity-2x3", None, {"seed": 5})
+    assert warnings == ["flag --seed is ignored by cavity-2x3"]
 
 
 def test_thermal_accepts_largest_seed(tmp_path):

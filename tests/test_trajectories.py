@@ -862,14 +862,16 @@ def generic_qutrit_pair(seed=3):
 
 
 def test_density_states_equal_the_basis_product():
-    # grid reads place rho's entries from the rows' support coordinates; the
-    # bits equal those of the full 81-coordinate row's product with T^*,
-    # zeros and negative zeros included, on the cascade's 18-coordinate
-    # support (a real rho) and on a generic model's full one
+    # grid reads place rho from the rows' support coordinates in one product
+    # with T^*: to rounding the full 81-coordinate row's product scaled by
+    # 1/tr, and exactly Hermitian, on the cascade's 12-coordinate support
+    # (immediate feedback), its 18-coordinate one (delayed feedback) and a
+    # generic model's full one
     psi0 = code_bell3()
     cfg = UnravelingConfig(dt=5e-3, t_max=0.1, n_samples=4)
-    policy = FeedbackPolicy.qutrit_cyclic(efficiency=0.9)
-    for model, width in ((build_qutrit_pair(CascadeSpec.degenerate(1.0)), 18), (generic_qutrit_pair(), 81)):
+    cascade = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    for model, delay, width in ((cascade, 0.0, 12), (cascade, 0.02, 18), (generic_qutrit_pair(), 0.0, 81)):
+        policy = FeedbackPolicy.qutrit_cyclic(delay=delay, efficiency=0.9)
         sampler = trajectories._Sampler(model, np.outer(psi0, psi0.conj()), 2, cfg, policy)
         support = sampler.support
         assert support.size == width
@@ -877,39 +879,59 @@ def test_density_states_equal_the_basis_product():
         rows = np.where(rng.random((300, width)) < 0.4, 0.0, rng.normal(size=(300, width)))
         n_diag = np.count_nonzero(support < 9)  # the diagonal coordinates come first
         rows[:, :n_diag] = np.abs(rows[:, :n_diag]) + 0.1
-        rows[::2][rows[::2] == 0.0] = -0.0
         full = np.zeros((300, 81))
-        full[::2] = -0.0
         full[:, support] = rows
-        product = full @ hermitian_basis(9).conj()
-        product.view(np.float64)[:] *= (1.0 / rows[:, :n_diag].sum(axis=1))[:, None]  # as _normalize
+        product = (full @ hermitian_basis(9).conj()) / rows[:, :n_diag].sum(axis=1)[:, None]
         for n in (1, 7, 300):
-            want = product[:n].reshape(-1, 9, 9)
-            assert sampler._states(rows[:n]).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            states = sampler._states(rows[:n])
+            assert np.max(np.abs(states - product[:n].reshape(-1, 9, 9))) <= 4.5e-16
+            assert np.array_equal(states, states.conj().transpose(0, 2, 1))
         assert sampler._advance(rows[:0], np.zeros(0, dtype=np.int64)).shape == (0, width)
 
 
 def test_density_rows_stay_on_their_support():
     # the support closes x0's coordinates under the exact nonzeros of every
-    # map, so along whole trajectories of the 81-coordinate per-step chain,
-    # with jumps, delayed corrections and unrecorded jumps, every coordinate
-    # outside it stays exactly zero (the closure may hold coordinates that
-    # no row reaches, but never misses one that a row does)
+    # map that can act, so along whole trajectories of the 81-coordinate
+    # per-step chain, with jumps, delayed corrections and unrecorded jumps,
+    # every coordinate outside it stays exactly zero (the closure may hold
+    # coordinates that no row reaches, but never misses one that a row
+    # does); under immediate feedback the corrections act only folded into
+    # the jumps, and the support is the 12 coordinates the rows reach
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     psi0 = code_bell3()
     rho0 = np.outer(psi0, psi0.conj())
-    policy = FeedbackPolicy.qutrit_cyclic(delay=0.02, efficiency=0.9)
     cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=12, rng_seed=29)
-    sampler = trajectories._Sampler(model, rho0, 2, cfg, policy)
-    outside = np.ones(81, dtype=bool)
-    outside[sampler.support] = False
-    assert 0 < sampler.support.size < 81
-    chain = _per_step_chain(model, rho0, cfg, policy, list(range(cfg.n_steps + 1)))
-    assert sum(len(events) for events, *_ in chain) > 12
     T = hermitian_basis(9)
-    for _, _, reads, _ in chain:
-        coords = (np.array(reads).reshape(len(reads), 81) @ T.T).real
-        assert not coords[:, outside].any()
+    for delay, width in ((0.02, 18), (0.0, 12)):
+        policy = FeedbackPolicy.qutrit_cyclic(delay=delay, efficiency=0.9)
+        sampler = trajectories._Sampler(model, rho0, 2, cfg, policy)
+        assert sampler.support.size == width
+        outside = np.ones(81, dtype=bool)
+        outside[sampler.support] = False
+        chain = _per_step_chain(model, rho0, cfg, policy, list(range(cfg.n_steps + 1)))
+        assert sum(len(events) for events, *_ in chain) > 12
+        for _, _, reads, _ in chain:
+            coords = (np.array(reads).reshape(len(reads), 81) @ T.T).real
+            assert not coords[:, outside].any()
+
+
+def test_pure_rows_keep_their_support():
+    # pure rows live on the same closure in G's eigenbasis: the Bell pair
+    # never reaches |11>, the qutrit pair without feedback or with
+    # immediate feedback never reaches |22>, and delayed corrections, which
+    # act on any state, close over all 9; x0 and the placement on the
+    # support give back psi0
+    psi0 = code_bell3()
+    cascade = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=0.1, n_samples=4)
+    cases = ((build_qubit_pair(1.0), bell2(), None, 3), (cascade, psi0, None, 8),
+             (cascade, psi0, FeedbackPolicy.qutrit_cyclic(), 8),
+             (cascade, psi0, FeedbackPolicy.qutrit_cyclic(delay=0.08), 9))
+    for model, x0, policy, width in cases:
+        sampler = trajectories._Sampler(model, x0, 1, cfg, policy)
+        assert sampler.support.size == width == sampler.log_stay.size
+        assert sampler.place.shape == (width, x0.size)
+        assert np.max(np.abs(sampler._states(sampler.x0[None])[0] - x0)) < 1e-15
 
 
 def test_density_rows_without_structure_keep_every_coordinate():
