@@ -1,8 +1,8 @@
 """Bipartite entanglement quantifiers and trajectory-ensemble averaging.
 
 Pure-state measures are functions of the Schmidt coefficients s_1 >= s_2 >=
-..., the singular values of the d_A x d_B amplitude matrix A of psi
-(psi = vec A, row-major), taken from one batched SVD:
+..., the singular values of psi's d_A x d_B amplitude matrix A (row-major),
+or its sorted moduli if A has at most one nonzero per row and per column:
 
 * negativity N = sum_{i<j} s_i s_j, the partial transpose of |psi><psi|
   having eigenvalues s_i^2 and +-s_i s_j (Vidal and Werner);
@@ -77,7 +77,12 @@ def _schmidt(states: np.ndarray, layout) -> np.ndarray:
     """Schmidt coefficients, descending, of each row of a stack (n, d_A d_B)."""
     layout = make_layout(layout)
     layout.require_bipartite()
-    return np.linalg.svd(states.reshape(len(states), *layout.subsystem_dims), compute_uv=False)
+    nonzero = (moduli := np.abs(states)).reshape(len(states), *layout.subsystem_dims) != 0
+    dense = (nonzero.sum(axis=1).max(axis=1) > 1) | (nonzero.sum(axis=2).max(axis=1) > 1)
+    s = np.sort(moduli, axis=1)[:, ::-1][:, :min(layout.subsystem_dims)]
+    if dense.any():  # a monomial amplitude matrix's singular values are its moduli
+        s[dense] = np.linalg.svd(states[dense].reshape(-1, *layout.subsystem_dims), compute_uv=False)
+    return s
 
 
 def negativity_batch_pure(states: np.ndarray, layout: SpaceLayout) -> np.ndarray:
@@ -87,20 +92,30 @@ def negativity_batch_pure(states: np.ndarray, layout: SpaceLayout) -> np.ndarray
     return np.where(products < _EIG_CLIP, 0.0, products).sum(axis=1)
 
 
+def _eigvalsh(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian block of a stack (..., k, k), in closed form for k <= 2."""
+    if blocks.shape[-1] != 2:  # a 1 x 1 block is its entry
+        return blocks.real[..., 0] if blocks.shape[-1] == 1 else np.linalg.eigvalsh(blocks)
+    a, c = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+    m, r = (a + c) / 2, np.hypot((a - c) / 2, np.abs(blocks[..., 1, 0]))
+    return np.stack([m - r, m + r], axis=-1)
+
+
 def negativity_batch_density(rhos: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """Negativity of each matrix of a stack (n, d, d), from the eigenvalues of
     its partial transpose by block. Indices joined by a nonzero entry of any
     matrix of the batch share a block (connected components of the batch's
     exact zeros), so each block is one diagonal block of every matrix up to
-    an index permutation; ``eigvalsh`` runs once per block size. A dense
-    batch is one block of size d."""
-    pt = partial_transpose(rhos, 1, layout)
-    nonzero = (pt != 0).any(axis=0) | np.eye(pt.shape[-1], dtype=bool)
+    an index permutation, gathered straight from the rows; ``eigvalsh`` runs
+    once per block size of 3 or more. A dense batch is one block of size d."""
+    source = partial_transpose(np.arange(np.prod(rhos.shape[1:])).reshape(rhos.shape[1:]), 1, layout)
+    flat = rhos.reshape(len(rhos), source.size)  # rho^Tb[:, r, c] = flat[:, source[r, c]]
+    nonzero = (flat != 0).any(axis=0)[source] | np.eye(len(source), dtype=bool)
     linked = np.linalg.matrix_power(nonzero | nonzero.T, len(nonzero))  # linked[i, j]: i and j share a block
     blocks = {}  # block size -> the index rows of its blocks
     for first in np.unique(linked.argmax(axis=1)):
         blocks.setdefault(np.count_nonzero(linked[first]), []).append(np.flatnonzero(linked[first]))
-    eig = np.concatenate([np.linalg.eigvalsh(pt[:, idx[:, :, None], idx[:, None, :]]).reshape(len(pt), idx.size)
+    eig = np.concatenate([_eigvalsh(flat[:, source[idx[:, :, None], idx[:, None, :]]]).reshape(len(flat), idx.size)
                           for idx in map(np.array, blocks.values())], axis=1)
     eig = np.where(np.abs(eig) < _EIG_CLIP, 0.0, eig)
     return -np.where(eig < 0, eig, 0.0).sum(axis=-1)

@@ -115,10 +115,10 @@ def partial_trace(rho: np.ndarray, keep: int, layout: SpaceLayout) -> np.ndarray
 
 def partial_transpose(rho: np.ndarray, slot: int, layout: SpaceLayout) -> np.ndarray:
     """Transpose the chosen slot's indices of a matrix or of each matrix in a
-    stack (..., d, d); Hermiticity is preserved."""
+    stack (..., d, d); Hermiticity and the dtype are preserved."""
     layout = make_layout(layout)
     layout.require_bipartite()
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = np.asarray(rho)
     da, db = layout.subsystem_dims
     if rho.shape[-2:] != (da * db, da * db):
         raise ValueError(f"state shape {rho.shape} does not match layout {layout.subsystem_dims}")

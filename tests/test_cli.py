@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jumpguard
 from jumpguard.cli import ConfigError, _build_parser, main, parse_config
 from jumpguard.scenarios import SCENARIOS, ScenarioConfig
 
@@ -315,3 +318,13 @@ def test_version(capsys):
 def test_unknown_scenario_rejected():
     with pytest.raises(SystemExit):
         main(["run", "unknown-scenario"])
+
+
+def test_import_and_config_load_numpy_only():
+    # numpy is the only dependency: a fresh interpreter that imports the
+    # package and parses a config loads neither scipy nor threadpoolctl
+    code = ("import sys, jumpguard.cli as cli; cli.parse_config('qutrit-protection', None, {}); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'threadpoolctl')))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(jumpguard.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

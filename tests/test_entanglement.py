@@ -378,29 +378,106 @@ def _random_density(rng, n, d, pattern=None):
     return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
+def _negativity_against_full_eigvalsh(monkeypatch, rhos, layout):
+    """The density kernel's negativities, their largest distance from one
+    eigvalsh of the full partial transposes, and the shapes eigvalsh saw."""
+    full_eigvalsh = np.linalg.eigvalsh
+    eig = full_eigvalsh(partial_transpose(rhos, 1, layout))
+    eig = np.where(np.abs(eig) < 1e-12, 0.0, eig)
+    want = -np.where(eig < 0, eig, 0.0).sum(axis=-1)
+    shapes = []
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or full_eigvalsh(a))
+        got = ent.negativity_batch_density(rhos, layout)
+    assert got.shape == want.shape
+    return got, np.max(np.abs(got - want), initial=0.0), shapes
+
+
 def test_negativity_by_block_matches_full_eigvalsh(monkeypatch):
-    # the density kernel splits each partial transpose along the batch's
-    # exact zeros; it must agree with one eigvalsh of the full matrices,
-    # and run one eigvalsh per block size
+    # the density kernel gathers each block of the partial transpose along
+    # the batch's exact zeros and takes 1 x 1 and 2 x 2 blocks in closed
+    # form; it must agree with one eigvalsh of the full matrices, and call
+    # eigvalsh once per block size of 3 or more
     rng = np.random.default_rng(23)
     excitation = np.add.outer(np.arange(3), np.arange(3)).reshape(-1)  # n1 + n2 on the qutrit pair
     x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]  # two-qubit X-state
     cases = [
         (_random_density(rng, 40, 9), LAY3, [9]),
-        (_random_density(rng, 40, 9, excitation[:, None] == excitation[None, :]), LAY3, [1, 2, 3]),
-        (_random_density(rng, 40, 4, x_pattern), LAY2, [2]),
-        (np.zeros((0, 9, 9), dtype=np.complex128), LAY3, [1]),
+        (_random_density(rng, 40, 9, excitation[:, None] == excitation[None, :]), LAY3, [3]),
+        (_random_density(rng, 40, 4, x_pattern), LAY2, []),
+        (np.zeros((0, 9, 9), dtype=np.complex128), LAY3, []),
     ]
-    full_eigvalsh = np.linalg.eigvalsh
     for rhos, layout, sizes in cases:
-        eig = full_eigvalsh(partial_transpose(rhos, 1, layout))
-        eig = np.where(np.abs(eig) < 1e-12, 0.0, eig)
-        want = -np.where(eig < 0, eig, 0.0).sum(axis=-1)
-        shapes = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or full_eigvalsh(m))
-        got = ent.negativity_batch_density(rhos, layout)
-        monkeypatch.undo()
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want), initial=0.0) < 1e-14
+        got, err, shapes = _negativity_against_full_eigvalsh(monkeypatch, rhos, layout)
+        assert err < 1e-14
         assert sorted(shape[-1] for shape in shapes) == sizes
-        assert len(rhos) == 0 or want.max() > 0.01
+        assert len(rhos) == 0 or got.max() > 0.01
+    for shape in ((2, 8, 8), (0, 4, 4)):  # the index map carries the partial transpose's shape check
+        with pytest.raises(ValueError, match="does not match layout"):
+            ent.negativity_batch_density(np.zeros(shape, dtype=np.complex128), LAY3)
+
+
+def _x_state(p, z, w):
+    """Two-qubit X-state diag(p) + z |00><11| + w |01><10| + h.c.: its partial
+    transpose has the 2 x 2 blocks [[p0, w], [w*, p3]] and [[p1, z], [z*, p2]]."""
+    rho = np.diag(np.asarray(p, dtype=np.complex128))
+    rho[0, 3], rho[3, 0], rho[1, 2], rho[2, 1] = z, np.conj(z), w, np.conj(w)
+    return rho
+
+
+def test_negativity_closed_form_2x2_near_degenerate_and_at_the_clip(monkeypatch):
+    # equal diagonals a = c with |b| = 0, 1e-15 and 1e-9; then a block whose
+    # negative eigenvalue a - |z| sits at -1e-13 (clipped) or -1e-11 (kept)
+    phase = np.exp(0.7j)
+    rhos = np.array([_x_state([0.25] * 4, z * phase, 0.1) for z in (0.0, 1e-15, 1e-9)]
+                    + [_x_state([0.4, 0.1, 0.1, 0.4], (0.1 + gap) * phase, 0.0) for gap in (1e-13, 1e-11)])
+    got, err, shapes = _negativity_against_full_eigvalsh(monkeypatch, rhos, LAY2)
+    assert err < 1e-14
+    assert shapes == []
+    assert got[:4].tolist() == [0.0] * 4
+    assert abs(got[4] - 1e-11) < 1e-14
+
+
+def _monomial_rows(rng, n, dims):
+    """n normalized rows whose amplitude matrices have at most one nonzero per
+    row and per column, with 1 to min(dims) nonzeros at random places."""
+    da, db = dims
+    out = np.zeros((n, da, db), dtype=np.complex128)
+    for a in out:
+        k = rng.integers(1, min(dims) + 1)
+        rows, cols = rng.permutation(da)[:k], rng.permutation(db)[:k]
+        a[rows, cols] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return (out / np.linalg.norm(out, axis=(1, 2))[:, None, None]).reshape(n, da * db)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_schmidt_moduli_equal_the_svd(monkeypatch, dims):
+    # a row whose amplitude matrix is a scaled partial permutation has its
+    # moduli for Schmidt coefficients; only the other rows go through svd
+    rng = np.random.default_rng(31)
+    layout = make_layout(dims)
+    full_svd = np.linalg.svd
+    shapes = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or full_svd(a, **kw))
+
+    def want(rows):
+        return full_svd(rows.reshape(len(rows), *dims), compute_uv=False)
+
+    monomial = _monomial_rows(rng, 200, dims)
+    got = ent._schmidt(monomial, layout)
+    assert shapes == [] and got.shape == (200, min(dims))
+    assert np.max(np.abs(got - want(monomial))) < 1e-15
+
+    dense = rng.standard_normal((30, layout.total_dim)) + 1j * rng.standard_normal((30, layout.total_dim))
+    mixed = np.concatenate([monomial[:50], dense / np.linalg.norm(dense, axis=1)[:, None]])[rng.permutation(80)]
+    got = ent._schmidt(mixed, layout)
+    assert [shape[0] for shape in shapes] == [30]
+    assert np.max(np.abs(got - want(mixed))) < 1e-15
+
+    assert ent._schmidt(np.zeros((0, layout.total_dim), dtype=np.complex128), layout).shape == (0, min(dims))
+    assert len(shapes) == 1
+
+    # a product row has one nonzero coefficient: its negativity is exactly 0
+    product = monomial[np.count_nonzero(monomial, axis=1) == 1]
+    assert len(product) > 0
+    assert ent.negativity_batch_pure(product, layout).tolist() == [0.0] * len(product)

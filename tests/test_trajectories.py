@@ -804,6 +804,34 @@ def test_grid_reads_evaluate_each_state_once(case):
         assert max(len(states) for states, _ in calls["neg"]) < 200
 
 
+def test_negativity_reads_skip_lapack_below_3x3_blocks(monkeypatch):
+    # E_3's rows have at most one nonzero per row and per column of their
+    # 3 x 3 amplitude matrices, so their Schmidt coefficients are moduli and
+    # no svd runs; E_3f_eta's partial transposes split into blocks of sizes
+    # 3, 2, 1, 2 and 1, and only the 3 x 3 block reaches eigvalsh
+    calls = {"svd": [], "eigvalsh": []}
+
+    def counting(name, fn):
+        return lambda a, *args, **kw: calls[name].append(a.shape) or fn(a, *args, **kw)
+
+    def neg(states, counts):
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+            return measure_rows(states, Measure.NEGATIVITY, LAY3)
+
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=300, rng_seed=37)
+    grid = np.linspace(0, cfg.n_steps, 6).astype(int)
+    pure = run_sampled_grid(model, psi0, cfg, None, grid, {"neg": neg})
+    density = run_density_grid(model, np.outer(psi0, psi0.conj()), cfg, FeedbackPolicy.qutrit_cyclic(efficiency=0.92),
+                               grid, {"neg": neg})
+    assert pure.mean["neg"][-1] < pure.mean["neg"][0] and density.mean["neg"][-1] > 0
+    assert calls["svd"] == []
+    assert calls["eigvalsh"] and {shape[-1] for shape in calls["eigvalsh"]} == {3}
+
+
 @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
 def test_hash_collisions_leave_curves_unchanged(monkeypatch, density):
     # with a zero mix every row of a read hashes alike and the sort leaves
