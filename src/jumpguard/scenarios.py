@@ -45,6 +45,7 @@ from .trajectories import (
     FeedbackPolicy,
     TruncationError,
     UnravelingConfig,
+    enumerate_trajectories,
     run_density_grid,
     run_exact_grid,
     run_sampled_grid,
@@ -254,15 +255,19 @@ def _jumps(k: int):
 
 
 def _exact(metadata, label: str, model, psi0, ucfg, policy=None, gsteps=(), fns=None):
-    """(curves, engine) of :func:`run_exact_grid`, its truncated plus culled mass
-    booked under ``label``; past the truncation bound a :class:`ScenarioError`."""
+    """The curves of :func:`run_exact_grid`, or without ``fns`` the records of
+    :func:`enumerate_trajectories`, its truncated plus culled mass booked under
+    ``label``; past the truncation bound a :class:`ScenarioError`."""
     try:
-        curves, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns or {})
+        if fns is None:
+            out = (books := enumerate_trajectories(model, psi0, ucfg, policy)).records
+        else:
+            out, books = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns)
     except TruncationError as exc:
         raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps}, "
                             f"set by --max-jumps)") from exc
-    metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
-    return curves, engine
+    metadata["truncation_mass"][label] = books.truncation_mass + books.culled_mass
+    return out
 
 
 def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
@@ -282,7 +287,7 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     fns = {label: f for label, (_, f) in observables.items()}
     sem = {}
     if x0.ndim == 1 and (mode or cfg.mode) == "exact":
-        mean = _exact(metadata, next(iter(fns)), model, x0, ucfg, policy, gsteps, fns)[0]
+        mean = _exact(metadata, next(iter(fns)), model, x0, ucfg, policy, gsteps, fns)
     else:
         driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
         out = driver(model, x0, ucfg, policy, gsteps, fns)
@@ -352,7 +357,7 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     # conditional no-jump record exactly at t*
     p_ok, state = 1.0, psi0
     if t_star > 0.0:
-        records = _exact(metadata, "t_star", model, psi0, _ucfg(cfg, t_star))[1].records()
+        records = _exact(metadata, "t_star", model, psi0, _ucfg(cfg, t_star))
         nj = next(r for r in records if r.n_jumps == 0)
         p_ok, state = nj.probability, nj.state
     scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
@@ -544,7 +549,7 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     fid_nj, fid_oj, dp0, dp1 = [], [], [], []
     n_oj_classes = 0
     for t in _checkpoints(cfg):
-        records = _exact(metadata, f"check_t{t:g}", model, psi0, _ucfg(cfg, t))[1].records()
+        records = _exact(metadata, f"check_t{t:g}", model, psi0, _ucfg(cfg, t))
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
         nj = next(r for r in records if r.n_jumps == 0)
         oj = [r for r in records if r.n_jumps == 1]

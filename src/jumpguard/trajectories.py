@@ -10,11 +10,14 @@ discrete jumps. Three drivers are provided.
   merged, with their probabilities summed; this is exact for every
   downstream use and keeps the tree finite when ideal feedback keeps
   restoring the initial state. Each distinct state is interned once with
-  fixed edges to its successor and children; a step moves a dense weight
-  vector along them with one `bincount`. A merged record keeps the events
-  of its fewest-jump pattern (ties: stays, then branch order, then lower
-  source id). Delayed feedback and detection efficiency below one run on
-  the samplers only.
+  fixed edges to its successor and children, filled ahead: a new class's
+  stay chain and jump children over the next ``_TABLE_CAP`` steps, one
+  product per level. A step moves a dense weight vector along the edges of
+  the states that have had a class with one `bincount`. A merged record
+  keeps the events of its fewest-jump pattern (ties: stays, then branch
+  order, then lower source id), tracked only when records are asked for.
+  Delayed feedback and detection efficiency below one run on the samplers
+  only.
 
 * Monte Carlo sampling (`sample_trajectories`): event-driven norm-threshold
   (waiting-time) sampling with the law of a per-step draw that jumps with
@@ -380,17 +383,22 @@ def _grown(arr: np.ndarray, size: int, fill=-1) -> np.ndarray:
 class _ExactEngine:
     """Branch-merged tree enumeration on the dt grid over interned states.
 
-    A state's id keys its direction. An id is filled when it first carries a
-    class: one product with the step table gives its fixed edges, each with a
-    mass per unit weight, a jump count and a rank: the stay (table rank 0) to
-    its no-jump successor and one per spawn branch b with mass (rank b + 1)
-    to its child (culled below the norm floor). A class is a nonzero entry
-    of the dense weight vector ``W`` over ids, with the count ``C``
-    (``empty`` without a class) and event ``node`` of its fewest-jump
-    member, ties going to stays, then branch order, then the lower source id.
+    A state's id keys its direction. A filled id has fixed edges, each with
+    a mass per unit weight, a jump count and a rank: the stay (table rank 0)
+    to its no-jump successor and one per spawn branch b with mass (rank
+    b + 1) to its child (culled below the norm floor). When a step first
+    gives a class to an unfilled id, what it reaches in ``_TABLE_CAP`` steps
+    within the jump budget is filled, one level of stay chains and one
+    product at a time. A step moves the dense weight vector ``W`` over ids
+    along the edges of the ids that have had a class, and drops those of
+    ids that lost it once they outnumber the live ones. A class is a nonzero
+    entry of ``W``, with the count ``C`` (``empty`` without a class) of its
+    fewest-jump member, ties going to stays, then branch order, then the
+    lower source id, and with ``events`` its event ``node``.
     """
 
-    def __init__(self, model, psi0, config: UnravelingConfig, policy: FeedbackPolicy | None):
+    def __init__(self, model, psi0, config: UnravelingConfig, policy: FeedbackPolicy | None,
+                 events: bool = False):
         if policy is not None and policy.efficiency < 1.0:
             raise ValueError(
                 "exact enumeration supports efficiency 1 only; "
@@ -403,32 +411,36 @@ class _ExactEngine:
             )
         psi0 = _initial_state(psi0, model.dim, ndim=1)
         self.ops = ops = StepOperators(model, config.dt, policy)
-        self.config = config
+        self.config, self.events = config, events
         self.needed = np.array([0] + [len(b) for b in ops.branches])  # jumps per edge rank
         # the step table for psi @ table: weight roots R_b, no-jump map N (rank 0), spawn maps (rank b + 1)
         self.step_table = np.hstack([A.T for A in (*ops.spawn_roots, ops.no_jump, *ops.spawn_maps)])
+        # N, N^2, .., N^cap side by side: a stay chain's successors in one product
+        powers = accumulate([ops.no_jump] * max(1, min(_TABLE_CAP, config.n_steps)), np.matmul)
+        self.chain_table = np.hstack([P.T for P in powers])
         # merge key (count, rank, source id): count << shift | rank << 32 | source
         self.shift = 32 + len(ops.branches).bit_length()
         # the count of an id with no class, above the budget (at most two jumps a step)
         self.empty = min(config.max_jumps, 2 * config.n_steps) + 1
 
-        # the state table and dense vectors over its ids
+        # the state table and dense vectors over its ids, with each filled
+        # id's edge bins (destination id + 2; 1: culled) and masses by rank
         self.table_states = np.empty((0, model.dim), dtype=np.complex128)
-        self.W, self.C, self.node, self.filled = (np.empty(0, dtype=t) for t in ("f8", "i8", "i8", "?"))
+        self.W, self.C, self.node, self.filled, self.active = (
+            np.empty(0, dtype=t) for t in ("f8", "i8", "i8", "?", "?"))
+        self.edge_bin, self.edge_mass = (np.empty((0, len(self.needed)), dtype=t) for t in ("i8", "f8"))
         self.index: dict[bytes, int] = {}  # key -> id of its latest entry
-        # per edge: source, bin (destination id + 2; 1: culled), merge key base
-        # (jumps, rank, source) and mass, then _step's scratch key, bin and flow
+        # the stepped edges: source, bin, merge key base (jumps, rank, source)
+        # and mass, then _step's scratch key, bin and flow
         self.edges = [np.empty(0, dtype=t) for t in ("i8", "i8", "i8", "f8", "i8", "i8", "f8")]
         self.nodes = np.empty((0, 3), dtype=np.int64)  # (parent, step, edge rank) per spawn
         self.size = self.n_edges = self.n_nodes = 0
 
-        first = self._intern(psi0[None, :])
-        self.W[first], self.C[first] = 1.0, 0
-        self._fill(first)
+        self.ids = self._intern(psi0[None, :])  # the classes, in id order
+        self.W[self.ids], self.C[self.ids] = 1.0, 0
+        self._activate(self.ids, 0)
         self.truncation_mass = self.culled_mass = 0.0
 
-    # the classes, in id order
-    ids = property(lambda self: np.flatnonzero(self.W))
     weights = property(lambda self: self.W[self.ids])
     counts = property(lambda self: self.C[self.ids])
     states = property(lambda self: np.take(self.table_states, self.ids, axis=0))
@@ -451,19 +463,54 @@ class _ExactEngine:
         ids = np.arange(self.size, self.size + len(states))
         self.size += len(states)
         for name, fill in (("table_states", 0), ("W", 0), ("C", self.empty), ("node", -1),
-                           ("filled", False)):
+                           ("filled", False), ("active", False), ("edge_bin", 1), ("edge_mass", 0)):
             setattr(self, name, _grown(getattr(self, name), self.size, fill))
         self.table_states[ids] = states
         return ids
 
-    def _fill(self, ids: np.ndarray):
-        """Add the edges of the ids in ``ids`` that have none yet."""
-        new = ids[~self.filled[ids]]
-        if new.size == 0:
-            return
-        K, J, m = self.ops.n_channels, len(self.ops.branches), new.size
-        psi = self.table_states[new]
-        images = (psi @ self.step_table).reshape(m, 2 * J + 1, -1)
+    def _chain(self, heads, times, counts, end: int):
+        """The stay chains of the unfilled ``heads`` at ``times`` to step ``end``:
+        their members, now filled, with steps, counts and stays. A successor
+        keyed like its own state without equalling it relaxes more slowly than
+        the key resolves and gets a new entry (which takes over the key), or its
+        class would stop evolving. A chain goes on through new and unfilled ids;
+        the first round looks one step ahead, as most chains stop at once."""
+        d, out, span = self.table_states.shape[1], [], 1
+        while heads.size:
+            L, psi, n0 = min(span, end - times.min()), self.table_states[heads], len(out)
+            images = np.einsum("hi,ij->hj", psi, self.chain_table[:, : L * d]).reshape(-1, L, d)
+            images /= np.sqrt(np.einsum("hji,hji->hj", images.conj(), images).real)[..., None]
+            prev = np.concatenate([psi[:, None], images[:, :-1]], 1)
+            moved = (abs(images - prev).max(axis=2) > 1e-14).tolist()
+            keys, new, restart = list(map(bytes, _canonical_keys(images.reshape(-1, d)))), [], []
+            for h, (cur, t, c) in enumerate(zip(heads.tolist(), times.tolist(), counts.tolist())):
+                if self.filled[cur]:
+                    continue
+                self.filled[cur] = True
+                for j in range(min(L, end - t)):
+                    nxt = self.index.get(keys[h * L + j])
+                    if fresh := nxt is None or (nxt == cur and moved[h][j]):
+                        nxt = self.index[keys[h * L + j]] = self.size + len(new)
+                        new.append(h * L + j)
+                    out.append((cur, t + j, c, nxt))
+                    if not fresh:
+                        break
+                    cur = nxt
+                if t + j + 1 < end and (fresh or nxt >= self.size or not self.filled[nxt]):
+                    restart.append((nxt, t + j + 1, c))
+            self._add(images.reshape(-1, d)[new])
+            self.filled[[o[0] for o in out[n0:]]] = True
+            heads, times, counts = np.array([r for r in restart if not self.filled[r[0]]],
+                                            dtype=np.int64).reshape(-1, 3).T
+            span = _TABLE_CAP
+        return np.array(out, dtype=np.int64).reshape(-1, 4).T
+
+    def _fill(self, ids: np.ndarray, stays: np.ndarray) -> np.ndarray:
+        """Store the edges of ``ids``, stays to ``stays``, from one batch-invariant
+        product with the step table; returns their destinations (-1: none)."""
+        K, J, m = self.ops.n_channels, len(self.ops.branches), ids.size
+        psi = self.table_states[ids]
+        images = np.einsum("bi,ij->bj", psi, self.step_table).reshape(m, 2 * J + 1, -1)
         norms = np.einsum("bji,bji->jb", images.conj(), images).real
         # edge masses per unit weight by rank. A stored state serves every
         # visit, so its stay mass |N psi|^2 is taken relative to its own norm,
@@ -477,28 +524,37 @@ class _ExactEngine:
             singles = singles - pairs[l::K]  # the pairs (k, l), k = 0..K-1
         masses = np.concatenate([stay[None], np.clip(singles, 0.0, None), pairs])
 
-        # the reached images by rank, stays first: every stay has nonzero norm
-        rank, rows = np.nonzero(norms[J:] > _NORM_FLOOR)
-        states = images[rows, J + rank] / np.sqrt(norms[J + rank, rows])[:, None]
-        reached = self._intern(states)
-        # a successor keyed like its own state without equalling it relaxes
-        # more slowly than the key resolves; it gets a new entry (which takes
-        # over the key), or its class would stop evolving
-        moving = np.nonzero((reached[:m] == new) & (abs(states[:m] - psi).max(axis=1) > 1e-14))[0]
-        if moving.size:
-            reached[moving] = self._add(states[moving])
-            keys = map(bytes, _canonical_keys(states[moving]))
-            self.index.update(zip(keys, reached[moving]))
-
-        # edges with mass, stays (rank 0) first, then branch b's (rank b + 1)
-        self.filled[new] = True
+        b, rows = np.nonzero(norms[J + 1:] > _NORM_FLOOR)  # the reached spawn images
         dst = np.full(masses.shape, -1, dtype=np.int64)
-        dst[rank, rows] = reached
-        rank, row = np.nonzero(masses > 0.0)
+        dst[0] = stays
+        dst[b + 1, rows] = self._intern(images[rows, J + 1 + b] / np.sqrt(norms[J + 1 + b, rows])[:, None])
+        dst[masses <= 0.0] = -1
+        self.edge_bin[ids], self.edge_mass[ids] = dst.T + 2, masses.T
+        return dst
+
+    def _activate(self, ids: np.ndarray, step: int):
+        """Step the edges of the classes ``ids`` at ``step`` from now on, by rank,
+        then id; unfilled ones first fill what they reach in ``_TABLE_CAP`` steps."""
+        new = ids[~self.active[ids]]
+        if new.size == 0 or step == self.config.n_steps:
+            return
+        end = min(step + _TABLE_CAP, self.config.n_steps)
+        heads = new[~self.filled[new]]
+        times, counts = np.full(heads.size, step), self.C[heads]
+        while heads.size:
+            members, times, counts, stays = self._chain(heads, times, counts, end)
+            rank, row = np.nonzero((dst := self._fill(members, stays)[1:]) >= 0)
+            heads, times, counts = dst[rank, row], times[row] + 1, counts[row] + self.needed[rank + 1]
+            # the unfilled children within the window and budget, by step (a repeated one from its first)
+            ok = (times < end) & (counts <= self.config.max_jumps) & ~self.filled[heads]
+            ok = np.argsort(np.where(ok, times, end), kind="stable")[: np.count_nonzero(ok)]
+            heads, times, counts = heads[ok], times[ok], counts[ok]
+        self.active[new] = True
+        rank, row = np.nonzero(self.edge_mass[new].T > 0.0)
         lo, hi, src = self.n_edges, self.n_edges + rank.size, new[row]
         base = (self.needed[rank] << self.shift) + (rank << 32) + src
         self.n_edges, self.edges = hi, [_grown(a, hi) for a in self.edges]
-        for a, v in zip(self.edges, (src, dst[rank, row] + 2, base, masses[rank, row])):
+        for a, v in zip(self.edges, (src, self.edge_bin[src, rank], base, self.edge_mass[src, rank])):
             a[lo:hi] = v
 
     # -- main sweep --------------------------------------------------------
@@ -520,22 +576,21 @@ class _ExactEngine:
         curves = {label: np.empty(len(grid)) for label in observables}
         # values[label][id, count], NaN until evaluated; columns follow the counts reached
         values = dict.fromkeys(observables, np.empty((0, 0)))
-        grid_pos = 0
+        at = {g: pos for pos, g in enumerate(grid)}
         for step in range(n_steps + 1):
-            while grid_pos < len(grid) and grid[grid_pos] == step:
+            if step in at:
                 ids, counts, weights = self.ids, self.counts, self.weights
                 for label, fn in observables.items():
-                    v = values[label]
-                    pad = ((0, self.size - len(v)), (0, max(0, counts.max(initial=0) + 1 - v.shape[1])))
-                    values[label] = v = np.pad(v, pad, constant_values=np.nan)
+                    v = _grown(values[label], self.size, np.nan)
+                    if (grow := counts.max(initial=0) + 1 - v.shape[1]) > 0:
+                        v = np.pad(v, ((0, 0), (0, grow)), constant_values=np.nan)
+                    values[label] = v
                     fresh = np.isnan(v[ids, counts])
                     if fresh.any():
                         v[ids[fresh], counts[fresh]] = fn(self.table_states[ids[fresh]], counts[fresh])
-                    curves[label][grid_pos] = float((v[ids, counts] * weights).sum())
-                grid_pos += 1
-            if step == n_steps:
-                break
-            self._step(step)
+                    curves[label][at[step]] = float((v[ids, counts] * weights).sum())
+            if step < n_steps:
+                self._step(step)
         if self.truncation_mass > TRUNCATION_BOUND:
             raise TruncationError(
                 f"truncation mass {self.truncation_mass:.3e} exceeds bound "
@@ -545,12 +600,19 @@ class _ExactEngine:
 
     def _step(self, step: int):
         src, dst, base, mass, key, bins, flow = (a[: self.n_edges] for a in self.edges)
+        np.take(self.W, src, out=flow, mode="clip")
+        if 2 * (live := np.count_nonzero(flow)) < flow.size:
+            # edges of ids that lost their class add +0.0 to the truncated bin
+            # and never win the merge key: dropping them stably moves no bit
+            keep = flow != 0.0
+            self.active[src[~keep]] = False
+            self.edges[:4], self.n_edges = [a[: self.n_edges][keep] for a in self.edges[:4]], live
+            return self._step(step)
+        flow *= mass
         # each edge's member of its destination class, keyed (count, rank, source id)
         np.take(self.C, src, out=key, mode="clip")
         key <<= self.shift
         key += base
-        np.take(self.W, src, out=flow, mode="clip")
-        flow *= mass
         np.less(key, self.empty << self.shift, out=bins)
         bins *= dst  # 0: truncated (beyond the budget), 1: culled, id + 2: kept
         out = np.bincount(bins, weights=flow, minlength=self.W.size + 2)
@@ -561,23 +623,26 @@ class _ExactEngine:
 
         # cull negligible classes (their mass is reported, not lost silently)
         self.W = W = out[2:]
-        tiny = W < _CULL_FLOOR
-        self.culled_mass += float(W[tiny].sum())
-        W[tiny] = 0.0
-        ids = np.flatnonzero(W)
+        ids = np.flatnonzero(W > 0.0)  # faster than on the floats themselves
+        if (tiny := W[ids] < _CULL_FLOOR).any():
+            self.culled_mass += float(W[ids[tiny]].sum())
+            W[ids[tiny]] = 0.0
+            ids = ids[~tiny]
         rep = best[2:][ids]
-        self.C.fill(self.empty)
+        self.C[self.ids] = self.empty
         self.C[ids] = rep >> self.shift
-        rank, node = (rep >> 32) & ((1 << (self.shift - 32)) - 1), self.node[rep & 0xFFFFFFFF]
-        # a class represented by a spawn records its branch as a new event node
-        spawned = np.flatnonzero(rank)
-        if spawned.size:
-            lo, hi = self.n_nodes, self.n_nodes + spawned.size
-            self.n_nodes, self.nodes = hi, _grown(self.nodes, hi)
-            self.nodes[lo:hi] = np.stack([node[spawned], np.full(spawned.size, step), rank[spawned]], 1)
-            node[spawned] = np.arange(lo, hi)
-        self.node[ids] = node  # read for classes only
-        self._fill(ids)
+        self.ids = ids
+        if self.events:
+            rank, node = (rep >> 32) & ((1 << (self.shift - 32)) - 1), self.node[rep & 0xFFFFFFFF]
+            # a class represented by a spawn records its branch as a new event node
+            spawned = np.flatnonzero(rank)
+            if spawned.size:
+                lo, hi = self.n_nodes, self.n_nodes + spawned.size
+                self.n_nodes, self.nodes = hi, _grown(self.nodes, hi)
+                self.nodes[lo:hi] = np.stack([node[spawned], np.full(spawned.size, step), rank[spawned]], 1)
+                node[spawned] = np.arange(lo, hi)
+            self.node[ids] = node  # read for classes only
+        self._activate(ids, step + 1)
 
     def _events_for(self, node: int) -> tuple[JumpEvent, ...]:
         out = []
@@ -588,6 +653,8 @@ class _ExactEngine:
         return tuple(reversed(out))
 
     def records(self) -> list[TrajectoryRecord]:
+        if not self.events:
+            raise RuntimeError("records need an engine with event nodes; use enumerate_trajectories")
         ids = self.ids
         return [TrajectoryRecord(self._events_for(int(self.node[i])), self.table_states[i].copy(),
                                  float(self.W[i]))
@@ -606,7 +673,7 @@ def enumerate_trajectories(
     Raises :class:`TruncationError` when the mass of patterns deeper than
     ``max_jumps`` exceeds ``TRUNCATION_BOUND``.
     """
-    engine = _ExactEngine(model, psi0, config, policy)
+    engine = _ExactEngine(model, psi0, config, policy, events=True)
     engine.run()
     return EnumerationResult(
         records=engine.records(),

@@ -244,8 +244,7 @@ def test_rate_resolution_guard():
         enumerate_trajectories(model, bell2(), UnravelingConfig(dt=0.1, t_max=1.0))
 
 
-def test_enumerate_class_census():
-    # interning must neither split nor over-merge branch classes
+def assert_class_census():
     deg = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     res = enumerate_trajectories(deg, code_bell3(), UnravelingConfig(dt=5e-3, t_max=1.0))
     assert len(res.records) == 803
@@ -256,61 +255,58 @@ def test_enumerate_class_census():
     assert len(res.records) == 67
 
 
-def test_enumerate_slowly_relaxing_state_keeps_evolving():
-    # the no-jump state of sqrt(a)|00> + sqrt(1-a)|11> relaxes towards |00>;
-    # late on, one step moves it by less than the branch-key resolution, and
-    # it must keep following the closed form rather than freeze
-    a, t = 0.1, 20.0
-    psi0 = normalized(
+def test_enumerate_class_census():
+    # interning must neither split nor over-merge branch classes
+    assert_class_census()
+
+
+def relaxing_state(a=0.1):
+    """sqrt(a)|00> + sqrt(1-a)|11>, whose no-jump state relaxes towards |00>."""
+    return normalized(
         math.sqrt(a) * product_basis_state(LAY2, (0, 0))
         + math.sqrt(1 - a) * product_basis_state(LAY2, (1, 1))
     )
+
+
+def assert_relaxing_state_keeps_evolving():
+    a, t = 0.1, 20.0
     cfg = UnravelingConfig(dt=5e-3, t_max=t, max_jumps=2)
-    nj = next(r for r in enumerate_trajectories(build_qubit_pair(1.0), psi0, cfg).records
+    nj = next(r for r in enumerate_trajectories(build_qubit_pair(1.0), relaxing_state(a), cfg).records
               if r.n_jumps == 0)
     y = math.sqrt(1 - a) * math.exp(-t)
     assert abs(abs(nj.state[3]) / (y / math.sqrt(a + y * y)) - 1.0) < 1e-9
     assert abs(nj.probability / (a + y * y) - 1.0) < 1e-12
+    return nj
 
 
-def three_product_fill(self, ids):
+def test_enumerate_slowly_relaxing_state_keeps_evolving():
+    # the no-jump state of sqrt(a)|00> + sqrt(1-a)|11> relaxes towards |00>;
+    # late on, one step moves it by less than the branch-key resolution, and
+    # it must keep following the closed form rather than freeze
+    assert_relaxing_state_keeps_evolving()
+
+
+def three_product_fill(self, ids, stays):
     """``_ExactEngine._fill`` with the stays, the weight roots and the spawn
     maps each in their own product, as it was before the step table."""
-    new = ids[~self.filled[ids]]
-    if new.size == 0:
-        return
-    ops, K, m = self.ops, self.ops.n_channels, new.size
-    psi = self.table_states[new]
-    adv = psi @ ops.no_jump.T
-    adv2 = np.einsum("bi,bi->b", adv.conj(), adv).real
-    stay = adv2 / np.einsum("bi,bi->b", psi.conj(), psi).real
-    raw = psi @ ops.spawn_roots.transpose(0, 2, 1)
+    ops, K = self.ops, self.ops.n_channels
+    psi = self.table_states[ids]
+    adv = np.einsum("bi,ji->bj", psi, ops.no_jump)
+    stay = np.einsum("bi,bi->b", adv.conj(), adv).real / np.einsum("bi,bi->b", psi.conj(), psi).real
+    raw = np.einsum("bi,kji->kbj", psi, ops.spawn_roots)
     masses = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
     singles, pairs = masses[:K], masses[K:]
     for l in range(K):
         singles = singles - pairs[l::K]
     masses = np.concatenate([stay[None], np.clip(singles, 0.0, None), pairs])
-    raw = psi @ ops.spawn_maps.transpose(0, 2, 1)
+    raw = np.einsum("bi,kji->kbj", psi, ops.spawn_maps)
     nrm2 = np.einsum("jbi,jbi->jb", raw.conj(), raw).real
     maps, rows = np.nonzero(nrm2 > trajectories._NORM_FLOOR)
-    states = np.concatenate(
-        [adv / np.sqrt(adv2)[:, None], raw[maps, rows] / np.sqrt(nrm2[maps, rows])[:, None]]
-    )
-    reached = self._intern(states)
-    moving = np.nonzero((reached[:m] == new) & (abs(states[:m] - psi).max(axis=1) > 1e-14))[0]
-    if moving.size:
-        reached[moving] = self._add(states[moving])
-        keys = map(bytes, trajectories._canonical_keys(states[moving]))
-        self.index.update(zip(keys, reached[moving]))
-    self.filled[new] = True
     dst = np.full(masses.shape, -1, dtype=np.int64)
-    dst[0], dst[maps + 1, rows] = reached[:m], reached[m:]
-    rank, row = np.nonzero(masses > 0.0)
-    lo, hi, src = self.n_edges, self.n_edges + rank.size, new[row]
-    base = (self.needed[rank] << self.shift) + (rank << 32) + src
-    self.n_edges, self.edges = hi, [trajectories._grown(a, hi) for a in self.edges]
-    for a, v in zip(self.edges, (src, dst[rank, row] + 2, base, masses[rank, row])):
-        a[lo:hi] = v
+    dst[0], dst[maps + 1, rows] = stays, self._intern(raw[maps, rows] / np.sqrt(nrm2[maps, rows])[:, None])
+    dst[masses <= 0.0] = -1
+    self.edge_bin[ids], self.edge_mass[ids] = dst.T + 2, masses.T
+    return dst
 
 
 FILL_CASES = {
@@ -323,9 +319,10 @@ FILL_CASES = {
 @pytest.mark.parametrize("start", ["random", "ground"])
 @pytest.mark.parametrize("case", FILL_CASES)
 def test_fill_edges_equal_three_products(monkeypatch, case, start):
-    # one product over the step table gives, bit for bit, the edges (source,
-    # bin, merge key base, mass, in order) of separate stay, weight-root and
-    # spawn-map products; |00> has no spawn mass, so only its stay
+    # one product over the step table gives, bit for bit, the edges of
+    # separate stay, weight-root and spawn-map products: every filled id's
+    # bins and masses by rank, and the stepped edges (source, bin, merge key
+    # base, mass, in order); |00> has no spawn mass, so only its stay
     model, policy = FILL_CASES[case]
     if start == "ground":
         psi0 = basis_state(model.dim, 0)
@@ -336,12 +333,14 @@ def test_fill_edges_equal_three_products(monkeypatch, case, start):
     def edges():
         engine = trajectories._ExactEngine(model, psi0, cfg, policy)
         engine.run()
-        return [a[: engine.n_edges] for a in engine.edges[:4]]
+        return ([engine.edge_bin[: engine.size], engine.edge_mass[: engine.size]]
+                + [a[: engine.n_edges] for a in engine.edges[:4]])
 
     got = edges()
     monkeypatch.setattr(trajectories._ExactEngine, "_fill", three_product_fill)
     want = edges()
-    assert len(want[0]) == 1 if start == "ground" else len(want[0]) > 100
+    n_edges = np.count_nonzero(want[1])
+    assert n_edges == 1 if start == "ground" else n_edges > 100
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -485,6 +484,122 @@ def test_exact_curves_independent_of_grid(label):
     assert np.array_equal(c_engine.weights, f_engine.weights)
     assert c_engine.truncation_mass == f_engine.truncation_mass
     assert c_engine.culled_mass == f_engine.culled_mass
+
+
+def counted_fills(monkeypatch):
+    """Patch ``_ExactEngine._fill`` to count its product batches in the returned list."""
+    batches, fill = [], trajectories._ExactEngine._fill
+
+    def counting(self, *args):
+        batches.append(len(args[0]))
+        return fill(self, *args)
+
+    monkeypatch.setattr(trajectories._ExactEngine, "_fill", counting)
+    return batches
+
+
+def e3_default_run():
+    """run_exact_grid on E_3 at its scenario defaults: gamma t = 5, dt 5e-3, budget 4."""
+    cfg = UnravelingConfig(dt=5e-3, t_max=5.0, max_jumps=4)
+    _, engine = run_exact_grid(build_qutrit_pair(CascadeSpec.degenerate(1.0)), code_bell3(), cfg,
+                               None, [0, cfg.n_steps], {})
+    return cfg, engine
+
+
+def singlet_no_jump_run():
+    """run_exact_grid on singlet conversion's P_NJ run: alpha 0.25, dt 1e-3, gamma t = 5."""
+    cfg = UnravelingConfig(dt=1e-3, t_max=5.0)
+    _, engine = run_exact_grid(build_qubit_pair(1.0), relaxing_state(0.25), cfg, None,
+                               [0, cfg.n_steps], {"P0": lambda s, c: (c == 0).astype(float)})
+    return cfg, engine
+
+
+def test_exact_fills_a_table_stretch_per_batch(monkeypatch):
+    # E_3 gains about four classes a step; each is filled ahead with what it
+    # reaches in the next stretch, one product per level of jumps, not one
+    # product per step
+    batches = counted_fills(monkeypatch)
+    cfg, engine = e3_default_run()
+    assert len(engine.ids) == 4003
+    assert len(batches) <= math.ceil(cfg.n_steps / trajectories._TABLE_CAP) * (cfg.max_jumps + 2)
+
+
+def test_exact_step_gathers_live_edges_only():
+    # singlet conversion's no-jump state takes a new id every step and keeps
+    # its class for that step only; the step must not gather the edges of
+    # every id that ever had a class
+    cfg, engine = singlet_no_jump_run()
+    src = engine.edges[0][: engine.n_edges]
+    live = np.count_nonzero(np.isin(src, engine.ids))
+    assert engine.n_edges <= 8 * live
+    assert cfg.n_steps < engine.size
+
+
+def test_exact_books_balance_at_the_default_horizon():
+    # kept + truncated + culled mass is one within rounding that grows with
+    # the step count, also where dead edges have been dropped along the way
+    cfg, engine = e3_default_run()
+    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) <= 2e-15 * cfg.n_steps
+    cfg, engine = singlet_no_jump_run()
+    assert engine.n_edges < 100 < engine.size
+    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) <= 2e-15 * cfg.n_steps
+
+
+def test_exact_regained_class_steps_its_stored_edges():
+    # an id whose edges were dropped with its class gets them back, unchanged,
+    # when it has a class again: give a dropped no-jump id weight and step
+    cfg = UnravelingConfig(dt=1e-3, t_max=0.1)
+    engines = [trajectories._ExactEngine(build_qubit_pair(1.0), relaxing_state(0.25), cfg, None)
+               for _ in range(2)]
+    for engine in engines:
+        for step in range(50):
+            engine._step(step)
+    regained, step = engines[0], 50
+    gone = np.flatnonzero(regained.filled[: regained.size] & ~regained.active[: regained.size])
+    x = int(gone[0])
+    assert x not in regained.edges[0][: regained.n_edges]
+    regained.W[x], regained.C[x] = 0.25, 0
+    regained.ids = np.union1d(regained.ids, [x])
+    regained._activate(regained.ids, step)
+    for engine in engines:
+        engine._step(step)
+    rank = np.flatnonzero(regained.edge_mass[x] > 0.0)
+    moved = np.zeros(regained.W.size + 2)
+    np.add.at(moved, regained.edge_bin[x, rank], 0.25 * regained.edge_mass[x, rank])
+    assert np.allclose(regained.W - engines[1].W, moved[2:], rtol=0.0, atol=1e-15)
+    assert np.count_nonzero(moved[2:]) >= 3
+
+
+def exact_classes(engine):
+    """(states, counts, weights) of an engine's classes, ordered by state key."""
+    order = np.lexsort(trajectories._canonical_keys(engine.states).T)
+    return engine.states[order], engine.counts[order], engine.weights[order]
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_exact_results_independent_of_table_cap(monkeypatch, cap):
+    # how far ahead the table is filled changes no class, count, weight or state
+    observables = {"neg": lambda s, c: negativity_batch_pure(s, LAY3),
+                   "P1": lambda s, c: (c == 1).astype(float)}
+
+    def run_all():
+        runs = [qutrit_family_run(label, lambda n: np.linspace(0, n, 11).astype(int), observables)
+                for label in ("E_3", "E_3fho")]
+        return runs, assert_relaxing_state_keeps_evolving()
+
+    default, nj = run_all()
+    monkeypatch.setattr(trajectories, "_TABLE_CAP", cap)
+    short, nj_short = run_all()
+    assert_class_census()
+    for (c_default, e_default), (c_short, e_short) in zip(default, short):
+        for name in observables:
+            assert np.allclose(c_default[name], c_short[name], rtol=0.0, atol=1e-13)
+        (s0, n0, w0), (s1, n1, w1) = exact_classes(e_default), exact_classes(e_short)
+        assert np.array_equal(n0, n1)
+        assert np.allclose(w0, w1, rtol=0.0, atol=1e-13)
+        assert np.allclose(s0, s1, rtol=0.0, atol=1e-13)
+    assert np.allclose(nj.state, nj_short.state, rtol=0.0, atol=1e-13)
+    assert abs(nj.probability - nj_short.probability) < 1e-13
 
 
 def test_merged_record_keeps_fewest_jump_events():
