@@ -11,11 +11,12 @@ alpha, the modes it runs (the first is its default), figure, summary and the
 config keys it reads. ``ScenarioConfig`` rejects a mode the preset does not
 run; the command line lists presets from the same table.
 
-Every trajectory curve is the record average of one per-row observable
-f(states, counts) -> value per row, defined once below and handed unchanged
-to whichever driver runs (exact enumeration weights rows by probability,
-the samplers by 1/n). ``metadata["truncation_mass"]`` maps the label of each
-exact run to its truncated plus culled mass, and is empty without one.
+Every curve is the average of one per-row observable f(states, counts) ->
+value per row, defined once below and handed unchanged to whichever driver
+runs (exact enumeration weights rows by probability, the samplers by 1/n;
+the master mode reads the rows of rho(t) with counts None).
+``metadata["truncation_mass"]`` maps the label of each exact run to its
+truncated plus culled mass, and is empty without one.
 """
 
 from __future__ import annotations
@@ -272,44 +273,41 @@ def _exact(metadata, label: str, model, psi0, ucfg, policy=None, gsteps=(), fns=
 
 def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
                 t_max=None, grid_points=None, **overrides) -> list[Curve]:
-    """Trajectory averages of per-row observables over the configured grid.
+    """Averages of per-row observables over the configured grid.
 
     ``observables`` maps label -> (measure, f), f(states, counts) giving one value
     per record row; f is row-local and deterministic, as every driver evaluates it
-    once per distinct (state, count). A density-matrix ``x0`` runs the density
-    sampler; otherwise ``mode`` (default ``cfg.mode``) 'exact' runs exact
-    enumeration, whose truncated plus culled mass is recorded under the first label
-    (past the truncation bound it raises :class:`ScenarioError`), and 'sampled' the
-    wavefunction sampler. ``overrides`` adjust the :class:`UnravelingConfig`.
+    once per distinct (state, count). ``mode`` (default ``cfg.mode``) 'master'
+    evaluates f on the rows of the master-equation state rho(t) from x0 (a state
+    vector x0 as |x0><x0|), with counts None and no SEM. Otherwise a density-matrix
+    ``x0`` runs the density sampler; 'exact' runs exact enumeration, whose truncated
+    plus culled mass is recorded under the first label (past the truncation bound it
+    raises :class:`ScenarioError`), and 'sampled' the wavefunction sampler.
+    ``overrides`` adjust the :class:`UnravelingConfig`.
     """
     ucfg = _ucfg(cfg, t_max, **overrides)
     gsteps = _grid_steps(ucfg.n_steps, grid_points or cfg.grid_points)
+    times = gsteps * ucfg.dt
     fns = {label: f for label, (_, f) in observables.items()}
-    sem = {}
-    if x0.ndim == 1 and (mode or cfg.mode) == "exact":
+    mode, sem = mode or cfg.mode, {}
+    if mode == "master":
+        rho_grid = np.array(evolve_master(model, x0 if x0.ndim == 2 else np.outer(x0, x0.conj()), times))
+        mean = {label: f(rho_grid, None) for label, f in fns.items()}
+    elif x0.ndim == 1 and mode == "exact":
         mean = _exact(metadata, next(iter(fns)), model, x0, ucfg, policy, gsteps, fns)
     else:
         driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
         out = driver(model, x0, ucfg, policy, gsteps, fns)
         mean, sem = out.mean, out.sem
-    times = gsteps * ucfg.dt
     return [
         Curve(label, measure, times, mean[label], sem.get(label))
         for label, (measure, _) in observables.items()
     ]
 
 
-def _qubit_pair_curves(cfg, metadata, observables, references) -> list[Curve]:
-    """The monitored qubit pair from (|10> + |01>)/sqrt(2): master-equation
-    curves of ``references`` on rho(t), then the trajectory curves of
-    ``observables``, both label -> (measure, f) as in :func:`_run_curves`."""
-    model = build_qubit_pair(cfg.gamma)
-    psi0 = _two_term((2, 2), 1.0, (1, 0), 1.0, (0, 1))
-    trajectory = _run_curves(cfg, metadata, model, psi0, observables)
-    times = trajectory[0].times
-    rho_grid = np.array(evolve_master(model, np.outer(psi0, psi0.conj()), times))
-    return [Curve(label, measure, times, f(rho_grid, None))
-            for label, (measure, f) in references.items()] + trajectory
+def _bell_qubit_pair(cfg):
+    """The monitored qubit pair and (|10> + |01>)/sqrt(2)."""
+    return build_qubit_pair(cfg.gamma), _two_term((2, 2), 1.0, (1, 0), 1.0, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +319,10 @@ def run_bell_monitoring(cfg: ScenarioConfig) -> ScenarioResult:
     """Monitored qubit pair: E_F of the unmonitored state, the trajectory
     average E_2, and the no-jump probability P_NJ over the time grid."""
     metadata = _metadata()
+    model, psi0 = _bell_qubit_pair(cfg)
     eof = _measure(Measure.ENTANGLEMENT_OF_FORMATION, (2, 2))
-    curves = _qubit_pair_curves(cfg, metadata, {"E_2": eof, "P_NJ": (_PROB, _jumps(0))},
-                                {"E_F": eof})
+    curves = (_run_curves(cfg, metadata, model, psi0, {"E_F": eof}, mode="master")
+              + _run_curves(cfg, metadata, model, psi0, {"E_2": eof, "P_NJ": (_PROB, _jumps(0))}))
     pnj = curves[-1]
     scalars = {
         "p_nj_final": float(pnj.values[-1]),
@@ -409,10 +408,11 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     metadata = _metadata()
 
     # qubit references
+    model2, psi0_2 = _bell_qubit_pair(cfg)
     eof2 = _measure(Measure.ENTANGLEMENT_OF_FORMATION, (2, 2))
     neg2 = _measure(Measure.NEGATIVITY, (2, 2))
-    curves = _qubit_pair_curves(cfg, metadata, {"E_2": eof2, "E_2_neg": neg2},
-                                {"E_F": eof2, "E_F_neg": neg2})
+    curves = (_run_curves(cfg, metadata, model2, psi0_2, {"E_F": eof2, "E_F_neg": neg2}, mode="master")
+              + _run_curves(cfg, metadata, model2, psi0_2, {"E_2": eof2, "E_2_neg": neg2}))
 
     # qutrit curve family
     model_deg = build_qutrit_pair(CascadeSpec.degenerate(gamma))
@@ -598,8 +598,8 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     alpha = cfg.resolved_alpha
     dim = THERMAL_CAVITY_DIM
     neg = _measure(Measure.NEGATIVITY, (2, dim))
-    # population of the guard level, the last cavity level
-    guard_population = lambda s, c: (np.abs(s.reshape(len(s), 2, dim)[:, :, -1]) ** 2).sum(axis=1)
+    # population of the guard level, the last cavity level, in rho(t)
+    guard = lambda rho, c: np.trace(rho[:, dim - 1::dim, dim - 1::dim], axis1=1, axis2=2).real
 
     metadata = _metadata()
     curves = []
@@ -607,11 +607,9 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     for i, nbar in enumerate(cfg.nbar):
         model, psi0 = _cavity(cfg, nbar, dim)
         tag = f"{nbar:g}"
-        curve, guard_curve = _run_curves(cfg, metadata, model, psi0, {
-            f"E_2x3_nbar_{tag}": neg,
-            "guard": (_PROB, guard_population),
-        }, rng_seed=(cfg.seed + i) % 2**64)
-        curves.append(curve)
+        guard_curve, = _run_curves(cfg, metadata, model, psi0, {"guard": (_PROB, guard)}, mode="master")
+        curves += _run_curves(cfg, metadata, model, psi0, {f"E_2x3_nbar_{tag}": neg},
+                              rng_seed=(cfg.seed + i) % 2**64)
         guard_max = float(guard_curve.values.max())
         scalars[f"guard_population_nbar_{tag}"] = guard_max
         if guard_max > 1e-3:
