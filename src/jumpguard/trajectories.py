@@ -574,17 +574,14 @@ class _ExactEngine:
         n_steps = self.config.n_steps
         grid = _checked_grid(grid_steps, n_steps)
         curves = {label: np.empty(len(grid)) for label in observables}
-        # values[label][id, count], NaN until evaluated; columns follow the counts reached
-        values = dict.fromkeys(observables, np.empty((0, 0)))
+        # values[label][id, count], NaN until evaluated; a class's count is below self.empty
+        values = dict.fromkeys(observables, np.empty((0, self.empty)))
         at = {g: pos for pos, g in enumerate(grid)}
         for step in range(n_steps + 1):
             if step in at:
                 ids, counts, weights = self.ids, self.counts, self.weights
                 for label, fn in observables.items():
-                    v = _grown(values[label], self.size, np.nan)
-                    if (grow := counts.max(initial=0) + 1 - v.shape[1]) > 0:
-                        v = np.pad(v, ((0, 0), (0, grow)), constant_values=np.nan)
-                    values[label] = v
+                    values[label] = v = _grown(values[label], self.size, np.nan)
                     fresh = np.isnan(v[ids, counts])
                     if fresh.any():
                         v[ids[fresh], counts[fresh]] = fn(self.table_states[ids[fresh]], counts[fresh])
