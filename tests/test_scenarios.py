@@ -6,9 +6,14 @@ import pytest
 from jumpguard import entanglement as ent
 from jumpguard.linalg import make_layout, normalized, product_basis_state
 from jumpguard.models import build_qubit_pair, evolve_master
+from jumpguard.cli import main
 from jumpguard.scenarios import (
     ScenarioConfig,
     ScenarioError,
+    _cavity,
+    _metadata,
+    _run_curves,
+    _thermal_ladder,
     cavity_closed_forms,
     cavity_oj_state,
     run_scenario,
@@ -254,12 +259,38 @@ def test_thermal_zero_nbar_matches_analytic():
     assert "guard_population_nbar_0.5" in res.scalars
 
 
-def test_thermal_guard_warning_fires():
-    cfg = ScenarioConfig(
-        scenario="cavity-thermal", nbar=(0.5,), t_max=2.0, grid_points=5, n_samples=500,
-    )
-    res = run_scenario(cfg)
-    assert any("guard" in w for w in res.metadata["warnings"])
+def test_thermal_ladder_guard_below_threshold_at_default_nbar():
+    # the master-equation path alone: no trajectory is sampled
+    cfg = ScenarioConfig(scenario="cavity-thermal")
+    ladders = {nbar: _thermal_ladder(cfg, nbar) for nbar in cfg.nbar}
+    assert {nbar: dim for nbar, (dim, _) in ladders.items()} == {0.0: 4, 0.05: 5, 0.5: 8}
+    assert all(0.0 <= guard < 1e-3 for _, guard in ladders.values())
+
+
+def test_thermal_ladder_past_cap_exits_3(tmp_path, capsys):
+    assert main(["run", "cavity-thermal", "--nbar", "1", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "nbar=1" in err and "4.90e-03" in err and "8 levels" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_thermal_sampled_populations_match_master():
+    cfg = ScenarioConfig(scenario="cavity-thermal", nbar=(0.5,), t_max=2.0, grid_points=5,
+                         n_samples=500)
+    dim, _ = _thermal_ladder(cfg, 0.5)
+    model, psi0 = _cavity(cfg, 0.5, dim)
+
+    def populations(rows):  # cavity levels 0, 1, 2 and all above them, of psi or rho rows
+        diag = np.abs(rows) ** 2 if rows.ndim == 2 else np.diagonal(rows, axis1=1, axis2=2).real
+        levels = diag.reshape(len(rows), 2, dim).sum(axis=1)
+        return np.column_stack([levels[:, :3], levels[:, 3:].sum(axis=1)])
+
+    observables = {f"P_{k}": ("probability", lambda s, c, k=k: populations(s)[:, k]) for k in range(4)}
+    sampled = _run_curves(cfg, _metadata(), model, psi0, observables)
+    master = _run_curves(cfg, _metadata(), model, psi0, observables, mode="master")
+    assert master[-1].values.max() > 0.05  # absorption does reach past the code space
+    for s, m in zip(sampled, master):
+        assert np.all(np.abs(s.values - m.values) <= 4 * s.sem + 1e-12), s.label
 
 
 def test_deterministic_rerun_identical():
