@@ -16,7 +16,10 @@ from jumpguard.cli import main as cli_main
 from jumpguard.linalg import make_layout, normalized, product_basis_state
 from jumpguard.models import (
     CascadeSpec,
+    DecayChannel,
+    OpenSystemModel,
     build_qubit_pair,
+    build_qutrit_cascade,
     build_qutrit_pair,
     evolve_master,
 )
@@ -133,17 +136,28 @@ def test_ac05_full_protection():
 def test_ac06_unraveling_master_consistency():
     with criterion(6, "exact trajectory average reproduces the master equation to 1e-4, under 30 s"):
         start = time.monotonic()
+        qubit = build_qubit_pair(1.0)
+        deg = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+        ho = build_qutrit_pair(CascadeSpec.harmonic_oscillator(1.0))
+        # ideal feedback: the master equation whose channels are the corrected jumps U_k L_k
+        # (Wiseman & Milburn, PRL 70, 548 (1993))
+        fb = FeedbackPolicy.qutrit_cyclic()
+        fed = OpenSystemModel(LAY3, tuple(
+            DecayChannel(slot, fb.unitaries[slot] @ op, rate)
+            for slot in (0, 1) for op, rate in build_qutrit_cascade(CascadeSpec.degenerate(1.0))))
+        # (trajectory model, initial state, feedback, master-equation model)
         cases = [
-            (build_qubit_pair(1.0), bell2()),
-            (build_qutrit_pair(CascadeSpec.degenerate(1.0)), code_bell3()),
-            (build_qutrit_pair(CascadeSpec.harmonic_oscillator(1.0)), code_bell3()),
+            (qubit, bell2(), None, qubit),
+            (deg, code_bell3(), None, deg),
+            (ho, code_bell3(), None, ho),
+            (deg, code_bell3(), fb, fed),
         ]
-        for model, psi0 in cases:
+        for model, psi0, policy, master in cases:
             rho0 = np.outer(psi0, psi0.conj())
             for t in (0.5, 1.0, 2.0):
-                res = enumerate_trajectories(model, psi0, UnravelingConfig(dt=4e-3, t_max=t))
+                res = enumerate_trajectories(model, psi0, UnravelingConfig(dt=4e-3, t_max=t), policy)
                 rho = sum(r.probability * np.outer(r.state, r.state.conj()) for r in res.records)
-                rho_m = evolve_master(model, rho0, [0.0, t])[-1]
+                rho_m = evolve_master(master, rho0, [0.0, t])[-1]
                 assert trace_distance(rho, rho_m) < 1e-4
         assert time.monotonic() - start < 30.0
 
