@@ -777,14 +777,16 @@ class _Sampler:
             place = (V := ops.eigvecs).T
             x0, lift = x0 @ V.conj(), lambda A: V.T @ A.T @ V.conj()  # noqa: E731
         jumps, splits = [lift(S) for S in ops.spawn_maps[:ops.n_channels]], [lift(B) for B in ops.split_maps]
-        corrections = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()} if ops.queued_feedback else {}
+        lifted = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()} if ops.queued_feedback else {}
+        corrections = [lifted.get(slot, np.eye(x0.size)) for slot in range(max(ops.slots) + 1)]  # 1: never lands
         advance = (no_jump := lift(ops.no_jump)) + (1.0 - eta) * sum(map(lift, ops.jump_maps))
         # the support: x0's coordinates closed under the exact nonzeros R of every map that acts, through (1 + R)^D
-        reach = np.any([A != 0 for A in (np.eye(x0.size), advance, *jumps, *splits, *corrections.values())], axis=0)
+        reach = np.any([A != 0 for A in (np.eye(x0.size), advance, *jumps, *splits, *corrections)], axis=0)
         self.support = on = np.flatnonzero((x0 != 0) @ np.linalg.matrix_power(reach, x0.size))
-        self.x0, self.place, cut = x0[on], place[on], lambda A: A[on][:, on]  # noqa: E731
-        self.jumps, self.splits = (np.concatenate([cut(A) for A in maps], axis=1) for maps in (jumps, splits))
-        self.corrections = {slot: cut(A) for slot, A in corrections.items()}
+        self.x0, self.place, cut = x0[on], place[on], lambda A: A[..., on, :][..., on]  # noqa: E731
+        # maps picked per row are stacks by channel and slot; the split weights every row takes are one matrix
+        self.jumps, self.corrections = cut(np.stack(jumps)), cut(np.stack(corrections))
+        self.splits = np.concatenate([cut(A) for A in splits], axis=1)
         self.cap = min(_TABLE_CAP, config.n_steps) if self.density else config.n_steps + 1
         if self.density:  # M^k for k <= cap, and per k the rows giving tr, tr(N . N^+) of M^k rho
             self.n_diag = n = np.count_nonzero(on < d)  # the support's diagonal coordinates come first
@@ -836,10 +838,7 @@ class _Sampler:
         """The rows k steps past their anchors."""
         if not self.density:
             return rows * np.exp(0.5 * np.multiply.outer(k, self.log_stay))
-        out, order = np.empty_like(rows), np.argsort(k, kind="stable")
-        for on in np.split(order, np.flatnonzero(np.diff(k[order])) + 1) if k.size else ():
-            out[on] = rows[on] @ self.powers[k[on[0]]]  # the rows of one offset, in order
-        return out
+        return np.einsum("ri,rij->rj", rows, self.powers[k])  # each row by its own offset's power
 
     def _next(self, rows, surv, u, at, due):
         """(step, jumps, S_before, S_after) of each row's next event: the first
@@ -903,15 +902,13 @@ class _Sampler:
                     new, hit = np.empty_like(old), np.flatnonzero(jumped)
                     if hit.size:
                         pre = self._advance(old[hit], k[hit] - 1)
-                        cum = self._weight((pre @ self.splits).reshape(hit.size, K, D))
-                        for ch in range(1, K):  # np.cumsum is slow over a short axis
-                            cum[:, ch] += cum[:, ch - 1]
+                        cum = np.cumsum(self._weight((pre @ self.splits).reshape(hit.size, K, D)), axis=1)
                         ok = cum[:, -1] > 0.0
                         jumped[hit[~ok]] = False  # nothing to jump into: it steps past its crossing
                         hit, pre, cum, i = hit[ok], pre[ok], cum[ok], sel[hit[ok]]
                         drop = (before[i] - _thresholds(keys[i], counts[i])) / (before[i] - after[i])
                         chosen = np.minimum(((drop * cum[:, -1])[:, None] >= cum).sum(axis=1), K - 1)
-                        y = (pre @ self.jumps).reshape(-1, K, D)[np.arange(chosen.size), chosen]
+                        y = np.einsum("ri,rij->rj", pre, self.jumps[chosen])  # the chosen channel's image only
                         new[hit], s[hit] = self._normalize(y, self._weight(y)), 1.0
                         slots = np.asarray(ops.slots)[chosen]
                         if ops.queued_feedback:
@@ -925,10 +922,9 @@ class _Sampler:
                     rest = np.flatnonzero(~jumped)
                     new[rest], at[sel] = self._advance(old[rest], k[rest]), nxt[sel]
                     landed = np.flatnonzero(due[applied[sel], sel] == at[sel])  # corrections due there
-                    for slot, ut in self.corrections.items():
-                        r = landed[due_slot[applied[sel[landed]], sel[landed]] == slot]
-                        new[r] = new[r] @ ut
-                    applied[sel[landed]] += 1
+                    r = sel[landed]
+                    new[landed] = np.einsum("ri,rij->rj", new[landed], self.corrections[due_slot[applied[r], r]])
+                    applied[r] += 1
                     rows[sel], surv[sel] = new, s
                     nxt[sel], jump[sel], before[sel], after[sel] = self._next(
                         new, s, _thresholds(keys[sel], counts[sel]), at[sel], due[applied[sel], sel])

@@ -1032,6 +1032,22 @@ def test_density_states_equal_the_basis_product():
         assert sampler._advance(rows[:0], np.zeros(0, dtype=np.int64)).shape == (0, width)
 
 
+def test_density_advance_independent_of_batch():
+    # each row takes its own offset's power in one gathered product, so a
+    # row's new coordinates do not depend on which rows share the call
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=4)
+    policy = FeedbackPolicy.qutrit_cyclic(efficiency=0.92)
+    sampler = trajectories._Sampler(model, np.outer(psi0, psi0.conj()), 2, cfg, policy)
+    rng = np.random.default_rng(43)
+    rows = rng.normal(size=(500, sampler.x0.size))
+    k = rng.integers(0, sampler.cap + 1, size=500)
+    together = sampler._advance(rows, k)
+    alone = np.concatenate([sampler._advance(rows[i:i + 1], k[i:i + 1]) for i in range(500)])
+    assert np.array_equal(together, alone)
+
+
 def test_density_rows_stay_on_their_support():
     # the support closes x0's coordinates under the exact nonzeros of every
     # map that can act, so along whole trajectories of the 81-coordinate
@@ -1090,7 +1106,7 @@ def test_density_rows_without_structure_keep_every_coordinate():
     assert sampler.support.tolist() == list(range(81))
     ops, T = sampler.ops, hermitian_basis(9)
     lift = lambda A: real_superoperator(np.kron(A, A.conj()), T).T  # noqa: E731
-    assert np.array_equal(sampler.jumps, np.concatenate([lift(S) for S in ops.spawn_maps[:2]], axis=1))
+    assert np.array_equal(sampler.jumps, np.stack([lift(S) for S in ops.spawn_maps[:2]]))
     assert np.array_equal(sampler.x0, (T @ rho0.reshape(-1)).real)
     chain = _per_step_chain(model, rho0, cfg, policy, [cfg.n_steps])
     records = sample_density_trajectories(model, rho0, cfg, policy).records
