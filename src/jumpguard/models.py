@@ -244,7 +244,8 @@ def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.n
     The grid must ascend from 0; the internal step is chosen so that
     gamma_max * dt <= 1e-3 and grid points are hit exactly. The substeps of
     a grid span act as one propagator, the RK4 step matrix raised to their
-    count, built once per distinct (count, step).
+    count, built once per (count, step to 12 significant digits): spans
+    equal to rounding share one propagator.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) == 0 or t_grid[0] != 0.0 or any(
@@ -258,7 +259,7 @@ def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.n
     S = _superoperator(model)
     dt_max = MASTER_MAX_GAMMA_DT / model.max_rate if model.max_rate > 0 else math.inf
     eye = np.eye(S.shape[0], dtype=np.complex128)
-    propagators = {}  # (n_sub, h) -> n_sub RK4 substeps as one matrix
+    propagators = {}  # (n_sub, rounded h) -> n_sub RK4 substeps as one matrix
 
     out = [rho.copy()]
     v = rho.reshape(-1)
@@ -267,10 +268,10 @@ def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.n
         span = t - t_prev
         n_sub = max(1, int(math.ceil(span / dt_max - 1e-12))) if math.isfinite(dt_max) else 1
         h = span / n_sub
-        if (n_sub, h) not in propagators:
-            step = rk4_step(eye, lambda m: S @ m, h)
-            propagators[n_sub, h] = np.linalg.matrix_power(step, n_sub)
-        v = propagators[n_sub, h] @ v
+        key = n_sub, float(f"{h:.12g}")  # the spans of a uniform grid differ in their last bits
+        if key not in propagators:
+            propagators[key] = np.linalg.matrix_power(rk4_step(eye, lambda m: S @ m, h), n_sub)
+        v = propagators[key] @ v
         out.append(v.reshape(model.dim, model.dim).copy())
         t_prev = t
     return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpguard.linalg import make_layout, normalized, product_basis_state
+from jumpguard.linalg import make_layout, normalized, product_basis_state, rk4_step
 from jumpguard.models import (
     CascadeSpec,
     DecayChannel,
@@ -17,7 +17,7 @@ from jumpguard.models import (
     lindblad_rhs,
     lowering_operator,
 )
-from jumpguard.scenarios import ScenarioConfig, _cavity, _two_term
+from jumpguard.scenarios import ScenarioConfig, _cavity, _grid_steps, _two_term, _ucfg
 
 LAY2 = make_layout((2, 2))
 LAY3 = make_layout((3, 3))
@@ -87,6 +87,20 @@ def test_evolve_master_identity_cases():
     frozen = build_qubit_pair(0.0)
     out = evolve_master(frozen, rho0, [0.0, 2.0])
     assert np.max(np.abs(out[-1] - rho0)) < 1e-12
+
+
+def test_evolve_master_builds_one_propagator_per_span_length(monkeypatch):
+    # the 50 spans of the default 51-point grid are equal to rounding but
+    # not bit for bit; they share one propagator
+    cfg = ScenarioConfig("bell-monitoring")
+    ucfg = _ucfg(cfg)
+    times = _grid_steps(ucfg.n_steps, cfg.grid_points) * ucfg.dt
+    assert len(set(np.diff(times).tolist())) > 1
+    builds = []
+    monkeypatch.setattr("jumpguard.models.rk4_step", lambda *args: builds.append(args) or rk4_step(*args))
+    out = evolve_master(build_qubit_pair(1.0), bell_rho_closed_form(0.0), times)
+    assert len(builds) == 1
+    assert np.max(np.abs(out[-1] - bell_rho_closed_form(times[-1]))) < 1e-9
 
 
 def test_evolve_master_grid_validation():
