@@ -147,6 +147,8 @@ class ScenarioConfig:
             rate = _cavity(self, max(self.nbar), THERMAL_CAVITY_DIM)[0].max_rate
         for t in (self.t_max, *_checkpoints(self)):  # each run resolves its own dt
             dt, n_steps = _resolve_steps(self, t)
+            if n_steps > 2**53:  # past it, round(t / dt) no longer recovers every step count
+                raise ScenarioError(f"the {n_steps} steps to t = {t:.6g} exceed 2**53")
             if rate * dt > MAX_GAMMA_DT * (1 + 1e-9):
                 raise ScenarioError(f"gamma_max*dt = {rate * dt:.3g} exceeds {MAX_GAMMA_DT} on the {n_steps} "
                                     f"steps to t = {t:.6g}; decrease dt")

@@ -163,6 +163,10 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
     # the no-jump class, of mass 2 alpha, would fall below the exact engine's cull floor
     (["singlet-conversion", "--alpha", "4e-13", "--t-max", "0.1", "--grid-points", "2"],
      "alpha must be >= 1e-12 for singlet-conversion, got 4e-13"),
+    # step counts past 2**53, where round(t / dt) no longer recovers every count
+    (["bell-monitoring", "--gamma", "1e20"], "steps to t = 0.2 exceed 2**53"),
+    (["bell-monitoring", "--t-max", "1e20"], "steps to t = 1e+20 exceed 2**53"),
+    (["bell-monitoring", "--dt", "1e-30"], "steps to t = 0.2 exceed 2**53"),
 ])
 def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     # argv's own flags come last, so they win over the short defaults
