@@ -244,8 +244,7 @@ def evolve_master(model: OpenSystemModel, rho0: np.ndarray, t_grid) -> list[np.n
     The grid must ascend from 0; the internal step is chosen so that
     gamma_max * dt <= 1e-3 and grid points are hit exactly. The substeps of
     a grid span act as one propagator, the RK4 step matrix raised to their
-    count, built once per (count, step to 12 significant digits): spans
-    equal to rounding share one propagator.
+    count, built once per (count, step to 12 significant digits).
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) == 0 or t_grid[0] != 0.0 or any(

@@ -741,7 +741,9 @@ class _Sampler:
     A row is V^+ psi (V: G's eigenvectors) or T vec(rho) in the Hermitian basis T on its
     support, x0's nonzero coordinates closed under the exact nonzeros of every lifted
     map (no-record, jumps, splits, queued corrections): on the qutrit pair 8 of 9 for
-    psi, 12 of 81 for rho, 18 with delay. A map A acts as ``rows @ lift(A)``. A row
+    psi, 12 of 81 for rho, 18 with delay. A shared map A acts as ``rows @ lift(A)``; one
+    picked per row (M^k by step offset k, the jump by channel, the correction by slot) is
+    one gathered product from a stack, so no row's new state depends on its batch. A row
     keeps an anchor, its state, step and survival when it last changed, and moves from
     event to event: its first survival below its threshold u, its next due correction,
     ``cap`` steps on, or the end. In between the no-jump (no-record) map acts in closed
@@ -778,15 +780,14 @@ class _Sampler:
             x0, lift = x0 @ V.conj(), lambda A: V.T @ A.T @ V.conj()  # noqa: E731
         jumps, splits = [lift(S) for S in ops.spawn_maps[:ops.n_channels]], [lift(B) for B in ops.split_maps]
         lifted = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()} if ops.queued_feedback else {}
-        corrections = [lifted.get(slot, np.eye(x0.size)) for slot in range(max(ops.slots) + 1)]  # 1: never lands
+        corrections = [lifted.get(slot, np.eye(x0.size)) for slot in range(max(ops.slots) + 1)]  # 1 if never due
         advance = (no_jump := lift(ops.no_jump)) + (1.0 - eta) * sum(map(lift, ops.jump_maps))
         # the support: x0's coordinates closed under the exact nonzeros R of every map that acts, through (1 + R)^D
         reach = np.any([A != 0 for A in (np.eye(x0.size), advance, *jumps, *splits, *corrections)], axis=0)
         self.support = on = np.flatnonzero((x0 != 0) @ np.linalg.matrix_power(reach, x0.size))
         self.x0, self.place, cut = x0[on], place[on], lambda A: A[..., on, :][..., on]  # noqa: E731
-        # maps picked per row are stacks by channel and slot; the split weights every row takes are one matrix
-        self.jumps, self.corrections = cut(np.stack(jumps)), cut(np.stack(corrections))
-        self.splits = np.concatenate([cut(A) for A in splits], axis=1)
+        self.jumps, self.corrections = cut(np.stack(jumps)), cut(np.stack(corrections))  # picked per row
+        self.splits = np.concatenate([cut(A) for A in splits], axis=1)  # taken by every row: one matrix
         self.cap = min(_TABLE_CAP, config.n_steps) if self.density else config.n_steps + 1
         if self.density:  # M^k for k <= cap, and per k the rows giving tr, tr(N . N^+) of M^k rho
             self.n_diag = n = np.count_nonzero(on < d)  # the support's diagonal coordinates come first
