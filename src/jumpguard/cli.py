@@ -41,9 +41,9 @@ _KEY_PARSERS = {key: next((t for t in typing.get_args(hint) if t is not type(Non
 _KEY_PARSERS["nbar"] = lambda s: tuple(float(x) for x in str(s).split(",") if x.strip() != "")
 
 # config key -> its `run` flag: the key with dashes, n_samples as --samples;
-# the scenario and the cavity-2x3 surface resolution are config-file keys only
+# the scenario is a config-file key only
 _FLAGS = {key: "--" + key.removeprefix("n_").replace("_", "-") for key in _KEY_PARSERS
-          if key not in ("scenario", "alpha_points", "surface_time_points")}
+          if key != "scenario"}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -157,8 +157,8 @@ def write_outputs(result: ScenarioResult, out_dir: str, cfg: ScenarioConfig,
         "sampling_sigma_max": sampling,
         "warnings": all_warnings,
     }
-    # driver and sample count of qutrit-protection's non-ideal feedback curves
-    summary.update({k: result.metadata[k] for k in ("tau_run", "eta_run") if k in result.metadata})
+    # the rest of the run's metadata, as the scenario wrote it
+    summary.update({k: v for k, v in result.metadata.items() if k not in summary})
     write("summary.json", [json.dumps(summary, indent=2)])
 
     manifest = {

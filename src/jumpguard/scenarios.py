@@ -46,7 +46,6 @@ from .trajectories import (
     FeedbackPolicy,
     TruncationError,
     UnravelingConfig,
-    enumerate_trajectories,
     run_density_grid,
     run_exact_grid,
     run_sampled_grid,
@@ -78,8 +77,6 @@ class ScenarioConfig:
     n_samples: int = 10_000
     seed: int = 12345
     max_jumps: int = 4
-    alpha_points: int = 101
-    surface_time_points: int = 201
 
     def __post_init__(self):
         spec = SCENARIOS.get(self.scenario)
@@ -120,9 +117,6 @@ class ScenarioConfig:
             raise ScenarioError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.grid_points < 2:
             raise ScenarioError("grid-points must be >= 2")
-        for key in ("alpha_points", "surface_time_points"):  # config-file keys only
-            if getattr(self, key) < 2:
-                raise ScenarioError(f"{key} must be >= 2, got {getattr(self, key)}")
         dt, n_steps = _resolve_steps(self)
         if self.grid_points > n_steps + 1:
             raise ScenarioError(f"grid-points {self.grid_points} exceeds the {n_steps + 1} "
@@ -259,19 +253,23 @@ def _jumps(k: int):
 
 
 def _exact(metadata, label: str, model, psi0, ucfg, policy=None, gsteps=(), fns=None):
-    """The curves of :func:`run_exact_grid`, or without ``fns`` the records of
-    :func:`enumerate_trajectories`, its truncated plus culled mass booked under
+    """(curves, engine) of :func:`run_exact_grid`, whose final classes are the engine's
+    ``weights``, ``counts`` and ``states``, its truncated plus culled mass booked under
     ``label``; past the truncation bound a :class:`ScenarioError`."""
     try:
-        if fns is None:
-            out = (books := enumerate_trajectories(model, psi0, ucfg, policy)).records
-        else:
-            out, books = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns)
+        curves, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns or {})
     except TruncationError as exc:
         raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps}, "
                             f"set by --max-jumps)") from exc
-    metadata["truncation_mass"][label] = books.truncation_mass + books.culled_mass
-    return out
+    metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
+    return curves, engine
+
+
+def _classes(engine, k: int) -> np.ndarray:
+    """Positions of the engine's final classes that recorded ``k`` jumps, heaviest first
+    (id order on a tie)."""
+    ids = np.flatnonzero(engine.counts == k)
+    return ids[np.argsort(-engine.weights[ids], kind="stable")]
 
 
 def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
@@ -297,7 +295,7 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
         rho_grid = np.array(evolve_master(model, x0 if x0.ndim == 2 else np.outer(x0, x0.conj()), times))
         mean = {label: f(rho_grid, None) for label, f in fns.items()}
     elif x0.ndim == 1 and mode == "exact":
-        mean = _exact(metadata, next(iter(fns)), model, x0, ucfg, policy, gsteps, fns)
+        mean = _exact(metadata, next(iter(fns)), model, x0, ucfg, policy, gsteps, fns)[0]
     else:
         driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
         out = driver(model, x0, ucfg, policy, gsteps, fns)
@@ -356,12 +354,12 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     t_star, = _checkpoints(cfg)
 
     metadata = _metadata()
-    # conditional no-jump record exactly at t*
+    # the conditional no-jump class exactly at t*
     p_ok, state = 1.0, psi0
     if t_star > 0.0:
-        records = _exact(metadata, "t_star", model, psi0, _ucfg(cfg, t_star))
-        nj = next(r for r in records if r.n_jumps == 0)
-        p_ok, state = nj.probability, nj.state
+        engine = _exact(metadata, "t_star", model, psi0, _ucfg(cfg, t_star))[1]
+        nj = _classes(engine, 0)[0]
+        p_ok, state = float(engine.weights[nj]), engine.states[nj]
     scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
                "entropy_at_t_star": ent.entanglement_entropy(state, layout)}
 
@@ -369,9 +367,8 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.mode == "sampled" and t_star > 0.0:
         sampled, = _run_curves(cfg, metadata, model, psi0, {"no_jump": (_PROB, no_jump)},
                                t_max=t_star, grid_points=2)
-        p_emp = float(sampled.values[-1])
-        scalars["p_ok_sampled"] = p_emp
-        scalars["p_ok_sampled_sigma"] = math.sqrt(max(p_emp * (1 - p_emp), 1e-12) / cfg.n_samples)
+        scalars["p_ok_sampled"] = float(sampled.values[-1])
+        scalars["p_ok_sampled_sigma"] = float(sampled.sem[-1])
 
     # curves over the configured horizon (exact engine; cheap for two qubits);
     # the no-jump entropy is the no-jump-weighted average over P_NJ
@@ -552,16 +549,16 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     fid_nj, fid_oj, dp0, dp1 = [], [], [], []
     n_oj_classes = 0
     for t in _checkpoints(cfg):
-        records = _exact(metadata, f"check_t{t:g}", model, psi0, _ucfg(cfg, t))
+        engine = _exact(metadata, f"check_t{t:g}", model, psi0, _ucfg(cfg, t))[1]
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
-        nj = next(r for r in records if r.n_jumps == 0)
-        oj = [r for r in records if r.n_jumps == 1]
-        n_oj_classes = max(n_oj_classes, len(oj))
-        fid_nj.append(abs(np.vdot(nj.state, cavity_nj_state(alpha, gamma, t))) ** 2)
-        dp0.append(abs(nj.probability - closed_t["P_chi0"][0]))
-        if oj:
-            fid_oj.append(abs(np.vdot(oj[0].state, cavity_oj_state(alpha, gamma, t))) ** 2)
-            dp1.append(abs(sum(r.probability for r in oj) - closed_t["P_chi1"][0]))
+        w, states = engine.weights, engine.states
+        nj, oj = _classes(engine, 0)[0], _classes(engine, 1)
+        n_oj_classes = max(n_oj_classes, oj.size)
+        fid_nj.append(abs(np.vdot(states[nj], cavity_nj_state(alpha, gamma, t))) ** 2)
+        dp0.append(abs(float(w[nj]) - closed_t["P_chi0"][0]))
+        if oj.size:
+            fid_oj.append(abs(np.vdot(states[oj[0]], cavity_oj_state(alpha, gamma, t))) ** 2)
+            dp1.append(abs(sum(w[oj].tolist()) - closed_t["P_chi1"][0]))
 
     scalars = {
         "alpha": alpha,
@@ -572,8 +569,8 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
         "one_jump_classes": float(n_oj_classes),
     }
 
-    alphas = np.linspace(0.0, 1.0, cfg.alpha_points)
-    tgrid = np.linspace(0.0, cfg.t_max, cfg.surface_time_points)
+    alphas = np.linspace(0.0, 1.0, 101)
+    tgrid = np.linspace(0.0, cfg.t_max, 201)
     c = cavity_closed_forms(alphas[:, None], gamma, tgrid[None, :])
     surfaces = {
         "surface_nj_contribution": (alphas, tgrid, c["E_NJ"] * c["P_chi0"]),
@@ -624,9 +621,6 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
                               rng_seed=(cfg.seed + i) % 2**64)
         scalars[f"cavity_dim_nbar_{tag}"] = float(dim)
         scalars[f"guard_population_nbar_{tag}"] = guard
-
-    if cfg.gamma != 1.0:
-        scalars["decay_time"] = 1.0 / cfg.gamma
     return ScenarioResult(cfg.scenario, curves, scalars, metadata)
 
 

@@ -903,7 +903,9 @@ class _Sampler:
                     new, hit = np.empty_like(old), np.flatnonzero(jumped)
                     if hit.size:
                         pre = self._advance(old[hit], k[hit] - 1)
-                        cum = np.cumsum(self._weight((pre @ self.splits).reshape(hit.size, K, D)), axis=1)
+                        cum = self._weight((pre @ self.splits).reshape(hit.size, K, D))
+                        for c in range(1, K):  # in place: np.cumsum is slow along a short axis
+                            cum[:, c] += cum[:, c - 1]
                         ok = cum[:, -1] > 0.0
                         jumped[hit[~ok]] = False  # nothing to jump into: it steps past its crossing
                         hit, pre, cum, i = hit[ok], pre[ok], cum[ok], sel[hit[ok]]

@@ -197,8 +197,7 @@ def test_ac08_protection_curve_ordering(fig1_scenario):
 def test_ac09_cavity_2x3_analytics():
     with criterion(9, "cavity channel: engine matches closed forms; qutrit advantage everywhere"):
         cfg = ScenarioConfig(
-            scenario="cavity-2x3", alpha=0.5, t_max=2.0,
-            alpha_points=21, surface_time_points=21, grid_points=21,
+            scenario="cavity-2x3", alpha=0.5, t_max=2.0, grid_points=21,
         )
         res = run_scenario(cfg)
         s = res.scalars
@@ -225,7 +224,7 @@ def test_ac09_cavity_2x3_analytics():
             assert abs(abs(np.vdot(psi, ref)) ** 2 - 1.0) < 1e-10
 
         _, _, diff = res.surfaces["surface_2x3_minus_2x2"]
-        assert diff.shape == (21, 21)
+        assert diff.shape == (101, 201)
         assert diff.min() >= -1e-12
 
 

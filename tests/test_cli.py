@@ -167,6 +167,13 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
     (["bell-monitoring", "--gamma", "1e20"], "steps to t = 0.2 exceed 2**53"),
     (["bell-monitoring", "--t-max", "1e20"], "steps to t = 1e+20 exceed 2**53"),
     (["bell-monitoring", "--dt", "1e-30"], "steps to t = 0.2 exceed 2**53"),
+    # range checks of the shared keys
+    (["bell-monitoring", "--gamma", "0"], "gamma must be positive, got 0.0"),
+    (["qutrit-protection", "--tau", "-0.01"], "tau must be >= 0, got -0.01"),
+    (["cavity-thermal", "--nbar", "0,-0.1"], "nbar values must be >= 0, got (0.0, -0.1)"),
+    (["bell-monitoring", "--t-max", "0"], "t-max must be positive"),
+    (["bell-monitoring", "--grid-points", "1"], "grid-points must be >= 2"),
+    (["qutrit-protection", "--samples", "0"], "samples must be >= 1"),
 ])
 def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     # argv's own flags come last, so they win over the short defaults
@@ -178,19 +185,15 @@ def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("line, match", [
-    ("alpha_points = -1", "alpha_points must be >= 2, got -1"),
-    ("surface_time_points = 0", "surface_time_points must be >= 2, got 0"),
-])
-def test_bad_config_file_grid_exit_code_2(tmp_path, capsys, line, match):
-    # the two config-file-only grids of cavity-2x3 are checked before the run
+def test_unknown_config_file_key_exit_code_2(tmp_path, capsys):
+    # the cavity-2x3 surfaces have a fixed resolution, which no config key sets
     cfg_file = tmp_path / "grid.cfg"
-    cfg_file.write_text(line + "\n")
+    cfg_file.write_text("alpha_points = 0\n")
     out = tmp_path / "out"
     rc = main(["run", "cavity-2x3", "--config", str(cfg_file), "--t-max", "0.2",
                "--grid-points", "3", "--out-dir", str(out)])
     assert rc == 2
-    assert match in capsys.readouterr().err
+    assert "unknown configuration key 'alpha_points'" in capsys.readouterr().err
     assert not out.exists()
 
 

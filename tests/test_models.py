@@ -150,6 +150,17 @@ def test_merged_cascades_are_the_closed_form_operators(gamma):
     assert np.array_equal(op, lowering_operator(3)) and rate == gamma
 
 
+def test_merged_cascade_with_stable_middle_level_is_the_upper_transition():
+    # gamma10 = 0: the merged operator is |1><2| at gamma21, and the pair's generator is the
+    # distinguishable cascade's, whose |0><1| channel has rate 0
+    ket = lambda i, j: np.outer(np.eye(3, dtype=complex)[:, i], np.eye(3, dtype=complex)[j, :])
+    (op, rate), = build_qutrit_cascade(CascadeSpec(1.5, 0.0))
+    assert np.array_equal(op, ket(1, 2)) and rate == 1.5
+    merged = build_qutrit_pair(CascadeSpec(1.5, 0.0))
+    split = build_qutrit_pair(CascadeSpec.custom(1.5, 0.0))
+    assert np.array_equal(merged.decay_generator, split.decay_generator)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_cavity_model_equals_oscillator_cascade_on_slot_1(alpha):
     # the cold 3-level ladder builds the 2x3 cavity exactly as the oscillator

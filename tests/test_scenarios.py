@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jumpguard import entanglement as ent
+from jumpguard import trajectories
 from jumpguard.linalg import make_layout, normalized, product_basis_state
 from jumpguard.models import build_qubit_pair, evolve_master
 from jumpguard.cli import main
@@ -214,7 +215,6 @@ def test_cavity_oj_state_is_jump_time_independent():
 def cavity_result():
     cfg = ScenarioConfig(
         scenario="cavity-2x3", alpha=0.5, t_max=2.0, grid_points=21,
-        alpha_points=21, surface_time_points=21,
     )
     return run_scenario(cfg)
 
@@ -233,13 +233,30 @@ def test_cavity_engine_matches_closed_forms(cavity_result):
 
 def test_cavity_advantage_surface(cavity_result):
     alphas, tgrid, diff = cavity_result.surfaces["surface_2x3_minus_2x2"]
-    assert diff.shape == (21, 21)
+    assert diff.shape == (101, 201)
     assert diff.min() >= -1e-12
 
 
+def test_checkpoints_read_engine_classes_not_records(monkeypatch):
+    # singlet conversion's t* run and cavity-2x3's check-time runs read the exact engine's final
+    # classes, with the scalars that its records gave
+    def no_records(self):
+        raise AssertionError("a preset read the records of an exact run")
+
+    monkeypatch.setattr(trajectories._ExactEngine, "records", no_records)
+    singlet = run_scenario(ScenarioConfig(scenario="singlet-conversion")).scalars
+    assert singlet == pytest.approx({
+        "t_star": 0.5493061443340549, "p_ok_analytic": 0.5, "p_ok": 0.5000000000000115,
+        "entropy_at_t_star": 1.0}, rel=1e-9, abs=1e-12)
+    cavity = run_scenario(ScenarioConfig(scenario="cavity-2x3", t_max=0.5, grid_points=3)).scalars
+    assert cavity == pytest.approx({
+        "alpha": 0.5, "min_fidelity_nj": 1.0, "min_fidelity_oj": 0.9999999999999998,
+        "max_prob_error_nj": 1.2434497875801753e-14, "max_prob_error_oj": 1.3362820311391133e-07,
+        "one_jump_classes": 1.0}, rel=1e-9, abs=1e-12)
+
+
 def test_cavity_alpha_above_half_notes(cavity_result):
-    cfg = ScenarioConfig(scenario="cavity-2x3", alpha=0.9, t_max=0.5, grid_points=5,
-                         alpha_points=5, surface_time_points=5)
+    cfg = ScenarioConfig(scenario="cavity-2x3", alpha=0.9, t_max=0.5, grid_points=5)
     res = run_scenario(cfg)
     assert any("alpha" in w for w in res.metadata["warnings"])
 
