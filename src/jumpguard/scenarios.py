@@ -14,7 +14,9 @@ run; the command line lists presets from the same table.
 Every curve is the average of one per-row observable f(states, counts) ->
 value per row, defined once below and handed unchanged to whichever driver
 runs (exact enumeration weights rows by probability, the samplers by 1/n;
-the master mode reads the rows of rho(t) with counts None).
+the master mode reads the rows of rho(t) with counts None); f is row-local
+and deterministic, as the drivers reuse its values (exact enumeration keeps
+one row per state id, whatever the jump budget).
 ``metadata["truncation_mass"]`` maps the label of each exact run to its
 truncated plus culled mass, and is empty without one.
 """
@@ -277,8 +279,8 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     """Averages of per-row observables over the configured grid.
 
     ``observables`` maps label -> (measure, f), f(states, counts) giving one value
-    per record row; f is row-local and deterministic, as every driver evaluates it
-    once per distinct (state, count). ``mode`` (default ``cfg.mode``) 'master'
+    per record row (row-local and deterministic: the drivers reuse its values,
+    see the module docstring). ``mode`` (default ``cfg.mode``) 'master'
     evaluates f on the rows of the master-equation state rho(t) from x0 (a state
     vector x0 as |x0><x0|), with counts None and no SEM. Otherwise a density-matrix
     ``x0`` runs the density sampler; 'exact' runs exact enumeration, whose truncated
@@ -368,7 +370,10 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
         sampled, = _run_curves(cfg, metadata, model, psi0, {"no_jump": (_PROB, no_jump)},
                                t_max=t_star, grid_points=2)
         scalars["p_ok_sampled"] = float(sampled.values[-1])
-        scalars["p_ok_sampled_sigma"] = float(sampled.sem[-1])
+        scalars["p_ok_sampled_sigma"] = sigma = float(sampled.sem[-1])
+        if sigma == 0.0:  # a Wald SEM reads 0 when every or no trajectory is jump-free
+            metadata["warnings"].append(f"p_ok_sampled_sigma is 0 at p_ok_sampled {scalars['p_ok_sampled']:g} "
+                                        f"from {cfg.n_samples} samples: a sigma-based check on it is void")
 
     # curves over the configured horizon (exact engine; cheap for two qubits);
     # the no-jump entropy is the no-jump-weighted average over P_NJ
@@ -560,14 +565,15 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
             fid_oj.append(abs(np.vdot(states[oj[0]], cavity_oj_state(alpha, gamma, t))) ** 2)
             dp1.append(abs(sum(w[oj].tolist()) - closed_t["P_chi1"][0]))
 
-    scalars = {
-        "alpha": alpha,
-        "min_fidelity_nj": float(min(fid_nj)) if fid_nj else 1.0,
-        "min_fidelity_oj": float(min(fid_oj)) if fid_oj else 1.0,
-        "max_prob_error_nj": float(max(dp0)) if dp0 else 0.0,
-        "max_prob_error_oj": float(max(dp1)) if dp1 else 0.0,
-        "one_jump_classes": float(n_oj_classes),
-    }
+    scalars = {"alpha": alpha}
+    for key, pick, found in (("min_fidelity_nj", min, fid_nj), ("min_fidelity_oj", min, fid_oj),
+                             ("max_prob_error_nj", max, dp0), ("max_prob_error_oj", max, dp1)):
+        if found:
+            scalars[key] = float(pick(found))
+    scalars["one_jump_classes"] = float(n_oj_classes)
+    if not fid_nj:
+        metadata["warnings"].append(f"t-max {cfg.t_max:g} is below the first check time {0.2 / gamma:g}: no "
+                                    "state-level check ran; min_fidelity_* and max_prob_error_* are left out")
 
     alphas = np.linspace(0.0, 1.0, 101)
     tgrid = np.linspace(0.0, cfg.t_max, 201)

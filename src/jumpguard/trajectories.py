@@ -563,29 +563,29 @@ class _ExactEngine:
         """Sweep to t_max; evaluate ``observables`` at each grid step.
 
         observables: dict label -> row-local fn(states, counts) -> float
-        array (a row's value depends only on its state and count), evaluated
-        once per distinct (state id, jump count), since table states never
-        change, and reduced as sum(fn(states, counts) * weights). Returns
-        {label: np.ndarray over grid_steps}. Raises :class:`TruncationError`
-        when the mass of patterns deeper than ``max_jumps`` exceeds
-        ``TRUNCATION_BOUND``.
+        array (a row's value depends only on its state and count). Table
+        states never change, so an id caches every value with the count it
+        was read at, and is evaluated again when read at another count; the
+        cache does not grow with ``max_jumps``. Returns {label: sum(values *
+        weights) per grid step}. Raises :class:`TruncationError` when the mass
+        of patterns deeper than ``max_jumps`` exceeds ``TRUNCATION_BOUND``.
         """
         observables = observables or {}
         n_steps = self.config.n_steps
-        grid = _checked_grid(grid_steps, n_steps)
-        curves = {label: np.empty(len(grid)) for label in observables}
-        # values[label][id, count], NaN until evaluated; a class's count is below self.empty
-        values = dict.fromkeys(observables, np.empty((0, self.empty)))
-        at = {g: pos for pos, g in enumerate(grid)}
+        at = {g: pos for pos, g in enumerate(_checked_grid(grid_steps, n_steps))}
+        curves = {label: np.empty(len(at)) for label in observables}
+        # per id: each observable's value and the count it was taken at (-1: never read)
+        values, taken = np.empty((0, len(observables))), np.empty(0, dtype=np.int64)
         for step in range(n_steps + 1):
             if step in at:
-                ids, counts, weights = self.ids, self.counts, self.weights
-                for label, fn in observables.items():
-                    values[label] = v = _grown(values[label], self.size, np.nan)
-                    fresh = np.isnan(v[ids, counts])
-                    if fresh.any():
-                        v[ids[fresh], counts[fresh]] = fn(self.table_states[ids[fresh]], counts[fresh])
-                    curves[label][at[step]] = float((v[ids, counts] * weights).sum())
+                ids, weights = self.ids, self.weights
+                values, taken = _grown(values, self.size, np.nan), _grown(taken, self.size)
+                if (new := ids[taken[ids] != self.C[ids]]).size:  # fresh ids, in id order
+                    taken[new] = self.C[new]
+                    for j, fn in enumerate(observables.values()):
+                        values[new, j] = fn(self.table_states[new], taken[new])
+                for j, label in enumerate(observables):
+                    curves[label][at[step]] = float((values[ids, j] * weights).sum())
             if step < n_steps:
                 self._step(step)
         if self.truncation_mass > TRUNCATION_BOUND:
@@ -684,10 +684,10 @@ def run_exact_grid(model, psi0, config, policy, grid_steps, observables):
 
     Observables are row-local, deterministic fn(states, counts) -> float array,
     as for the samplers; each curve value is the probability-weighted sum
-    over the classes, each observable evaluated once per distinct (state
-    id, jump count). Returns (curves, engine) so callers can read
-    truncation diagnostics; raises :class:`TruncationError` as enumeration
-    does.
+    over the classes, each observable evaluated once per state id and again
+    only when the id is read at another jump count. Returns (curves, engine)
+    so callers can read truncation diagnostics; raises
+    :class:`TruncationError` as enumeration does.
     """
     engine = _ExactEngine(model, psi0, config, policy)
     curves = engine.run(grid_steps, observables)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -97,6 +98,17 @@ def test_singlet_conversion_sampled_scalar():
     res = run_scenario(cfg)
     s = res.scalars
     assert abs(s["p_ok_sampled"] - 0.5) < 3 * s["p_ok_sampled_sigma"]
+
+
+def test_singlet_sampled_zero_sigma_warns():
+    # all 20 sampled trajectories are jump-free at t*, so the Wald SEM reads 0 and bounds nothing
+    cfg = ScenarioConfig(scenario="singlet-conversion", mode="sampled", alpha=0.499, n_samples=20,
+                         t_max=0.1, grid_points=2)
+    res = run_scenario(cfg)
+    assert res.scalars["p_ok_sampled"] == 1.0 and res.scalars["p_ok_sampled_sigma"] == 0.0
+    assert [w for w in res.metadata["warnings"] if "p_ok_sampled_sigma is 0" in w and "20 samples" in w]
+    res = run_scenario(dataclasses.replace(cfg, alpha=0.25, n_samples=200))
+    assert res.scalars["p_ok_sampled_sigma"] > 0.0 and res.metadata["warnings"] == []
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +241,17 @@ def test_cavity_engine_matches_closed_forms(cavity_result):
     eng = cavity_result.curve("E_2x3").values
     ana = cavity_result.curve("E_2x3_analytic").values
     assert np.max(np.abs(eng - ana)) < 1e-6
+
+
+def test_cavity_reports_only_the_checks_that_ran(cavity_result):
+    # t-max below the first check time 0.2/gamma runs no state-level check: its scalars are
+    # left out with a warning, not reported as perfect
+    res = run_scenario(ScenarioConfig(scenario="cavity-2x3", t_max=0.1, grid_points=3))
+    assert list(res.scalars) == ["alpha", "one_jump_classes"]
+    assert [w for w in res.metadata["warnings"] if "no state-level check ran" in w]
+    assert list(cavity_result.scalars) == ["alpha", "min_fidelity_nj", "min_fidelity_oj", "max_prob_error_nj",
+                                           "max_prob_error_oj", "one_jump_classes"]
+    assert cavity_result.metadata["warnings"] == []
 
 
 def test_cavity_advantage_surface(cavity_result):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,43 @@ def test_exact_grid_cache_follows_relaxing_state():
     pairs = assert_cache_exact(build_qubit_pair(1.0), psi0, cfg, None, 11, observables)
     ids = [i for i, _ in pairs]
     assert len(set(ids)) < len(ids)  # some id is seen with two jump counts
+
+
+def test_exact_grid_cache_does_not_grow_with_the_jump_budget():
+    # E_3 never counts past 3, so a budget of 400 changes no bit of its curves and, with the
+    # cache holding one row per state id, costs no memory
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    observables = {
+        "neg": lambda s, c: negativity_batch_pure(s, LAY3),
+        "entropy": lambda s, c: entropy_batch_pure(s, LAY3),
+    }
+    curves, peaks = [], []
+    for budget in (4, 400):
+        cfg = UnravelingConfig(dt=5e-3, t_max=1.0, max_jumps=budget)
+        tracemalloc.start()
+        try:
+            curves.append(run_exact_grid(model, code_bell3(), cfg, None, range(0, cfg.n_steps + 1, 20),
+                                         observables)[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    for label in observables:
+        assert curves[0][label].tobytes() == curves[1][label].tobytes(), label
+    assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20, peaks
+
+
+def test_exact_grid_caches_nan_values():
+    # a NaN is a value: each state id is evaluated once, not again at every read
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0)
+    observables = {"neg": lambda s, c: np.where(c > 0, np.nan, negativity_batch_pure(s, LAY3))}
+    grid = set(range(0, cfg.n_steps + 1, 20))
+    wrapped, rows = counted(observables)
+    curves, _ = run_exact_grid(model, code_bell3(), cfg, None, sorted(grid), wrapped)
+    want, pairs, n_rows = uncached_sweep(model, code_bell3(), cfg, None, grid, observables)
+    assert np.array_equal(curves["neg"], want["neg"], equal_nan=True)
+    assert not np.isnan(curves["neg"][0]) and np.isnan(curves["neg"][-1])
+    assert rows["neg"] == len(pairs) < n_rows
 
 
 # the qutrit curve family at its scenario jump budgets (the feedback floor of 12)
