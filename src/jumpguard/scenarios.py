@@ -17,8 +17,9 @@ runs (exact enumeration weights rows by probability, the samplers by 1/n;
 the master mode reads the rows of rho(t) with counts None); f is row-local
 and deterministic, as the drivers reuse its values (exact enumeration keeps
 one row per state id, whatever the jump budget).
-``metadata["truncation_mass"]`` maps the label of each exact run to its
-truncated plus culled mass, and is empty without one.
+Every exact run, curve or checkpoint, takes its jump budget from gamma and its own
+horizon (:func:`_ucfg`); no config key sets it. ``metadata["truncation_mass"]`` maps
+the label of each exact run to its truncated plus culled mass, and is empty without one.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class ScenarioConfig:
     mode: str | None = None  # None -> the scenario's first mode
     n_samples: int = 10_000
     seed: int = 12345
-    max_jumps: int = 4
 
     def __post_init__(self):
         spec = SCENARIOS.get(self.scenario)
@@ -113,8 +113,6 @@ class ScenarioConfig:
             raise ScenarioError("t-max must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ScenarioError(f"dt must be positive, got {self.dt}")
-        if self.max_jumps < 0:
-            raise ScenarioError(f"max-jumps must be >= 0, got {self.max_jumps}")
         if not 0 <= self.seed < 2**64:
             raise ScenarioError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.grid_points < 2:
@@ -213,12 +211,16 @@ def _grid_steps(n_steps: int, grid_points: int) -> np.ndarray:
 
 
 def _ucfg(cfg: ScenarioConfig, t_max: float | None = None, **overrides) -> UnravelingConfig:
-    """The unraveling controls of a run to ``t_max`` (default ``cfg.t_max``) on its own steps."""
+    """The unraveling controls of a run to ``t_max`` (default ``cfg.t_max``) on its own steps,
+    with the jump budget max(12, ceil(8 gamma t_max)). No model of an exact run jumps more
+    than 4 times without feedback; under feedback the jump count recurs, but the classes stay
+    few (indexed by the net level skew), so a deep budget is cheap."""
+    t_max = cfg.t_max if t_max is None else t_max
     dt, n_steps = _resolve_steps(cfg, t_max)
     kw = dict(
         dt=dt,
         t_max=dt * n_steps,
-        max_jumps=cfg.max_jumps,
+        max_jumps=max(12, math.ceil(8.0 * cfg.gamma * t_max)),
         n_samples=cfg.n_samples,
         rng_seed=cfg.seed,
     )
@@ -257,12 +259,12 @@ def _jumps(k: int):
 def _exact(metadata, label: str, model, psi0, ucfg, policy=None, gsteps=(), fns=None):
     """(curves, engine) of :func:`run_exact_grid`, whose final classes are the engine's
     ``weights``, ``counts`` and ``states``, its truncated plus culled mass booked under
-    ``label``; past the truncation bound a :class:`ScenarioError`."""
+    ``label``; past the truncation bound a :class:`ScenarioError` naming ``label`` and the
+    jump budget of ``ucfg``."""
     try:
         curves, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns or {})
     except TruncationError as exc:
-        raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps}, "
-                            f"set by --max-jumps)") from exc
+        raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps})") from exc
     metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
     return curves, engine
 
@@ -283,9 +285,9 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     see the module docstring). ``mode`` (default ``cfg.mode``) 'master'
     evaluates f on the rows of the master-equation state rho(t) from x0 (a state
     vector x0 as |x0><x0|), with counts None and no SEM. Otherwise a density-matrix
-    ``x0`` runs the density sampler; 'exact' runs exact enumeration, whose truncated
-    plus culled mass is recorded under the first label (past the truncation bound it
-    raises :class:`ScenarioError`), and 'sampled' the wavefunction sampler.
+    ``x0`` runs the density sampler; 'exact' runs exact enumeration at :func:`_ucfg`'s jump
+    budget, its truncated plus culled mass recorded under the first label (past the
+    truncation bound it raises :class:`ScenarioError`), and 'sampled' the wavefunction sampler.
     ``overrides`` adjust the :class:`UnravelingConfig`.
     """
     ucfg = _ucfg(cfg, t_max, **overrides)
@@ -423,23 +425,17 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     model_deg = build_qutrit_pair(CascadeSpec.degenerate(gamma))
     model_ho = build_qutrit_pair(CascadeSpec.harmonic_oscillator(gamma))
     fb_ideal = FeedbackPolicy.qutrit_cyclic()
-
-    # With feedback the jump count recurs indefinitely; the branch classes
-    # stay few (they are indexed by the net level skew), so a deep jump
-    # budget is cheap and keeps the truncated mass negligible, short runs
-    # included.
-    fb_depth = max(cfg.max_jumps, int(math.ceil(8.0 * gamma * cfg.t_max)), 12)
     family = [
-        ("E_3", model_deg, None, True, cfg.max_jumps),
-        ("E_3f", model_deg, fb_ideal, True, fb_depth),
-        ("E_3ho", model_ho, None, False, cfg.max_jumps),
-        ("E_3fho", model_ho, fb_ideal, False, fb_depth),
+        ("E_3", model_deg, None, True),
+        ("E_3f", model_deg, fb_ideal, True),
+        ("E_3ho", model_ho, None, False),
+        ("E_3fho", model_ho, fb_ideal, False),
     ]
-    for label, model, policy, with_entropy, depth in family:
+    for label, model, policy, with_entropy in family:
         observables = {label: neg3}
         if with_entropy:
             observables[label + "_entropy"] = entropy3
-        curves += _run_curves(cfg, metadata, model, psi0_3, observables, policy, max_jumps=depth)
+        curves += _run_curves(cfg, metadata, model, psi0_3, observables, policy)
 
     # Delayed feedback runs on the sampler: exact enumeration takes no delay.
     tau = cfg.resolved_tau
@@ -654,22 +650,20 @@ SCENARIOS = {
     "bell-monitoring": _Scenario(
         run_bell_monitoring, 1e-3, _EXACT_SAMPLED, None, "Fig. 1 (E_F and E_2 curves)",
         "monitored qubit pair: E_F, trajectory-averaged E_2, no-jump probability",
-        ("gamma", "t_max", "grid_points", "mode", "n_samples", "seed", "dt", "max_jumps")),
+        ("gamma", "t_max", "grid_points", "mode", "n_samples", "seed", "dt")),
     "singlet-conversion": _Scenario(
         run_singlet_conversion, 1e-3, _EXACT_SAMPLED, 0.25,
         "optimal singlet conversion protocol (p_ok = 2 alpha)",
         "optimal conversion of sqrt(a)|00>+sqrt(1-a)|11> via monitored decay",
-        ("alpha", "gamma", "t_max", "grid_points", "mode", "n_samples", "seed", "dt",
-         "max_jumps")),
+        ("alpha", "gamma", "t_max", "grid_points", "mode", "n_samples", "seed", "dt")),
     "qutrit-protection": _Scenario(
         run_qutrit_protection, 5e-3, _EXACT_SAMPLED, None, "Fig. 1",
         "logical qubits in qutrits under cascade decay, with/without feedback",
-        ("gamma", "eta", "tau", "t_max", "grid_points", "mode", "n_samples", "seed", "dt",
-         "max_jumps")),
+        ("gamma", "eta", "tau", "t_max", "grid_points", "mode", "n_samples", "seed", "dt")),
     "cavity-2x3": _Scenario(
         run_cavity_2x3, 1e-3, ("exact",), 0.5, "Fig. 2a–c",
         "atom flying from a leaky 3-level cavity: closed forms vs trajectories",
-        ("alpha", "gamma", "t_max", "grid_points", "dt", "max_jumps")),
+        ("alpha", "gamma", "t_max", "grid_points", "dt")),
     "cavity-thermal": _Scenario(
         run_cavity_thermal, 5e-3, ("sampled",), 0.5, "Fig. 2d",
         "cavity channel with a thermal reservoir at several nbar",

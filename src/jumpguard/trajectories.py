@@ -761,6 +761,8 @@ class _Sampler:
     """
 
     def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
+        if not model.channels:
+            raise ValueError("sampling needs at least one decay channel; the model has none")
         self.config = config
         x0 = _initial_state(x0, model.dim, ndim)
         if not 0 <= config.rng_seed <= _MASK64:

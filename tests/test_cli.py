@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import jumpguard
+from jumpguard import trajectories
 from jumpguard.cli import ConfigError, _build_parser, main, parse_config
 from jumpguard.scenarios import SCENARIOS, ScenarioConfig
 
@@ -107,32 +108,22 @@ def test_range_violation_exit_code_2(tmp_path, capsys):
     assert "alpha" in err and "(0, 1/2]" in err
 
 
-def test_truncated_exact_curve_exit_code_3(tmp_path, capsys):
-    # E_3 carries 0.83 truncated mass at one jump by t = 2, far past the bound
+def test_truncated_exact_curve_exit_code_3(tmp_path, capsys, monkeypatch):
+    # at gamma t = 1.5 E_3fho truncates 7.15e-6 at its jump budget of 12, the most of any run
+    monkeypatch.setattr(trajectories, "TRUNCATION_BOUND", 7e-6)
     out = tmp_path / "out"
-    rc = main(["run", "qutrit-protection", "--max-jumps", "1", "--t-max", "2", "--eta", "1",
-               "--tau", "0", "--grid-points", "3", "--out-dir", str(out)])
+    rc = main(["run", "qutrit-protection", "--mode", "exact", "--eta", "1", "--tau", "0",
+               "--t-max", "1.5", "--grid-points", "6", "--out-dir", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "E_3:" in err and "--max-jumps" in err
-    assert not (out / "summary.json").exists()
-
-
-def test_truncated_checkpoint_exit_code_3(tmp_path, capsys):
-    # the exact record at t* loses half its mass without a single jump
-    out = tmp_path / "out"
-    rc = main(["run", "singlet-conversion", "--max-jumps", "0", "--t-max", "1",
-               "--grid-points", "3", "--out-dir", str(out)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "t_star:" in err and "--max-jumps" in err
+    assert "E_3fho:" in err and "jump budget 12" in err and "--max-jumps" not in err
     assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("argv, match", [
     (["bell-monitoring", "--dt", "0"], "dt must be positive"),
     (["bell-monitoring", "--dt", "-0.01"], "dt must be positive"),
-    (["qutrit-protection", "--max-jumps", "-1"], "max-jumps"),
+    (["qutrit-protection", "--eta", "1.5"], "eta must lie in [0, 1], got 1.5"),
     (["bell-monitoring", "--seed", "-1"], "seed"),
     (["bell-monitoring", "--seed", str(2**64)], "seed"),
     (["bell-monitoring", "--mode", "both"], "mode"),
@@ -186,15 +177,17 @@ def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
 
 
 def test_unknown_config_file_key_exit_code_2(tmp_path, capsys):
-    # the cavity-2x3 surfaces have a fixed resolution, which no config key sets
-    cfg_file = tmp_path / "grid.cfg"
-    cfg_file.write_text("alpha_points = 0\n")
-    out = tmp_path / "out"
-    rc = main(["run", "cavity-2x3", "--config", str(cfg_file), "--t-max", "0.2",
-               "--grid-points", "3", "--out-dir", str(out)])
-    assert rc == 2
-    assert "unknown configuration key 'alpha_points'" in capsys.readouterr().err
-    assert not out.exists()
+    # the cavity-2x3 surfaces have a fixed resolution, which no config key sets; the exact
+    # runs' jump budget follows from gamma and the horizon, so older config echoes' max_jumps fails
+    for key, value in (("alpha_points", 0), ("max_jumps", 4)):
+        cfg_file = tmp_path / f"{key}.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        rc = main(["run", "cavity-2x3", "--config", str(cfg_file), "--t-max", "0.2",
+                   "--grid-points", "3", "--out-dir", str(out)])
+        assert rc == 2
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_ignored_flags_warned(tmp_path, capsys):
@@ -311,7 +304,7 @@ def test_list_parameters_are_run_flags_and_modes_named(capsys):
             set_keys = {k for k, v in args.items() if v is not None} - {"command", "scenario"}
             assert len(set_keys) == 1 and set_keys <= config_keys, flag
         assert "--grid-points" in flags
-        assert ("--max-jumps" in flags) == ("exact" in spec.modes)
+        assert "--max-jumps" not in flags
     assert "modes: exact (default);" in out[out.index("  cavity-2x3 → Fig. 2a–c") + 2]
     assert "modes: sampled (default);" in out[out.index("  cavity-thermal → Fig. 2d") + 2]
 

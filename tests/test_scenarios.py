@@ -7,8 +7,9 @@ import pytest
 from jumpguard import entanglement as ent
 from jumpguard import trajectories
 from jumpguard.linalg import make_layout, normalized, product_basis_state
-from jumpguard.models import build_qubit_pair, evolve_master
+from jumpguard.models import CascadeSpec, build_qubit_pair, build_qutrit_pair, evolve_master
 from jumpguard.cli import main
+from jumpguard.trajectories import FeedbackPolicy
 from jumpguard.scenarios import (
     ScenarioConfig,
     ScenarioError,
@@ -16,6 +17,7 @@ from jumpguard.scenarios import (
     _metadata,
     _run_curves,
     _thermal_ladder,
+    _ucfg,
     cavity_closed_forms,
     cavity_oj_state,
     run_scenario,
@@ -161,6 +163,20 @@ def test_qutrit_truncation_reported(qutrit_result):
     masses = qutrit_result.metadata["truncation_mass"]
     for label in ("E_3", "E_3f", "E_3ho", "E_3fho"):
         assert masses[label] < 1e-4
+
+
+@pytest.mark.parametrize("gamma_dt", [5e-3, 1e-2])
+@pytest.mark.parametrize("gamma_t", [0.5, 1.5, 2.0, 5.0])
+def test_jump_budget_rule_keeps_feedback_truncation_under_a_tenth_of_the_bound(gamma_t, gamma_dt):
+    # E_3fho truncates the most of any exact run; 7.15e-6 at gamma t = 1.5, its budget 12
+    ucfg = _ucfg(ScenarioConfig(scenario="qutrit-protection", t_max=gamma_t, dt=gamma_dt))
+    layout = make_layout((3, 3))
+    psi0 = normalized(product_basis_state(layout, (1, 2)) + product_basis_state(layout, (2, 1)))
+    model = build_qutrit_pair(CascadeSpec.harmonic_oscillator(1.0))
+    _, engine = trajectories.run_exact_grid(model, psi0, ucfg, FeedbackPolicy.qutrit_cyclic(),
+                                            [0, ucfg.n_steps], {})
+    assert ucfg.max_jumps == max(12, math.ceil(8 * gamma_t))
+    assert engine.truncation_mass < trajectories.TRUNCATION_BOUND / 10
 
 
 @pytest.mark.parametrize("scenario, dt, n_compared", [

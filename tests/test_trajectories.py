@@ -468,7 +468,8 @@ def test_exact_grid_caches_nan_values():
     assert rows["neg"] == len(pairs) < n_rows
 
 
-# the qutrit curve family at its scenario jump budgets (the feedback floor of 12)
+# the qutrit curve family at gamma t = 1: the feedback runs at the scenarios' budget floor of 12;
+# E_3 and E_3ho end within 4 jumps
 QUTRIT_FAMILY = {
     "E_3": (CascadeSpec.degenerate, False, 4),
     "E_3f": (CascadeSpec.degenerate, True, 12),
@@ -1488,6 +1489,20 @@ def test_trajectory_drivers_reject_model_hamiltonian(driver):
     cfg = UnravelingConfig(dt=1e-3, t_max=0.01, n_samples=4)
     with pytest.raises(ValueError, match="Hamiltonian"):
         driver(model, bell2(), cfg)
+
+
+@pytest.mark.parametrize("driver", [
+    sample_trajectories,
+    lambda model, psi, cfg: sample_density_trajectories(model, np.outer(psi, psi.conj()), cfg),
+    lambda model, psi, cfg: run_sampled_grid(model, psi, cfg, None, [0, 10], {}),
+    lambda model, psi, cfg: run_density_grid(model, np.outer(psi, psi.conj()), cfg, None, [0, 10], {}),
+], ids=["sample_trajectories", "sample_density_trajectories", "run_sampled_grid", "run_density_grid"])
+def test_samplers_reject_a_model_without_channels(driver):
+    # a sampler has no channel to draw; enumeration gives the one no-jump record
+    model, cfg = OpenSystemModel(layout=LAY2, channels=()), UnravelingConfig(dt=1e-2, t_max=0.1)
+    with pytest.raises(ValueError, match="at least one decay channel"):
+        driver(model, bell2(), cfg)
+    assert [r.probability for r in enumerate_trajectories(model, bell2(), cfg).records] == [1.0]
 
 
 def test_pure_sampler_rejects_inefficiency():
