@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import jumpguard
-from jumpguard import trajectories
+from jumpguard import scenarios, trajectories
 from jumpguard.cli import ConfigError, _build_parser, main, parse_config
 from jumpguard.scenarios import SCENARIOS, ScenarioConfig
 
@@ -117,6 +117,19 @@ def test_truncated_exact_curve_exit_code_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert "E_3fho:" in err and "jump budget 12" in err and "--max-jumps" not in err
+    assert not (out / "summary.json").exists()
+
+
+def test_truncated_checkpoint_exit_code_3(tmp_path, capsys, monkeypatch):
+    # the exact record at t* loses half its mass without a single jump
+    ucfg = scenarios._ucfg
+    monkeypatch.setattr(scenarios, "_ucfg", lambda cfg, t_max=None, **kw: ucfg(cfg, t_max, **kw, max_jumps=0))
+    out = tmp_path / "out"
+    rc = main(["run", "singlet-conversion", "--t-max", "1", "--grid-points", "3",
+               "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "t_star:" in err and "jump budget 0" in err
     assert not (out / "summary.json").exists()
 
 
