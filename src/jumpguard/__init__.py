@@ -7,6 +7,18 @@ and reproducible scenario presets with a CSV/JSON command-line front end.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# OpenBLAS threads cost CPU on this package's small matrices and save no wall time:
+# load numpy with one thread unless it is loaded already or the user chose a count.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .entanglement import (
     EntanglementValue,
     Measure,
