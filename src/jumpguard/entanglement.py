@@ -39,17 +39,6 @@ class Measure(enum.Enum):
     ENTROPY_OF_ENTANGLEMENT = "entropy"
 
 
-def measure_cap(measure: Measure, layout) -> float:
-    """Largest value the measure can take on the given bipartite layout."""
-    layout = make_layout(layout)
-    d_min = min(layout.subsystem_dims)
-    if measure is Measure.CONCURRENCE:
-        return 1.0
-    if measure is Measure.NEGATIVITY:
-        return (d_min - 1) / 2.0
-    return float(np.log2(d_min))  # E_F and entropy
-
-
 @dataclass(frozen=True)
 class EntanglementValue:
     measure: Measure
@@ -59,14 +48,6 @@ class EntanglementValue:
         if self.value < -1e-12:
             raise ValueError(f"entanglement value must be >= 0, got {self.value}")
         object.__setattr__(self, "value", max(0.0, float(self.value)))
-
-    @classmethod
-    def compute(cls, state, measure: Measure, layout) -> "EntanglementValue":
-        v = measure_state(state, measure, layout)
-        cap = measure_cap(measure, layout)
-        if v > cap + 1e-9:
-            raise ValueError(f"{measure.value} = {v} exceeds its bound {cap}")
-        return cls(measure, min(v, cap))
 
 
 # Batched kernels on stacks of state vectors (n, d) or density matrices (n, d, d),

@@ -92,10 +92,6 @@ class CascadeSpec:
     def harmonic_oscillator(cls, gamma: float) -> "CascadeSpec":
         return cls(2.0 * gamma, gamma)
 
-    @classmethod
-    def custom(cls, gamma21: float, gamma10: float, distinguishable: bool = True) -> "CascadeSpec":
-        return cls(gamma21, gamma10, distinguishable)
-
 
 @dataclass(frozen=True)
 class ThermalSpec:

@@ -13,8 +13,11 @@ run; the command line lists presets from the same table.
 
 Every curve is the average of one per-row observable f(states, counts) ->
 value per row, defined once below and handed unchanged to whichever driver
-runs (exact enumeration weights rows by probability, the samplers by 1/n;
-the master mode reads the rows of rho(t) with counts None); f is row-local
+:func:`_run_curves` picks from the mode and the feedback policy: the master
+mode reads the rows of rho(t) with counts None; otherwise a policy with
+efficiency below one runs the density sampler on |psi0><psi0|, one with a
+delay the wavefunction sampler, and the rest exact enumeration (weighting rows
+by probability) or the wavefunction sampler (by 1/n), by mode. f is row-local
 and deterministic, as the drivers reuse its values (exact enumeration keeps
 one row per state id, whatever the jump budget).
 Every exact run, curve or checkpoint, takes its jump budget from gamma and its own
@@ -276,18 +279,20 @@ def _classes(engine, k: int) -> np.ndarray:
     return ids[np.argsort(-engine.weights[ids], kind="stable")]
 
 
-def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
+def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None,
                 t_max=None, grid_points=None, **overrides) -> list[Curve]:
-    """Averages of per-row observables over the configured grid.
+    """Averages of per-row observables over the configured grid, from the state vector psi0.
 
     ``observables`` maps label -> (measure, f), f(states, counts) giving one value
     per record row (row-local and deterministic: the drivers reuse its values,
-    see the module docstring). ``mode`` (default ``cfg.mode``) 'master'
-    evaluates f on the rows of the master-equation state rho(t) from x0 (a state
-    vector x0 as |x0><x0|), with counts None and no SEM. Otherwise a density-matrix
-    ``x0`` runs the density sampler; 'exact' runs exact enumeration at :func:`_ucfg`'s jump
-    budget, its truncated plus culled mass recorded under the first label (past the
-    truncation bound it raises :class:`ScenarioError`), and 'sampled' the wavefunction sampler.
+    see the module docstring). The driver follows from ``mode`` (default
+    ``cfg.mode``) and ``policy``: 'master' evaluates f on the rows of the
+    master-equation state rho(t) from |psi0><psi0|, with counts None and no SEM;
+    in either other mode, a policy with efficiency below one runs the density
+    sampler on |psi0><psi0| and one with a delay the wavefunction sampler;
+    otherwise 'exact' runs exact enumeration at :func:`_ucfg`'s jump budget, its
+    truncated plus culled mass recorded under the first label (past the truncation
+    bound it raises :class:`ScenarioError`), and 'sampled' the wavefunction sampler.
     ``overrides`` adjust the :class:`UnravelingConfig`.
     """
     ucfg = _ucfg(cfg, t_max, **overrides)
@@ -296,13 +301,14 @@ def _run_curves(cfg, metadata, model, x0, observables, policy=None, mode=None,
     fns = {label: f for label, (_, f) in observables.items()}
     mode, sem = mode or cfg.mode, {}
     if mode == "master":
-        rho_grid = np.array(evolve_master(model, x0 if x0.ndim == 2 else np.outer(x0, x0.conj()), times))
+        rho_grid = np.array(evolve_master(model, np.outer(psi0, psi0.conj()), times))
         mean = {label: f(rho_grid, None) for label, f in fns.items()}
-    elif x0.ndim == 1 and mode == "exact":
-        mean = _exact(metadata, next(iter(fns)), model, x0, ucfg, policy, gsteps, fns)[0]
+    elif mode == "exact" and (policy is None or (policy.delay == 0.0 and policy.efficiency == 1.0)):
+        mean = _exact(metadata, next(iter(fns)), model, psi0, ucfg, policy, gsteps, fns)[0]
     else:
-        driver = run_density_grid if x0.ndim == 2 else run_sampled_grid
-        out = driver(model, x0, ucfg, policy, gsteps, fns)
+        density = policy is not None and policy.efficiency < 1.0
+        x0 = np.outer(psi0, psi0.conj()) if density else psi0
+        out = (run_density_grid if density else run_sampled_grid)(model, x0, ucfg, policy, gsteps, fns)
         mean, sem = out.mean, out.sem
     return [
         Curve(label, measure, times, mean[label], sem.get(label))
@@ -421,7 +427,7 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
     curves = (_run_curves(cfg, metadata, model2, psi0_2, {"E_F": eof2, "E_F_neg": neg2}, mode="master")
               + _run_curves(cfg, metadata, model2, psi0_2, {"E_2": eof2, "E_2_neg": neg2}))
 
-    # qutrit curve family
+    # qutrit curve family; the delayed and inefficient feedback run on the samplers in either mode
     model_deg = build_qutrit_pair(CascadeSpec.degenerate(gamma))
     model_ho = build_qutrit_pair(CascadeSpec.harmonic_oscillator(gamma))
     fb_ideal = FeedbackPolicy.qutrit_cyclic()
@@ -431,27 +437,17 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
         ("E_3ho", model_ho, None, False),
         ("E_3fho", model_ho, fb_ideal, False),
     ]
+    if (tau := cfg.resolved_tau) > 0:
+        family.append(("E_3f_tau", model_deg, FeedbackPolicy.qutrit_cyclic(delay=tau), False))
+        metadata["tau_run"] = {"driver": "pure-sampled", "n_samples": cfg.n_samples, "tau": tau}
+    if cfg.eta < 1.0:
+        family.append(("E_3f_eta", model_deg, FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta), False))
+        metadata["eta_run"] = {"driver": "density-sampled", "n_samples": cfg.n_samples, "eta": cfg.eta}
     for label, model, policy, with_entropy in family:
         observables = {label: neg3}
         if with_entropy:
             observables[label + "_entropy"] = entropy3
         curves += _run_curves(cfg, metadata, model, psi0_3, observables, policy)
-
-    # Delayed feedback runs on the sampler: exact enumeration takes no delay.
-    tau = cfg.resolved_tau
-    if tau > 0:
-        fb_tau = FeedbackPolicy.qutrit_cyclic(delay=tau)
-        curves += _run_curves(cfg, metadata, model_deg, psi0_3, {"E_3f_tau": neg3},
-                              fb_tau, mode="sampled")
-        metadata["tau_run"] = {"driver": "pure-sampled", "n_samples": cfg.n_samples, "tau": tau}
-
-    # inefficient detection: density-matrix sampling is the only driver.
-    if cfg.eta < 1.0:
-        fb_eta = FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta)
-        rho0 = np.outer(psi0_3, psi0_3.conj())
-        curves += _run_curves(cfg, metadata, model_deg, rho0, {"E_3f_eta": neg3}, fb_eta)
-        metadata["eta_run"] = {"driver": "density-sampled", "n_samples": cfg.n_samples,
-                               "eta": cfg.eta}
 
     scalars = {"tau": tau, "eta": cfg.eta}
     return ScenarioResult(cfg.scenario, curves, scalars, metadata)

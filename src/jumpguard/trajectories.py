@@ -349,10 +349,6 @@ class EnumerationResult:
     truncation_mass: float
     culled_mass: float
 
-    @property
-    def total_probability(self) -> float:
-        return float(sum(r.probability for r in self.records))
-
 
 def _canonical_keys(states: np.ndarray) -> np.ndarray:
     """Quantized phase-fixed directions.
@@ -391,7 +387,8 @@ class _ExactEngine:
     within the jump budget is filled, one level of stay chains and one
     product at a time. A step moves the dense weight vector ``W`` over ids
     along the edges of the ids that have had a class, and drops those of
-    ids that lost it once they outnumber the live ones. A class is a nonzero
+    ids that lost it, in place, once they outnumber the live ones, so the
+    edge arrays regrow only when full. A class is a nonzero
     entry of ``W``, with the count ``C`` (``empty`` without a class) of its
     fewest-jump member, ties going to stays, then branch order, then the
     lower source id, and with ``events`` its event ``node``.
@@ -600,11 +597,13 @@ class _ExactEngine:
         np.take(self.W, src, out=flow, mode="clip")
         if 2 * (live := np.count_nonzero(flow)) < flow.size:
             # edges of ids that lost their class add +0.0 to the truncated bin
-            # and never win the merge key: dropping them stably moves no bit
+            # and never win the merge key: dropping them stably, in place, moves no bit
             keep = flow != 0.0
             self.active[src[~keep]] = False
-            self.edges[:4], self.n_edges = [a[: self.n_edges][keep] for a in self.edges[:4]], live
-            return self._step(step)
+            for a in (src, dst, base, mass, flow):
+                a[:live] = a[keep]
+            self.n_edges = live
+            src, dst, base, mass, key, bins, flow = (a[:live] for a in (src, dst, base, mass, key, bins, flow))
         flow *= mass
         # each edge's member of its destination class, keyed (count, rank, source id)
         np.take(self.C, src, out=key, mode="clip")

@@ -195,12 +195,8 @@ def test_measure_dimension_guards():
 
 
 def test_entanglement_value_caps():
-    psi3 = normalized(product_basis_state(LAY3, (1, 2)) + product_basis_state(LAY3, (2, 1)))
-    ev = ent.EntanglementValue.compute(psi3, Measure.NEGATIVITY, LAY3)
-    assert abs(ev.value - 0.5) < 1e-12
-    assert ent.measure_cap(Measure.NEGATIVITY, LAY3) == 1.0
-    assert ent.measure_cap(Measure.ENTANGLEMENT_OF_FORMATION, LAY2) == 1.0
-    assert ent.measure_cap(Measure.ENTROPY_OF_ENTANGLEMENT, make_layout((2, 3))) == 1.0
+    # a rounding-level negative value reads 0; a clearly negative one is refused
+    assert ent.EntanglementValue(Measure.NEGATIVITY, -1e-13).value == 0.0
     with pytest.raises(ValueError):
         ent.EntanglementValue(Measure.NEGATIVITY, -0.5)
 

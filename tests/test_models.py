@@ -136,7 +136,7 @@ def test_harmonic_oscillator_cascade_weights():
 
 def test_cascade_spec_validation():
     with pytest.raises(ValueError):
-        CascadeSpec.custom(-1.0, 1.0)
+        CascadeSpec(-1.0, 1.0, distinguishable=True)
 
 
 @pytest.mark.parametrize("gamma", [0.7, 1.0, 3.0])
@@ -157,7 +157,7 @@ def test_merged_cascade_with_stable_middle_level_is_the_upper_transition():
     (op, rate), = build_qutrit_cascade(CascadeSpec(1.5, 0.0))
     assert np.array_equal(op, ket(1, 2)) and rate == 1.5
     merged = build_qutrit_pair(CascadeSpec(1.5, 0.0))
-    split = build_qutrit_pair(CascadeSpec.custom(1.5, 0.0))
+    split = build_qutrit_pair(CascadeSpec(1.5, 0.0, distinguishable=True))
     assert np.array_equal(merged.decay_generator, split.decay_generator)
 
 
@@ -180,7 +180,7 @@ def test_cavity_model_equals_oscillator_cascade_on_slot_1(alpha):
 
 
 def test_distinguishable_cascade_has_two_channels():
-    ops = build_qutrit_cascade(CascadeSpec.custom(1.0, 1.0, distinguishable=True))
+    ops = build_qutrit_cascade(CascadeSpec(1.0, 1.0, distinguishable=True))
     assert len(ops) == 2
 
 
@@ -189,7 +189,7 @@ def test_merged_and_distinguishable_generators_differ():
     |2>-|1> coherence the merged single operator produces cross terms the
     two-channel model cannot."""
     merged = build_qutrit_pair(CascadeSpec.degenerate(1.0))
-    split = build_qutrit_pair(CascadeSpec.custom(1.0, 1.0, distinguishable=True))
+    split = build_qutrit_pair(CascadeSpec(1.0, 1.0, distinguishable=True))
     psi = normalized(product_basis_state(LAY3, (1, 0)) + product_basis_state(LAY3, (2, 0)))
     rho = np.outer(psi, psi.conj())
     diff = np.max(np.abs(lindblad_rhs(merged, rho) - lindblad_rhs(split, rho)))
@@ -209,7 +209,7 @@ def test_lindblad_rhs_dark_state_and_tracelessness():
 
 @pytest.mark.parametrize("model", [
     build_thermal_oscillator(0.7, ThermalSpec(0.3), 4),
-    build_qutrit_pair(CascadeSpec.custom(1.3, 0.6, distinguishable=True)),
+    build_qutrit_pair(CascadeSpec(1.3, 0.6, distinguishable=True)),
 ], ids=["thermal-ladder", "distinguishable-cascade"])
 def test_lindblad_rhs_matches_dissipator_sum(model):
     # oracle: sum_k gamma_k (L rho L+ - 1/2 {L+ L, rho}), channel by channel

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from jumpguard import entanglement as ent
-from jumpguard import trajectories
+from jumpguard import scenarios, trajectories
 from jumpguard.linalg import make_layout, normalized, product_basis_state
 from jumpguard.models import CascadeSpec, build_qubit_pair, build_qutrit_pair, evolve_master
 from jumpguard.cli import main
 from jumpguard.trajectories import FeedbackPolicy
 from jumpguard.scenarios import (
+    SCENARIOS,
     ScenarioConfig,
     ScenarioError,
     _cavity,
@@ -201,6 +202,52 @@ def test_sampled_mode_matches_exact_mode(scenario, dt, n_compared):
         assert np.all(np.abs(ce.values - cs.values) <= 10 * dt + 4 * sem), ce.label
         compared += 1
     assert compared == n_compared
+
+
+@pytest.mark.parametrize("scenario, mode", [(s, m) for s, spec in SCENARIOS.items() for m in spec.modes])
+def test_averaged_entanglement_never_rises(scenario, mode):
+    # monitoring and feedback are local operations, so no averaged entanglement
+    # curve may rise: exact, master and closed-form curves within rounding,
+    # sampled ones within 4 SEM of a step; under ideal feedback E_3f stays put.
+    # entropy_NJ, an average over the jump-free records only, is not one
+    cfg = ScenarioConfig(scenario=scenario, mode=mode, t_max=1.0, grid_points=6, n_samples=300)
+    checked = 0
+    for c in run_scenario(cfg).curves:
+        if c.measure == "probability" or c.label == "entropy_NJ":
+            continue
+        tol = 1e-12 if c.sem is None else np.maximum(4 * np.hypot(c.sem[:-1], c.sem[1:]), 1e-12)
+        assert np.all(np.diff(c.values) <= tol), c.label
+        if c.label in ("E_3f", "E_3f_entropy"):
+            assert np.ptp(c.values) <= 1e-12, c.label
+        checked += 1
+    assert checked or scenario == "singlet-conversion"
+
+
+@pytest.mark.parametrize("policy, driver", [
+    (FeedbackPolicy.qutrit_cyclic(delay=0.05), "run_sampled_grid"),
+    (FeedbackPolicy.qutrit_cyclic(efficiency=0.5), "run_density_grid"),
+    (FeedbackPolicy.qutrit_cyclic(delay=0.05, efficiency=0.5), "run_density_grid"),
+], ids=["delay", "efficiency", "both"])
+def test_exact_mode_runs_non_ideal_feedback_on_a_sampler(monkeypatch, policy, driver):
+    # exact enumeration takes immediate feedback at efficiency 1 only, so the
+    # policy routes past it: a delay to the wavefunction sampler on psi0, an
+    # efficiency below one to the density sampler on |psi0><psi0|
+    cfg = ScenarioConfig(scenario="qutrit-protection", mode="exact", t_max=0.2, grid_points=3, n_samples=50)
+    layout = make_layout((3, 3))
+    psi0 = normalized(product_basis_state(layout, (1, 2)) + product_basis_state(layout, (2, 1)))
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    starts, run = [], getattr(scenarios, driver)
+
+    def spy(model, x0, *args):
+        starts.append(x0)
+        return run(model, x0, *args)
+
+    monkeypatch.setattr(scenarios, driver, spy)
+    curve, = _run_curves(cfg, _metadata(), model, psi0, {"E": scenarios._measure(ent.Measure.NEGATIVITY, layout)},
+                         policy)
+    start, = starts
+    assert np.array_equal(start, psi0 if driver == "run_sampled_grid" else np.outer(psi0, psi0.conj()))
+    assert curve.sem is not None and abs(curve.values[0] - 0.5) < 1e-12
 
 
 def test_cavity_closed_forms_limits():

@@ -201,7 +201,7 @@ def test_enumerate_bell_no_jump_record():
 def test_enumerate_completeness():
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     res = enumerate_trajectories(model, code_bell3(), UnravelingConfig(dt=2e-3, t_max=1.0))
-    total = res.total_probability + res.truncation_mass + res.culled_mass
+    total = sum(r.probability for r in res.records) + res.truncation_mass + res.culled_mass
     assert abs(total - 1.0) < 1e-9
 
 
@@ -572,6 +572,25 @@ def test_exact_step_gathers_live_edges_only():
     live = np.count_nonzero(np.isin(src, engine.ids))
     assert engine.n_edges <= 8 * live
     assert cfg.n_steps < engine.size
+
+
+def test_exact_step_drops_dead_edges_in_place(monkeypatch):
+    # the no-jump sweep drops dead edges on most of its 5,000 steps; done in
+    # place, the edge arrays keep their capacity and regrow only when full,
+    # where a copy per drop would reallocate them on each of those steps
+    cfg = UnravelingConfig(dt=1e-3, t_max=5.0)
+    engine = trajectories._ExactEngine(build_qubit_pair(1.0), relaxing_state(0.25), cfg, None)
+    grown, reallocations = trajectories._grown, []
+
+    def counting(arr, size, fill=-1):
+        out = grown(arr, size, fill)
+        if out is not arr:
+            reallocations.append(len(out))
+        return out
+
+    monkeypatch.setattr(trajectories, "_grown", counting)
+    engine.run([0, cfg.n_steps], {"P0": lambda s, c: (c == 0).astype(float)})
+    assert len(reallocations) <= 100  # state-table doublings included
 
 
 def test_exact_books_balance_at_the_default_horizon():
