@@ -19,7 +19,8 @@ efficiency below one runs the density sampler on |psi0><psi0|, one with a
 delay the wavefunction sampler, and the rest exact enumeration (weighting rows
 by probability) or the wavefunction sampler (by 1/n), by mode. f is row-local
 and deterministic, as the drivers reuse its values (exact enumeration keeps
-one row per state id, whatever the jump budget).
+one row per state id, whatever the jump budget). ``f.reads = "states"`` or
+``"counts"`` declares that f reads only that argument, and sampler reads skip the other.
 Every exact run, curve or checkpoint, takes its jump budget from gamma and its own
 horizon (:func:`_ucfg`); no config key sets it. ``metadata["truncation_mass"]`` maps
 the label of each exact run to its truncated plus culled mass, and is empty without one.
@@ -251,12 +252,16 @@ _PROB = "probability"
 def _measure(measure: Measure, layout):
     """(measure tag, f) of one entanglement measure per state vector or density matrix row."""
     layout = make_layout(layout)
-    return measure.value, lambda states, counts: ent.measure_rows(states, measure, layout)
+    f = lambda states, counts: ent.measure_rows(states, measure, layout)  # noqa: E731
+    f.reads = "states"
+    return measure.value, f
 
 
 def _jumps(k: int):
     """Indicator of the rows that recorded exactly ``k`` jumps."""
-    return lambda states, counts: (counts == k).astype(float)
+    f = lambda states, counts: (counts == k).astype(float)  # noqa: E731
+    f.reads = "counts"
+    return f
 
 
 def _exact(metadata, label: str, model, psi0, ucfg, policy=None, gsteps=(), fns=None):
@@ -285,7 +290,8 @@ def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None,
 
     ``observables`` maps label -> (measure, f), f(states, counts) giving one value
     per record row (row-local and deterministic: the drivers reuse its values,
-    see the module docstring). The driver follows from ``mode`` (default
+    see the module docstring; by ``f.reads`` a sampler passes states None to a
+    count-only run, counts None to a state-only one). The driver follows from ``mode`` (default
     ``cfg.mode``) and ``policy``: 'master' evaluates f on the rows of the
     master-equation state rho(t) from |psi0><psi0|, with counts None and no SEM;
     in either other mode, a policy with efficiency below one runs the density

@@ -754,9 +754,10 @@ class _Sampler:
     keep. u is recomputed from (seed, trajectory, period) where needed, never stored.
     Rows take one event per round in stretches of ``_TABLE_CAP`` steps, so which rows
     share a product never depends on the grid; a row reads the stretch's grid steps from
-    its anchor on, keyed by its normalized coordinates. Each distinct key becomes a
-    state, psi = c V^T or rho = x T^*, and each row-local, deterministic
-    fn(states, counts) runs once per (key, count).
+    its anchor on. A read takes what the row-local, deterministic fn(states, counts) read
+    (``fn.reads`` "states" or "counts", else both): if none reads states, (None, counts)
+    of all rows; else each distinct normalized row as a state, psi = c V^T or rho = x T^*,
+    with counts None if none reads counts, else once per (state, count).
     """
 
     def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -822,18 +823,22 @@ class _Sampler:
         return self._place(self._keys(rows))
 
     def _observe(self, observables, rows, counts, acc, g):
-        """Add sums of f and f^2 over the rows to acc[:, g], each f run once per distinct (state, count)."""
-        words = (keys := self._keys(rows)).view(np.uint64)
-        order = np.argsort(words @ self.mix[:-1] + counts.astype(np.uint64) * self.mix[-1])  # wraps
-        ws, cs = np.take(words, order, axis=0), counts[order]  # a row equal to the one before repeats it
-        differ = np.ascontiguousarray((ws[1:] != ws[:-1]).T).any(axis=0)  # any() is slow over short rows
-        new = np.concatenate([[True], differ | (cs[1:] != cs[:-1])])
-        back = np.empty_like(order)
-        back[order] = np.cumsum(new) - 1
-        states, counts = self._place(keys[order[new]]), cs[new]
-        del keys, words, ws  # the full keys go before any evaluation
+        """Add sums of f and f^2 over the rows to acc[:, g]. Without rows each f runs on (None,
+        counts); else once per distinct state with counts None, or per distinct (state, count)."""
+        back = slice(None)
+        if rows is not None:
+            tag = np.zeros(len(rows), dtype=np.int64) if counts is None else counts  # the counts, if read
+            words = (keys := self._keys(rows)).view(np.uint64)
+            order = np.argsort(words @ self.mix[:-1] + tag.astype(np.uint64) * self.mix[-1])  # wraps
+            ws, cs = np.take(words, order, axis=0), tag[order]  # a row equal to the one before repeats it
+            differ = np.ascontiguousarray((ws[1:] != ws[:-1]).T).any(axis=0)  # any() is slow over short rows
+            new = np.concatenate([[True], differ | (cs[1:] != cs[:-1])])
+            back = np.empty_like(order)
+            back[order] = np.cumsum(new) - 1
+            rows, counts = self._place(keys[order[new]]), None if counts is None else cs[new]
+            del keys, words, ws  # the full keys go before any evaluation
         for lab, fn in observables.items():
-            vals = fn(states, counts)[back]
+            vals = fn(rows, counts)[back]
             acc[lab][:, g] += vals.sum(), (vals * vals).sum()
 
     def _advance(self, rows, k):
@@ -872,6 +877,8 @@ class _Sampler:
         n_steps, n, K, D = cfg.n_steps, cfg.n_samples, ops.n_channels, self.x0.size  # D: row length
         grid = _checked_grid(grid_steps, n_steps)
         acc = {lab: np.zeros((2, len(grid))) for lab in observables}  # sums of f and f^2
+        marks = [getattr(fn, "reads", None) for fn in observables.values()]  # "states", "counts" or both
+        with_states, with_counts = any(r != "counts" for r in marks), any(r != "states" for r in marks)
         records: list[TrajectoryRecord] = []
         block, never = max(1, _SAMPLE_CHUNK * self.d // D), n_steps + 1
         # stretches of _TABLE_CAP steps, the last ending at or past the last step read
@@ -889,15 +896,20 @@ class _Sampler:
             due, due_slot = np.full((1, m), never), np.zeros((1, m), dtype=np.int64)
             events = [[] for _ in range(m)] if collect_records else None
             nxt, jump, before, after = self._next(rows, surv, _thresholds(keys, counts), at, due[0])
-            reads, g0 = {}, 0  # grid index -> (rows advanced to it, counts); the stretch's first index
+            reads, g1 = {}, 0  # grid index -> (rows advanced to it or None, counts); a stretch's g0..g1-1
 
             def read(sel, until):  # the rows sel at the stretch's grid steps from their anchors to until
-                for g in range(g0, np.searchsorted(grid, until).max(initial=0)):
+                for g in range(g0, g1):
                     on = sel[(at[sel] <= grid[g]) & (grid[g] < until)]
-                    x, c = reads.setdefault(g, (np.empty_like(rows), np.empty_like(counts)))
-                    x[on], c[on] = self._advance(rows[on], grid[g] - at[on]), counts[on]
+                    if g not in reads:  # a grid point's buffers, at its first read
+                        reads[g] = np.empty_like(rows) if with_states else None, np.empty_like(counts)
+                    x, c = reads[g]
+                    c[on] = counts[on]
+                    if with_states:  # else no f reads states: none is formed
+                        x[on] = self._advance(rows[on], grid[g] - at[on])
 
             for stop in stops:  # one event per row and round
+                g0, g1 = g1, np.searchsorted(grid, stop + 1)
                 while (sel := np.flatnonzero(nxt <= stop)).size:
                     read(sel, nxt[sel])
                     old, k, jumped, s = rows[sel], nxt[sel] - at[sel], jump[sel], after[sel]
@@ -934,8 +946,8 @@ class _Sampler:
                         new, s, _thresholds(keys[sel], counts[sel]), at[sel], due[applied[sel], sel])
                 read(np.arange(m), stop + 1)
                 for g in sorted(reads):  # read at every row
-                    self._observe(observables, *reads.pop(g), acc, g)
-                g0 = np.searchsorted(grid, stop + 1)
+                    x, c = reads.pop(g)
+                    self._observe(observables, x, c if with_counts else None, acc, g)
 
             if collect_records:
                 final = self._states(self._advance(rows, n_steps - at))
@@ -968,10 +980,12 @@ def sample_density_trajectories(
 
 
 def run_sampled_grid(model, psi0, config, policy, grid_steps, observables) -> SampledCurves:
-    """Wavefunction Monte Carlo mean and SEM of row-local, deterministic fn(states, counts)."""
+    """Wavefunction Monte Carlo mean and SEM of row-local, deterministic fn(states, counts),
+    each read taking only what ``fn.reads`` declares ("states" or "counts"; see _Sampler)."""
     return _Sampler(model, psi0, 1, config, policy).run(grid_steps, observables)[0]
 
 
 def run_density_grid(model, rho0, config, policy, grid_steps, observables) -> SampledCurves:
-    """Density-matrix Monte Carlo mean and SEM of row-local, deterministic fn(rhos, counts)."""
+    """Density-matrix Monte Carlo mean and SEM of row-local, deterministic fn(rhos, counts),
+    each read taking only what ``fn.reads`` declares ("states" or "counts"; see _Sampler)."""
     return _Sampler(model, rho0, 2, config, policy).run(grid_steps, observables)[0]

@@ -405,3 +405,34 @@ def test_deterministic_rerun_identical():
     b = run_scenario(cfg)
     for ca, cb in zip(a.curves, b.curves):
         assert np.array_equal(ca.values, cb.values)
+
+
+def _bare(f):
+    """f without its ``reads`` declaration, so a sampler groups its rows by (state, count)."""
+    return lambda states, counts: f(states, counts)
+
+
+@pytest.mark.parametrize("scenario, kw", [
+    ("singlet-conversion", dict(alpha=0.25, n_samples=2000, t_max=1.0, dt=5e-3, grid_points=3)),
+    ("bell-monitoring", dict(n_samples=500, t_max=1.0, grid_points=6)),
+    ("qutrit-protection", dict(n_samples=200, t_max=0.5, grid_points=3)),
+], ids=["singlet-conversion", "bell-monitoring", "qutrit-protection"])
+def test_declared_reads_change_no_bit(monkeypatch, scenario, kw):
+    # sampled grid reads take what the observables declare they read: counts
+    # only (singlet conversion's jump-free fraction), states only (E_3f,
+    # E_3fho, E_3f_tau, and E_3f_eta on the density sampler) or both
+    # (bell-monitoring's E_2 with P_NJ); each curve, SEM and scalar equals
+    # that of the same functions without the declaration, bit for bit
+    assert scenarios._measure(ent.Measure.NEGATIVITY, (3, 3))[1].reads == "states"
+    assert scenarios._jumps(0).reads == "counts"
+    cfg = ScenarioConfig(scenario=scenario, mode="sampled", **kw)
+    declared = run_scenario(cfg)
+    measure, jumps = scenarios._measure, scenarios._jumps
+    monkeypatch.setattr(scenarios, "_measure", lambda *args: (measure(*args)[0], _bare(measure(*args)[1])))
+    monkeypatch.setattr(scenarios, "_jumps", lambda k: _bare(jumps(k)))
+    bare = run_scenario(cfg)
+    assert [c.label for c in declared.curves] == [c.label for c in bare.curves]
+    for a, b in zip(declared.curves, bare.curves):
+        assert a.values.tolist() == b.values.tolist(), a.label
+        assert (a.sem is None and b.sem is None) or a.sem.tolist() == b.sem.tolist(), a.label
+    assert declared.scalars == bare.scalars

@@ -931,13 +931,16 @@ def test_grid_reads_leave_rows_untouched(density):
 
 
 def recorded(observables):
-    """The observables, each keeping copies of the (states, counts) of every call in ``calls``."""
+    """The observables, each keeping copies of the (states, counts) of every call in ``calls``
+    (None stays None) and its ``reads`` declaration, if it has one."""
     calls = {label: [] for label in observables}
 
     def wrap(label, fn):
         def fn_recorded(states, counts):
-            calls[label].append((states.copy(), counts.copy()))
+            calls[label].append(tuple(None if a is None else a.copy() for a in (states, counts)))
             return fn(states, counts)
+        if hasattr(fn, "reads"):
+            fn_recorded.reads = fn.reads
         return fn_recorded
 
     return {label: wrap(label, fn) for label, fn in observables.items()}, calls
@@ -1053,6 +1056,82 @@ def test_grid_reads_keep_counts_of_equal_states():
     for k in ks:
         assert curves.mean[f"P{k}"][-1] == np.mean([r.n_jumps == k for r in records]), k
     assert 0.0 < curves.mean["P1"][-1] < 1.0
+
+
+def declared(reads, fn):
+    """fn, declared to read only its ``reads`` argument, "states" or "counts"."""
+    def fn_declared(states, counts):
+        return fn(states, counts)
+    fn_declared.reads = reads
+    return fn_declared
+
+
+def _p1(states, counts):
+    return (counts == 1).astype(float)
+
+
+def _neg3(states, counts):
+    return measure_rows(states, Measure.NEGATIVITY, LAY3)
+
+
+@pytest.mark.parametrize("case", list(_GRID_READ_CASES))
+def test_count_only_reads_form_no_states(monkeypatch, case):
+    # an observable that reads counts only gets states None at every read,
+    # no read places a state, and its curve keeps every bit
+    places = []
+    place = trajectories._Sampler._place
+    monkeypatch.setattr(trajectories._Sampler, "_place", lambda self, keys: places.append(len(keys)) or place(self, keys))
+    wrapped, calls = recorded({"p1": declared("counts", _p1)})
+    out = grid_read_run(case, wrapped)
+    assert len(calls["p1"]) == 11
+    assert all(states is None and counts.size for states, counts in calls["p1"])
+    assert places == []
+    bare = grid_read_run(case, {"p1": _p1})
+    assert 0.0 < out.mean["p1"][-1] < 1.0
+    assert out.mean["p1"].tolist() == bare.mean["p1"].tolist()
+    assert out.sem["p1"].tolist() == bare.sem["p1"].tolist()
+
+
+def test_state_only_reads_evaluate_each_state_once():
+    # under ideal feedback rows of one state carry different jump counts; an
+    # observable that reads states only sees each distinct state of a read
+    # once, with counts None: on E_3f's model 179 rows over 51 reads, where
+    # grouping by (state, count) evaluates 1,569, with the same bits
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=5.0, n_samples=1000, rng_seed=12345)
+    grid = np.arange(0, cfg.n_steps + 1, 20)
+
+    def run(observables):
+        return run_sampled_grid(model, code_bell3(), cfg, FeedbackPolicy.qutrit_cyclic(), grid, observables)
+
+    wrapped, calls = recorded({"neg": declared("states", _neg3)})
+    out = run(wrapped)
+    assert len(calls["neg"]) == 51 and all(counts is None for _, counts in calls["neg"])
+    for states, _ in calls["neg"]:
+        assert len({x.tobytes() for x in states}) == len(states)
+    assert sum(len(states) for states, _ in calls["neg"]) == 179
+    wrapped, calls = recorded({"neg": _neg3})
+    bare = run(wrapped)
+    assert sum(len(states) for states, _ in calls["neg"]) == 1569
+    assert out.mean["neg"].tolist() == bare.mean["neg"].tolist()
+    assert out.sem["neg"].tolist() == bare.sem["neg"].tolist()
+
+
+@pytest.mark.parametrize("marks", [(None, None), ("states", "counts")], ids=["unmarked", "states-and-counts"])
+def test_reads_of_both_group_by_state_and_count(marks):
+    # an undeclared observable reads both, and so do a run's observables when
+    # one reads states and another counts: each call gets every distinct
+    # (state, count) of a read once, and equal states with different counts
+    # stay apart
+    obs = {"neg": _neg3, "p1": _p1}
+    wrapped, calls = recorded({lab: declared(m, fn) if m else fn for m, (lab, fn) in zip(marks, obs.items())})
+    grid_read_run("ideal", wrapped, n_samples=400)
+    shared = 0
+    for (states, counts), (p1_states, p1_counts) in zip(calls["neg"], calls["p1"]):
+        assert np.array_equal(states, p1_states) and np.array_equal(counts, p1_counts)
+        assert len({(x.tobytes(), c) for x, c in zip(states, counts.tolist())}) == len(states)
+        shared += len(states) - len({x.tobytes() for x in states})
+    assert shared > 0
 
 
 def generic_qutrit_pair(seed=3):
