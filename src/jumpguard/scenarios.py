@@ -11,19 +11,19 @@ alpha, the modes it runs (the first is its default), figure, summary and the
 config keys it reads. ``ScenarioConfig`` rejects a mode the preset does not
 run; the command line lists presets from the same table.
 
-Every curve is the average of one per-row observable f(states, counts) ->
-value per row, defined once below and handed unchanged to whichever driver
-:func:`_run_curves` picks from the mode and the feedback policy: the master
-mode reads the rows of rho(t) with counts None; otherwise a policy with
-efficiency below one runs the density sampler on |psi0><psi0|, one with a
-delay the wavefunction sampler, and the rest exact enumeration (weighting rows
-by probability) or the wavefunction sampler (by 1/n), by mode. f is row-local
-and deterministic, as the drivers reuse its values (exact enumeration keeps
-one row per state id, whatever the jump budget). ``f.reads = "states"`` or
-``"counts"`` declares that f reads only that argument, and sampler reads skip the other.
-Every exact run, curve or checkpoint, takes its jump budget from gamma and its own
-horizon (:func:`_ucfg`); no config key sets it. ``metadata["truncation_mass"]`` maps
-the label of each exact run to its truncated plus culled mass, and is empty without one.
+Every curve and checkpoint is the average of one per-row observable f(states,
+counts) -> value per row, defined once below. :func:`_run_curves`, the one caller
+of every driver, hands it unchanged to the driver that :func:`_driver` picks from
+the mode and the feedback policy: exact enumeration weights rows by probability,
+the samplers by 1/n, and the master mode reads the rows of rho(t) with counts None.
+f is row-local and deterministic, as the drivers reuse its values (exact
+enumeration keeps one row per state id, whatever the jump budget). ``f.reads =
+"states"`` or ``"counts"`` declares that f reads only that argument, and sampler
+reads skip the other. A checkpoint (singlet conversion's t*, a cavity-2x3 check
+time) is a two-point run to its own horizon. Every exact run takes its jump budget
+from gamma and its own horizon (:func:`_ucfg`); no config key sets it.
+``metadata["truncation_mass"]`` maps its label to its truncated plus culled mass,
+``metadata["classes"]`` to its final classes per jump count.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ def _ucfg(cfg: ScenarioConfig, t_max: float | None = None, **overrides) -> Unrav
 
 
 def _metadata(warnings=()) -> dict:
-    """Warnings and the lost mass of every exact run by label."""
-    return {"warnings": list(warnings), "truncation_mass": {}}
+    """Warnings, and the lost mass and class census of every exact run by label."""
+    return {"warnings": list(warnings), "truncation_mass": {}, "classes": {}}
 
 
 def _two_term(layout, x: float, a: tuple, y: float, b: tuple) -> np.ndarray:
@@ -264,24 +264,14 @@ def _jumps(k: int):
     return f
 
 
-def _exact(metadata, label: str, model, psi0, ucfg, policy=None, gsteps=(), fns=None):
-    """(curves, engine) of :func:`run_exact_grid`, whose final classes are the engine's
-    ``weights``, ``counts`` and ``states``, its truncated plus culled mass booked under
-    ``label``; past the truncation bound a :class:`ScenarioError` naming ``label`` and the
-    jump budget of ``ucfg``."""
-    try:
-        curves, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns or {})
-    except TruncationError as exc:
-        raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps})") from exc
-    metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
-    return curves, engine
-
-
-def _classes(engine, k: int) -> np.ndarray:
-    """Positions of the engine's final classes that recorded ``k`` jumps, heaviest first
-    (id order on a tie)."""
-    ids = np.flatnonzero(engine.counts == k)
-    return ids[np.argsort(-engine.weights[ids], kind="stable")]
+def _driver(mode: str, policy) -> str:
+    """'master' in master mode; else 'density-sampled' below efficiency one, 'pure-sampled'
+    for a delay or in sampled mode, and 'exact' for the rest."""
+    if mode == "master":
+        return "master"
+    if policy is not None and policy.efficiency < 1.0:
+        return "density-sampled"
+    return "pure-sampled" if mode == "sampled" or (policy is not None and policy.delay > 0.0) else "exact"
 
 
 def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None,
@@ -289,30 +279,32 @@ def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None,
     """Averages of per-row observables over the configured grid, from the state vector psi0.
 
     ``observables`` maps label -> (measure, f), f(states, counts) giving one value
-    per record row (row-local and deterministic: the drivers reuse its values,
-    see the module docstring; by ``f.reads`` a sampler passes states None to a
-    count-only run, counts None to a state-only one). The driver follows from ``mode`` (default
-    ``cfg.mode``) and ``policy``: 'master' evaluates f on the rows of the
-    master-equation state rho(t) from |psi0><psi0|, with counts None and no SEM;
-    in either other mode, a policy with efficiency below one runs the density
-    sampler on |psi0><psi0| and one with a delay the wavefunction sampler;
-    otherwise 'exact' runs exact enumeration at :func:`_ucfg`'s jump budget, its
-    truncated plus culled mass recorded under the first label (past the truncation
-    bound it raises :class:`ScenarioError`), and 'sampled' the wavefunction sampler.
-    ``overrides`` adjust the :class:`UnravelingConfig`.
+    per record row (see the module docstring; by ``f.reads`` a sampler passes states
+    None to a count-only run, counts None to a state-only one). :func:`_driver` picks
+    the driver from ``mode`` (default ``cfg.mode``) and ``policy``. The master mode
+    has no SEM, and it and the density sampler start from |psi0><psi0|. An exact run
+    books, under its first label, its truncated plus culled mass and its class census;
+    past the truncation bound it raises :class:`ScenarioError`. ``overrides`` adjust
+    the :class:`UnravelingConfig`.
     """
     ucfg = _ucfg(cfg, t_max, **overrides)
     gsteps = _grid_steps(ucfg.n_steps, grid_points or cfg.grid_points)
     times = gsteps * ucfg.dt
     fns = {label: f for label, (_, f) in observables.items()}
-    mode, sem = mode or cfg.mode, {}
-    if mode == "master":
+    driver, sem = _driver(mode or cfg.mode, policy), {}
+    if driver == "master":
         rho_grid = np.array(evolve_master(model, np.outer(psi0, psi0.conj()), times))
         mean = {label: f(rho_grid, None) for label, f in fns.items()}
-    elif mode == "exact" and (policy is None or (policy.delay == 0.0 and policy.efficiency == 1.0)):
-        mean = _exact(metadata, next(iter(fns)), model, psi0, ucfg, policy, gsteps, fns)[0]
+    elif driver == "exact":
+        label = next(iter(fns))
+        try:
+            mean, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns)
+        except TruncationError as exc:
+            raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps})") from exc
+        metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
+        metadata["classes"][label] = np.bincount(engine.counts).tolist()
     else:
-        density = policy is not None and policy.efficiency < 1.0
+        density = driver == "density-sampled"
         x0 = np.outer(psi0, psi0.conj()) if density else psi0
         out = (run_density_grid if density else run_sampled_grid)(model, x0, ucfg, policy, gsteps, fns)
         mean, sem = out.mean, out.sem
@@ -370,16 +362,18 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     t_star, = _checkpoints(cfg)
 
     metadata = _metadata()
-    # the conditional no-jump class exactly at t*
-    p_ok, state = 1.0, psi0
-    if t_star > 0.0:
-        engine = _exact(metadata, "t_star", model, psi0, _ucfg(cfg, t_star))[1]
-        nj = _classes(engine, 0)[0]
-        p_ok, state = float(engine.weights[nj]), engine.states[nj]
-    scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
-               "entropy_at_t_star": ent.entanglement_entropy(state, layout)}
-
     no_jump = _jumps(0)
+    tag, entropy = _measure(Measure.ENTROPY_OF_ENTANGLEMENT, layout)
+    # the no-jump-weighted entropy, over P_NJ the entropy of the conditional no-jump state
+    weighted_entropy = (tag, lambda s, c: no_jump(s, c) * entropy(s, c))
+    p_ok, entropy_t_star = 1.0, ent.entanglement_entropy(psi0, layout)  # at t* = 0, without a run
+    if t_star > 0.0:
+        p_ok, weighted = (float(c.values[-1]) for c in _run_curves(cfg, metadata, model, psi0, {
+            "t_star": (_PROB, no_jump), "entropy_t_star": weighted_entropy}, mode="exact", t_max=t_star, grid_points=2))
+        entropy_t_star = weighted / p_ok
+    scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
+               "entropy_at_t_star": entropy_t_star}
+
     if cfg.mode == "sampled" and t_star > 0.0:
         sampled, = _run_curves(cfg, metadata, model, psi0, {"no_jump": (_PROB, no_jump)},
                                t_max=t_star, grid_points=2)
@@ -388,14 +382,13 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
         if sigma == 0.0:  # a Wald SEM reads 0 when every or no trajectory is jump-free
             metadata["warnings"].append(f"p_ok_sampled_sigma is 0 at p_ok_sampled {scalars['p_ok_sampled']:g} "
                                         f"from {cfg.n_samples} samples: a sigma-based check on it is void")
+    elif cfg.mode == "sampled":
+        metadata["warnings"].append("t* is 0 at alpha 1/2: no sampled conversion ran; p_ok_sampled and "
+                                    "p_ok_sampled_sigma are left out")
 
-    # curves over the configured horizon (exact engine; cheap for two qubits);
-    # the no-jump entropy is the no-jump-weighted average over P_NJ
-    tag, entropy = _measure(Measure.ENTROPY_OF_ENTANGLEMENT, layout)
+    # curves over the configured horizon (exact engine; cheap for two qubits)
     pnj, entropy_nj = _run_curves(cfg, metadata, model, psi0, {
-        "P_NJ": (_PROB, no_jump),
-        "entropy_NJ": (tag, lambda s, c: no_jump(s, c) * entropy(s, c)),
-    }, mode="exact")
+        "P_NJ": (_PROB, no_jump), "entropy_NJ": weighted_entropy}, mode="exact")
     entropy_nj.values = np.divide(entropy_nj.values, pnj.values,
                                   out=np.zeros_like(pnj.values), where=pnj.values > 0)
     pnj_analytic = alpha + (1.0 - alpha) * np.exp(-2.0 * gamma * pnj.times)
@@ -443,12 +436,12 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
         ("E_3ho", model_ho, None, False),
         ("E_3fho", model_ho, fb_ideal, False),
     ]
-    if (tau := cfg.resolved_tau) > 0:
-        family.append(("E_3f_tau", model_deg, FeedbackPolicy.qutrit_cyclic(delay=tau), False))
-        metadata["tau_run"] = {"driver": "pure-sampled", "n_samples": cfg.n_samples, "tau": tau}
-    if cfg.eta < 1.0:
-        family.append(("E_3f_eta", model_deg, FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta), False))
-        metadata["eta_run"] = {"driver": "density-sampled", "n_samples": cfg.n_samples, "eta": cfg.eta}
+    tau = cfg.resolved_tau
+    for key, value, policy in (("tau", tau, FeedbackPolicy.qutrit_cyclic(delay=tau)),
+                               ("eta", cfg.eta, FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta))):
+        if policy.delay > 0.0 or policy.efficiency < 1.0:
+            family.append((f"E_3f_{key}", model_deg, policy, False))
+            metadata[f"{key}_run"] = {"driver": _driver(cfg.mode, policy), "n_samples": cfg.n_samples, key: value}
     for label, model, policy, with_entropy in family:
         observables = {label: neg3}
         if with_entropy:
@@ -548,20 +541,25 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
         Curve("P_chi1_analytic", _PROB, times, closed["P_chi1"]),
     ]
 
-    # state-level cross-checks at a few interior times
+    # state-level cross-checks at a few interior times: each branch's probability and weighted fidelity
+    fidelity = lambda k, phi: lambda s, c: (c == k) * np.abs(s @ phi.conj()) ** 2  # noqa: E731
     fid_nj, fid_oj, dp0, dp1 = [], [], [], []
     n_oj_classes = 0
     for t in _checkpoints(cfg):
-        engine = _exact(metadata, f"check_t{t:g}", model, psi0, _ucfg(cfg, t))[1]
+        label = f"check_t{t:g}"
+        p0, p1, f0, f1 = (c.values[-1] for c in _run_curves(cfg, metadata, model, psi0, {
+            label: (_PROB, _jumps(0)), "P1": (_PROB, _jumps(1)),
+            "F0": ("fidelity", fidelity(0, cavity_nj_state(alpha, gamma, t))),
+            "F1": ("fidelity", fidelity(1, cavity_oj_state(alpha, gamma, t))),
+        }, mode="exact", t_max=t, grid_points=2))
         closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
-        w, states = engine.weights, engine.states
-        nj, oj = _classes(engine, 0)[0], _classes(engine, 1)
-        n_oj_classes = max(n_oj_classes, oj.size)
-        fid_nj.append(abs(np.vdot(states[nj], cavity_nj_state(alpha, gamma, t))) ** 2)
-        dp0.append(abs(float(w[nj]) - closed_t["P_chi0"][0]))
-        if oj.size:
-            fid_oj.append(abs(np.vdot(states[oj[0]], cavity_oj_state(alpha, gamma, t))) ** 2)
-            dp1.append(abs(sum(w[oj].tolist()) - closed_t["P_chi1"][0]))
+        oj_classes = (metadata["classes"][label] + [0, 0])[1]
+        n_oj_classes = max(n_oj_classes, oj_classes)
+        fid_nj.append(f0 / p0)
+        dp0.append(abs(p0 - closed_t["P_chi0"][0]))
+        if oj_classes:
+            fid_oj.append(f1 / p1)
+            dp1.append(abs(p1 - closed_t["P_chi1"][0]))
 
     scalars = {"alpha": alpha}
     for key, pick, found in (("min_fidelity_nj", min, fid_nj), ("min_fidelity_oj", min, fid_oj),

@@ -575,7 +575,7 @@ class _ExactEngine:
         values, taken = np.empty((0, len(observables))), np.empty(0, dtype=np.int64)
         for step in range(n_steps + 1):
             if step in at:
-                ids, weights = self.ids, self.weights
+                ids, weights = self.ids, self.W[self.ids]
                 values, taken = _grown(values, self.size, np.nan), _grown(taken, self.size)
                 if (new := ids[taken[ids] != self.C[ids]]).size:  # fresh ids, in id order
                     taken[new] = self.C[new]
@@ -684,9 +684,9 @@ def run_exact_grid(model, psi0, config, policy, grid_steps, observables):
     Observables are row-local, deterministic fn(states, counts) -> float array,
     as for the samplers; each curve value is the probability-weighted sum
     over the classes, each observable evaluated once per state id and again
-    only when the id is read at another jump count. Returns (curves, engine)
-    so callers can read truncation diagnostics; raises
-    :class:`TruncationError` as enumeration does.
+    only when the id is read at another jump count. Returns (curves, engine), the
+    engine for ``truncation_mass``, ``culled_mass`` and its final classes' jump
+    ``counts``; raises :class:`TruncationError` as enumeration does.
     """
     engine = _ExactEngine(model, psi0, config, policy)
     curves = engine.run(grid_steps, observables)

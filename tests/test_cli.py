@@ -80,13 +80,17 @@ def test_run_singlet_json_p_ok(tmp_path):
     ("cavity-thermal", [], set()),
 ])
 def test_summary_truncation_mass_by_exact_run(tmp_path, scenario, extra, labels):
-    # one schema for every scenario: exact-run label -> truncated + culled mass
+    # one schema for every scenario: exact-run label -> truncated + culled mass,
     out = tmp_path / "out"
     argv = ["run", scenario, "--t-max", "0.5", "--grid-points", "3", "--samples", "200"]
     assert main(argv + extra + ["--out-dir", str(out)]) == 0
-    masses = json.loads((out / "summary.json").read_text())["truncation_mass"]
+    summary = json.loads((out / "summary.json").read_text())
+    masses, census = summary["truncation_mass"], summary["classes"]
     assert set(masses) == labels
     assert all(isinstance(m, float) and 0.0 <= m <= 1.0 for m in masses.values())
+    # and its final classes per jump count, the no-jump class first
+    assert list(census) == list(masses)
+    assert all(c[0] == 1 and all(isinstance(n, int) and n >= 0 for n in c) for c in census.values())
 
 
 def test_summary_reports_non_ideal_feedback_runs(tmp_path):

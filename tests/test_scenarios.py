@@ -93,6 +93,16 @@ def test_singlet_conversion_boundary_alpha():
     assert abs(res.scalars["entropy_at_t_star"] - 1.0) < 1e-12
 
 
+def test_sampled_singlet_at_half_says_no_sampled_conversion_ran():
+    # t* is 0 at alpha 1/2: no sampled conversion runs, and the run says so instead of staying silent
+    cfg = ScenarioConfig(scenario="singlet-conversion", alpha=0.5, mode="sampled", n_samples=20,
+                         t_max=0.1, grid_points=2)
+    res = run_scenario(cfg)
+    assert res.scalars["t_star"] == 0.0 and "p_ok_sampled" not in res.scalars
+    assert [w for w in res.metadata["warnings"] if "no sampled conversion ran" in w]
+    assert run_scenario(dataclasses.replace(cfg, mode="exact")).metadata["warnings"] == []
+
+
 def test_singlet_conversion_sampled_scalar():
     cfg = ScenarioConfig(
         scenario="singlet-conversion", alpha=0.25, mode="sampled",
@@ -164,6 +174,10 @@ def test_qutrit_truncation_reported(qutrit_result):
     masses = qutrit_result.metadata["truncation_mass"]
     for label in ("E_3", "E_3f", "E_3ho", "E_3fho"):
         assert masses[label] < 1e-4
+    # one class census, classes per jump count, beside each lost mass
+    census = qutrit_result.metadata["classes"]
+    assert list(census) == list(masses)
+    assert census["E_3f"] == [1] and census["E_2"] == [1, 1]
 
 
 @pytest.mark.parametrize("gamma_dt", [5e-3, 1e-2])
@@ -323,22 +337,30 @@ def test_cavity_advantage_surface(cavity_result):
     assert diff.min() >= -1e-12
 
 
-def test_checkpoints_read_engine_classes_not_records(monkeypatch):
-    # singlet conversion's t* run and cavity-2x3's check-time runs read the exact engine's final
-    # classes, with the scalars that its records gave
-    def no_records(self):
-        raise AssertionError("a preset read the records of an exact run")
+def test_checkpoints_read_no_engine_attribute(monkeypatch):
+    # singlet conversion's t* run and cavity-2x3's check-time runs are observables of the one curve
+    # driver: no preset reads an exact engine's classes or records, and the scalars stay those
+    # that its classes gave
+    def unread(self):
+        raise AssertionError("a preset read the classes of an exact run")
 
-    monkeypatch.setattr(trajectories._ExactEngine, "records", no_records)
-    singlet = run_scenario(ScenarioConfig(scenario="singlet-conversion")).scalars
-    assert singlet == pytest.approx({
-        "t_star": 0.5493061443340549, "p_ok_analytic": 0.5, "p_ok": 0.5000000000000115,
-        "entropy_at_t_star": 1.0}, rel=1e-9, abs=1e-12)
-    cavity = run_scenario(ScenarioConfig(scenario="cavity-2x3", t_max=0.5, grid_points=3)).scalars
-    assert cavity == pytest.approx({
-        "alpha": 0.5, "min_fidelity_nj": 1.0, "min_fidelity_oj": 0.9999999999999998,
-        "max_prob_error_nj": 1.2434497875801753e-14, "max_prob_error_oj": 1.3362820311391133e-07,
+    for name in ("weights", "states", "records"):
+        monkeypatch.setattr(trajectories._ExactEngine, name, property(unread))
+    expected = {"t_star": 0.5493061443340549, "p_ok_analytic": 0.5, "p_ok": 0.5000000000000115,
+                "entropy_at_t_star": 1.0}
+    singlet = run_scenario(ScenarioConfig(scenario="singlet-conversion"))
+    assert singlet.scalars == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    assert singlet.metadata["classes"] == {"t_star": [1, 2, 1], "P_NJ": [1, 2, 1]}
+    sampled = run_scenario(ScenarioConfig(scenario="singlet-conversion", mode="sampled")).scalars
+    assert {k: sampled.pop(k) for k in expected} == singlet.scalars
+    assert abs(sampled["p_ok_sampled"] - 0.5) < 4 * sampled["p_ok_sampled_sigma"]
+    cavity = run_scenario(ScenarioConfig(scenario="cavity-2x3"))
+    assert cavity.scalars == pytest.approx({
+        "alpha": 0.5, "min_fidelity_nj": 0.9999999999999998, "min_fidelity_oj": 0.9999999999999996,
+        "max_prob_error_nj": 1.27675647831893e-14, "max_prob_error_oj": 1.5569295686024276e-07,
         "one_jump_classes": 1.0}, rel=1e-9, abs=1e-12)
+    assert cavity.metadata["classes"] == dict.fromkeys(
+        ["E_2x3", "check_t0.2", "check_t0.5", "check_t1", "check_t2"], [1, 1, 1])
 
 
 def test_cavity_alpha_above_half_notes(cavity_result):
