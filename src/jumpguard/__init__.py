@@ -20,7 +20,6 @@ if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .entanglement import (
-    EntanglementValue,
     Measure,
     average_entanglement,
     concurrence_2q,

@@ -23,7 +23,6 @@ measure by the record probability, E = sum_i E(psi_i) P_i.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +36,6 @@ class Measure(enum.Enum):
     ENTANGLEMENT_OF_FORMATION = "eof"
     NEGATIVITY = "negativity"
     ENTROPY_OF_ENTANGLEMENT = "entropy"
-
-
-@dataclass(frozen=True)
-class EntanglementValue:
-    measure: Measure
-    value: float
-
-    def __post_init__(self):
-        if self.value < -1e-12:
-            raise ValueError(f"entanglement value must be >= 0, got {self.value}")
-        object.__setattr__(self, "value", max(0.0, float(self.value)))
 
 
 # Batched kernels on stacks of state vectors (n, d) or density matrices (n, d, d),

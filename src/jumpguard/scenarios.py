@@ -19,9 +19,11 @@ the samplers by 1/n, and the master mode reads the rows of rho(t) with counts No
 f is row-local and deterministic, as the drivers reuse its values (exact
 enumeration keeps one row per state id, whatever the jump budget). ``f.reads =
 "states"`` or ``"counts"`` declares that f reads only that argument, and sampler
-reads skip the other. A checkpoint (singlet conversion's t*, a cavity-2x3 check
-time) is a two-point run to its own horizon. Every exact run takes its jump budget
-from gamma and its own horizon (:func:`_ucfg`); no config key sets it.
+reads skip the other. A run steps to the last of its read times (by default the
+configured grid) and reads each at its nearest step: singlet conversion's t* is a run
+that reads (0, t*), and cavity-2x3's check times are extra reads of its curve run.
+Every exact run takes its jump budget from gamma and its horizon (:func:`_ucfg`); no
+config key sets it.
 ``metadata["truncation_mass"]`` maps its label to its truncated plus culled mass,
 ``metadata["classes"]`` to its final classes per jump count.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -201,35 +203,38 @@ def _resolve_steps(cfg: ScenarioConfig, t_max: float | None = None):
 
 def _checkpoints(cfg: ScenarioConfig) -> list[float]:
     """Horizons of the checkpoint runs, each resolving its own dt: singlet conversion's t*,
-    e^{-2 gamma t*} = alpha / (1 - alpha) (0, no run, from alpha = 1/2); cavity-2x3's check times."""
-    gamma, alpha = cfg.gamma, cfg.resolved_alpha
-    if cfg.scenario == "singlet-conversion":
-        return [math.log((1.0 - alpha) / alpha) / (2.0 * gamma) if alpha < 0.5 else 0.0]
-    if cfg.scenario == "cavity-2x3":
-        return [t for t in (0.2 / gamma, 0.5 / gamma, 1.0 / gamma, 2.0 / gamma) if t <= cfg.t_max]
-    return []
+    e^{-2 gamma t*} = alpha / (1 - alpha) (0, no run, from alpha = 1/2)."""
+    if cfg.scenario != "singlet-conversion":
+        return []
+    alpha = cfg.resolved_alpha
+    return [math.log((1.0 - alpha) / alpha) / (2.0 * cfg.gamma) if alpha < 0.5 else 0.0]
 
 
 def _grid_steps(n_steps: int, grid_points: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n_steps, grid_points)).astype(int))
 
 
-def _ucfg(cfg: ScenarioConfig, t_max: float | None = None, **overrides) -> UnravelingConfig:
+def _grid(cfg: ScenarioConfig) -> np.ndarray:
+    """The configured grid's times, the last exactly t-max, so that a run to them resolves
+    the configured steps and reads each grid step."""
+    _, n_steps = _resolve_steps(cfg)
+    return _grid_steps(n_steps, cfg.grid_points) / n_steps * cfg.t_max
+
+
+def _ucfg(cfg: ScenarioConfig, t_max: float | None = None) -> UnravelingConfig:
     """The unraveling controls of a run to ``t_max`` (default ``cfg.t_max``) on its own steps,
     with the jump budget max(12, ceil(8 gamma t_max)). No model of an exact run jumps more
     than 4 times without feedback; under feedback the jump count recurs, but the classes stay
     few (indexed by the net level skew), so a deep budget is cheap."""
     t_max = cfg.t_max if t_max is None else t_max
     dt, n_steps = _resolve_steps(cfg, t_max)
-    kw = dict(
+    return UnravelingConfig(
         dt=dt,
         t_max=dt * n_steps,
         max_jumps=max(12, math.ceil(8.0 * cfg.gamma * t_max)),
         n_samples=cfg.n_samples,
         rng_seed=cfg.seed,
     )
-    kw.update(overrides)
-    return UnravelingConfig(**kw)
 
 
 def _metadata(warnings=()) -> dict:
@@ -274,31 +279,32 @@ def _driver(mode: str, policy) -> str:
     return "pure-sampled" if mode == "sampled" or (policy is not None and policy.delay > 0.0) else "exact"
 
 
-def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None,
-                t_max=None, grid_points=None, **overrides) -> list[Curve]:
-    """Averages of per-row observables over the configured grid, from the state vector psi0.
+def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None, times=None) -> list[Curve]:
+    """Averages of per-row observables at ``times`` (default the configured grid), from the
+    state vector psi0.
 
-    ``observables`` maps label -> (measure, f), f(states, counts) giving one value
-    per record row (see the module docstring; by ``f.reads`` a sampler passes states
-    None to a count-only run, counts None to a state-only one). :func:`_driver` picks
-    the driver from ``mode`` (default ``cfg.mode``) and ``policy``. The master mode
-    has no SEM, and it and the density sampler start from |psi0><psi0|. An exact run
-    books, under its first label, its truncated plus culled mass and its class census;
-    past the truncation bound it raises :class:`ScenarioError`. ``overrides`` adjust
-    the :class:`UnravelingConfig`.
+    The run steps to the last of ``times`` on the steps :func:`_ucfg` resolves for it and
+    reads each time at its nearest step; a curve lists its values in the order of ``times``,
+    each at its step's time. ``observables`` maps label -> (measure, f), f(states, counts)
+    giving one value per record row (see the module docstring; by ``f.reads`` a sampler
+    passes states None to a count-only run, counts None to a state-only one).
+    :func:`_driver` picks the driver from ``mode`` (default ``cfg.mode``) and ``policy``.
+    The master mode has no SEM, and it and the density sampler start from |psi0><psi0|.
+    An exact run books, under its first label, its truncated plus culled mass and its
+    class census; past the truncation bound it raises :class:`ScenarioError`.
     """
-    ucfg = _ucfg(cfg, t_max, **overrides)
-    gsteps = _grid_steps(ucfg.n_steps, grid_points or cfg.grid_points)
-    times = gsteps * ucfg.dt
+    times = _grid(cfg) if times is None else np.asarray(times, dtype=float)
+    ucfg = _ucfg(cfg, float(times.max()))
+    steps, at = np.unique(np.round(times / ucfg.dt).astype(np.int64), return_inverse=True)
     fns = {label: f for label, (_, f) in observables.items()}
     driver, sem = _driver(mode or cfg.mode, policy), {}
     if driver == "master":
-        rho_grid = np.array(evolve_master(model, np.outer(psi0, psi0.conj()), times))
+        rho_grid = np.array(evolve_master(model, np.outer(psi0, psi0.conj()), steps * ucfg.dt))
         mean = {label: f(rho_grid, None) for label, f in fns.items()}
     elif driver == "exact":
         label = next(iter(fns))
         try:
-            mean, engine = run_exact_grid(model, psi0, ucfg, policy, gsteps, fns)
+            mean, engine = run_exact_grid(model, psi0, ucfg, policy, steps, fns)
         except TruncationError as exc:
             raise ScenarioError(f"exact run {label}: {exc} (jump budget {ucfg.max_jumps})") from exc
         metadata["truncation_mass"][label] = engine.truncation_mass + engine.culled_mass
@@ -306,10 +312,10 @@ def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None,
     else:
         density = driver == "density-sampled"
         x0 = np.outer(psi0, psi0.conj()) if density else psi0
-        out = (run_density_grid if density else run_sampled_grid)(model, x0, ucfg, policy, gsteps, fns)
+        out = (run_density_grid if density else run_sampled_grid)(model, x0, ucfg, policy, steps, fns)
         mean, sem = out.mean, out.sem
     return [
-        Curve(label, measure, times, mean[label], sem.get(label))
+        Curve(label, measure, steps[at] * ucfg.dt, mean[label][at], sem[label][at] if label in sem else None)
         for label, (measure, _) in observables.items()
     ]
 
@@ -369,14 +375,13 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     p_ok, entropy_t_star = 1.0, ent.entanglement_entropy(psi0, layout)  # at t* = 0, without a run
     if t_star > 0.0:
         p_ok, weighted = (float(c.values[-1]) for c in _run_curves(cfg, metadata, model, psi0, {
-            "t_star": (_PROB, no_jump), "entropy_t_star": weighted_entropy}, mode="exact", t_max=t_star, grid_points=2))
+            "t_star": (_PROB, no_jump), "entropy_t_star": weighted_entropy}, mode="exact", times=(0.0, t_star)))
         entropy_t_star = weighted / p_ok
     scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
                "entropy_at_t_star": entropy_t_star}
 
     if cfg.mode == "sampled" and t_star > 0.0:
-        sampled, = _run_curves(cfg, metadata, model, psi0, {"no_jump": (_PROB, no_jump)},
-                               t_max=t_star, grid_points=2)
+        sampled, = _run_curves(cfg, metadata, model, psi0, {"no_jump": (_PROB, no_jump)}, times=(0.0, t_star))
         scalars["p_ok_sampled"] = float(sampled.values[-1])
         scalars["p_ok_sampled_sigma"] = sigma = float(sampled.sem[-1])
         if sigma == 0.0:  # a Wald SEM reads 0 when every or no trajectory is jump-free
@@ -524,11 +529,28 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
         notes.append("alpha > 1/2: less population in the decaying branch than the protected one")
     metadata = _metadata(notes)
 
-    engine_e, engine_p0, engine_p1 = _run_curves(cfg, metadata, model, psi0, {
+    # state-level checks read the step nearest each check time, at t_s: each branch's probability and
+    # weighted fidelity 1[c = k] |<phi_k(t_s)|psi>|^2, against the closed forms at t_s
+    dt, _ = _resolve_steps(cfg)
+    checks = [round(t / dt) * dt for t in (0.2 / gamma, 0.5 / gamma, 1.0 / gamma, 2.0 / gamma) if t <= cfg.t_max]
+    fidelity = lambda k, phi: lambda s, c: (c == k) * np.abs(s @ phi.conj()) ** 2  # noqa: E731
+    observables = {
         "E_2x3": _measure(Measure.NEGATIVITY, layout),
         "P_chi0": (_PROB, _jumps(0)),
         "P_chi1": (_PROB, _jumps(1)),
-    })
+    }
+    for i, t in enumerate(checks):
+        observables[f"F0_{i}"] = ("fidelity", fidelity(0, cavity_nj_state(alpha, gamma, t)))
+        observables[f"F1_{i}"] = ("fidelity", fidelity(1, cavity_oj_state(alpha, gamma, t)))
+    grid = _grid(cfg)
+    engine_e, engine_p0, engine_p1, *fids = _run_curves(cfg, metadata, model, psi0, observables,
+                                                         times=np.append(grid, checks))
+    n = len(grid)  # the rows past the grid are the check reads
+    p0, p1 = engine_p0.values[n:], engine_p1.values[n:]
+    f0, f1 = (np.array([f.values[n + i] for i, f in enumerate(fids[k::2])]) for k in (0, 1))
+    closed_t = cavity_closed_forms(alpha, gamma, np.array(checks))
+    engine_e, engine_p0, engine_p1 = (Curve(c.label, c.measure, c.times[:n], c.values[:n])
+                                      for c in (engine_e, engine_p0, engine_p1))
     times = engine_e.times
     closed = cavity_closed_forms(alpha, gamma, times)
     curves = [
@@ -541,35 +563,16 @@ def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
         Curve("P_chi1_analytic", _PROB, times, closed["P_chi1"]),
     ]
 
-    # state-level cross-checks at a few interior times: each branch's probability and weighted fidelity
-    fidelity = lambda k, phi: lambda s, c: (c == k) * np.abs(s @ phi.conj()) ** 2  # noqa: E731
-    fid_nj, fid_oj, dp0, dp1 = [], [], [], []
-    n_oj_classes = 0
-    for t in _checkpoints(cfg):
-        label = f"check_t{t:g}"
-        p0, p1, f0, f1 = (c.values[-1] for c in _run_curves(cfg, metadata, model, psi0, {
-            label: (_PROB, _jumps(0)), "P1": (_PROB, _jumps(1)),
-            "F0": ("fidelity", fidelity(0, cavity_nj_state(alpha, gamma, t))),
-            "F1": ("fidelity", fidelity(1, cavity_oj_state(alpha, gamma, t))),
-        }, mode="exact", t_max=t, grid_points=2))
-        closed_t = cavity_closed_forms(alpha, gamma, np.array([t]))
-        oj_classes = (metadata["classes"][label] + [0, 0])[1]
-        n_oj_classes = max(n_oj_classes, oj_classes)
-        fid_nj.append(f0 / p0)
-        dp0.append(abs(p0 - closed_t["P_chi0"][0]))
-        if oj_classes:
-            fid_oj.append(f1 / p1)
-            dp1.append(abs(p1 - closed_t["P_chi1"][0]))
-
     scalars = {"alpha": alpha}
-    for key, pick, found in (("min_fidelity_nj", min, fid_nj), ("min_fidelity_oj", min, fid_oj),
-                             ("max_prob_error_nj", max, dp0), ("max_prob_error_oj", max, dp1)):
-        if found:
-            scalars[key] = float(pick(found))
-    scalars["one_jump_classes"] = float(n_oj_classes)
-    if not fid_nj:
+    if checks:
+        scalars["min_fidelity_nj"] = float(np.min(f0 / p0))
+        scalars["min_fidelity_oj"] = float(np.min(f1 / p1))
+        scalars["max_prob_error_nj"] = float(np.max(np.abs(p0 - closed_t["P_chi0"])))
+        scalars["max_prob_error_oj"] = float(np.max(np.abs(p1 - closed_t["P_chi1"])))
+    else:
         metadata["warnings"].append(f"t-max {cfg.t_max:g} is below the first check time {0.2 / gamma:g}: no "
                                     "state-level check ran; min_fidelity_* and max_prob_error_* are left out")
+    scalars["one_jump_classes"] = float((metadata["classes"]["E_2x3"] + [0, 0])[1])
 
     alphas = np.linspace(0.0, 1.0, 101)
     tgrid = np.linspace(0.0, cfg.t_max, 201)
@@ -618,9 +621,8 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     for i, (nbar, (dim, guard)) in enumerate(zip(cfg.nbar, ladders)):
         model, psi0 = _cavity(cfg, nbar, dim)
         tag = f"{nbar:g}"
-        curves += _run_curves(cfg, metadata, model, psi0,
-                              {f"E_2x3_nbar_{tag}": _measure(Measure.NEGATIVITY, (2, dim))},
-                              rng_seed=(cfg.seed + i) % 2**64)
+        curves += _run_curves(replace(cfg, seed=(cfg.seed + i) % 2**64), metadata, model, psi0,
+                              {f"E_2x3_nbar_{tag}": _measure(Measure.NEGATIVITY, (2, dim))})
         scalars[f"cavity_dim_nbar_{tag}"] = float(dim)
         scalars[f"guard_population_nbar_{tag}"] = guard
     return ScenarioResult(cfg.scenario, curves, scalars, metadata)

@@ -438,9 +438,7 @@ class _ExactEngine:
         self._activate(self.ids, 0)
         self.truncation_mass = self.culled_mass = 0.0
 
-    weights = property(lambda self: self.W[self.ids])
     counts = property(lambda self: self.C[self.ids])
-    states = property(lambda self: np.take(self.table_states, self.ids, axis=0))
 
     # -- state table --------------------------------------------------------
 

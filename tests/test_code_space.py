@@ -84,7 +84,8 @@ def test_exact_engine_keeps_every_pure_and_mixed_code_state(seed):
     for weight, state in zip(p, states):
         _, engine = run_exact_grid(model, state, CFG, FEEDBACK, [], {})
         assert engine.size == 1 and engine.truncation_mass == engine.culled_mass == 0.0
-        rho = rho + weight * engine.weights[0] * np.outer(engine.states[0], engine.states[0].conj())
+        i, = engine.ids
+        rho = rho + weight * engine.W[i] * np.outer(engine.table_states[i], engine.table_states[i].conj())
     assert np.abs(rho - rho0).max() <= 1e-12
 
 

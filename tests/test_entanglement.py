@@ -194,13 +194,6 @@ def test_measure_dimension_guards():
         average_entanglement([rec_mixed], Measure.ENTROPY_OF_ENTANGLEMENT, LAY3)
 
 
-def test_entanglement_value_caps():
-    # a rounding-level negative value reads 0; a clearly negative one is refused
-    assert ent.EntanglementValue(Measure.NEGATIVITY, -1e-13).value == 0.0
-    with pytest.raises(ValueError):
-        ent.EntanglementValue(Measure.NEGATIVITY, -0.5)
-
-
 def test_average_single_record_is_plain_measure():
     psi = bell2()
     rec = TrajectoryRecord(events=(), state=psi, probability=1.0)

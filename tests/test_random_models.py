@@ -5,7 +5,9 @@ spectral norm, at the rates 0.5 and 2 in turn, a random pure initial state,
 random local correction unitaries and three random Hermitian observables O.
 The sampled <O> must match ``evolve_master`` within 4 SEM plus the samplers'
 first-order allowance C_DT * dt. With feedback the reference model has the
-channels U_k L_k at eta gamma_k plus L_k at (1 - eta) gamma_k.
+channels U_k L_k at eta gamma_k plus L_k at (1 - eta) gamma_k. A delay of a
+few dt has no master-equation reference; there the pure sampler must repeat
+the density sampler at eta = 1, which shares its law, record for record.
 """
 
 import numpy as np
@@ -13,7 +15,14 @@ import pytest
 
 from jumpguard.linalg import make_layout, normalized
 from jumpguard.models import DecayChannel, OpenSystemModel, evolve_master
-from jumpguard.trajectories import FeedbackPolicy, UnravelingConfig, run_density_grid, run_sampled_grid
+from jumpguard.trajectories import (
+    FeedbackPolicy,
+    UnravelingConfig,
+    run_density_grid,
+    run_sampled_grid,
+    sample_density_trajectories,
+    sample_trajectories,
+)
 
 LAYOUT = make_layout((2, 3))
 RATES = (0.5, 2.0)
@@ -83,3 +92,20 @@ def test_sampler_matches_master_equation_on_random_model(seed, feedback, eta, de
         expected = np.array([np.trace(O @ rho).real for rho in rhos])
         error = np.abs(out.mean[i] - expected)
         assert np.all(error <= 4 * out.sem[i] + C_DT * DT), (i, error, out.sem[i])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_delayed_feedback_pure_and_density_samplers_agree_on_random_model(seed):
+    # corrections land 3 dt after their jump, so jumps inside the window queue theirs
+    channels, psi0, unitaries, _ = random_case(seed)
+    model = reference_model(channels)
+    policy = FeedbackPolicy(unitaries, delay=3 * DT)
+    config = UnravelingConfig(dt=DT, t_max=T_MAX, n_samples=200, rng_seed=seed)
+    pure = sample_trajectories(model, psi0, config, policy).records
+    density = sample_density_trajectories(model, np.outer(psi0, psi0.conj()), config, policy).records
+    gaps = [b.time - a.time for r in pure for a, b in zip(r.events, r.events[1:])]
+    assert min(gaps) < 3 * DT  # some jump falls inside an earlier jump's delay
+    assert len(pure) == len(density) == config.n_samples
+    for rp, rd in zip(pure, density):
+        assert rp.events == rd.events
+        assert np.max(np.abs(np.outer(rp.state, rp.state.conj()) - rd.state)) < 1e-10

@@ -338,14 +338,13 @@ def test_cavity_advantage_surface(cavity_result):
 
 
 def test_checkpoints_read_no_engine_attribute(monkeypatch):
-    # singlet conversion's t* run and cavity-2x3's check-time runs are observables of the one curve
-    # driver: no preset reads an exact engine's classes or records, and the scalars stay those
-    # that its classes gave
+    # singlet conversion's t* run and cavity-2x3's check reads are observables of the one curve
+    # driver: no preset reads an exact engine's records, and the scalars stay those that its
+    # classes gave
     def unread(self):
-        raise AssertionError("a preset read the classes of an exact run")
+        raise AssertionError("a preset read the records of an exact run")
 
-    for name in ("weights", "states", "records"):
-        monkeypatch.setattr(trajectories._ExactEngine, name, property(unread))
+    monkeypatch.setattr(trajectories._ExactEngine, "records", unread)
     expected = {"t_star": 0.5493061443340549, "p_ok_analytic": 0.5, "p_ok": 0.5000000000000115,
                 "entropy_at_t_star": 1.0}
     singlet = run_scenario(ScenarioConfig(scenario="singlet-conversion"))
@@ -359,8 +358,35 @@ def test_checkpoints_read_no_engine_attribute(monkeypatch):
         "alpha": 0.5, "min_fidelity_nj": 0.9999999999999998, "min_fidelity_oj": 0.9999999999999996,
         "max_prob_error_nj": 1.27675647831893e-14, "max_prob_error_oj": 1.5569295686024276e-07,
         "one_jump_classes": 1.0}, rel=1e-9, abs=1e-12)
-    assert cavity.metadata["classes"] == dict.fromkeys(
-        ["E_2x3", "check_t0.2", "check_t0.5", "check_t1", "check_t2"], [1, 1, 1])
+    assert cavity.metadata["classes"] == {"E_2x3": [1, 1, 1]}
+
+
+def test_cavity_checks_are_reads_of_its_one_exact_run(monkeypatch):
+    # the check times 0.2, 0.5, 1 and 2 /gamma are reads of the curve run, not runs of their own
+    calls, run = [], scenarios.run_exact_grid
+
+    def counted(*args):
+        calls.append(args[4])
+        return run(*args)
+
+    monkeypatch.setattr(scenarios, "run_exact_grid", counted)
+    res = run_scenario(ScenarioConfig(scenario="cavity-2x3"))
+    grid, = calls
+    assert list(grid) == list(range(0, 5001, 100))
+    assert [len(c.times) for c in res.curves] == [51] * 7
+    assert list(res.metadata["truncation_mass"]) == ["E_2x3"]
+
+
+def test_cavity_checks_read_their_nearest_step_off_the_grid():
+    # at dt 0.003 no check time is a step: each check reads the step nearest it, t_s, and
+    # compares it with the closed forms and states at t_s; at the nominal times the
+    # one-jump probability would be off by about 1e-4
+    res = run_scenario(ScenarioConfig(scenario="cavity-2x3", dt=0.003))
+    s = res.scalars
+    assert s["max_prob_error_nj"] < 1e-5 and s["max_prob_error_oj"] < 1e-5
+    assert s["min_fidelity_nj"] >= 1.0 - 1e-8 and s["min_fidelity_oj"] >= 1.0 - 1e-8
+    assert s["one_jump_classes"] == 1.0
+    assert len(res.curve("E_2x3").times) == 51 and res.metadata["warnings"] == []
 
 
 def test_cavity_alpha_above_half_notes(cavity_result):

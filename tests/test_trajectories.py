@@ -369,7 +369,7 @@ def uncached_sweep(model, psi0, cfg, policy, grid, observables):
             pairs.update(zip(engine.ids.tolist(), engine.counts.tolist()))
             n_rows += engine.ids.size
             for label, fn in observables.items():
-                curves[label].append((fn(engine.states, engine.counts) * engine.weights).sum())
+                curves[label].append((fn(engine.table_states[engine.ids], engine.counts) * engine.W[engine.ids]).sum())
         if step < cfg.n_steps:
             engine._step(step)
     return curves, pairs, n_rows
@@ -384,7 +384,7 @@ def assert_cache_exact(model, psi0, cfg, policy, n_grid, observables):
     want, pairs, n_rows = uncached_sweep(model, psi0, cfg, policy, set(grid.tolist()), observables)
     for label, fn in observables.items():
         assert curves[label].tolist() == want[label], label
-        assert curves[label][-1] == (fn(engine.states, engine.counts) * engine.weights).sum()
+        assert curves[label][-1] == (fn(engine.table_states[engine.ids], engine.counts) * engine.W[engine.ids]).sum()
         assert rows[label] == len(pairs) < n_rows, label
     return pairs
 
@@ -491,7 +491,7 @@ def qutrit_family_run(label, grid_steps, observables):
 def test_exact_grid_books_balance(label):
     # kept + truncated + culled mass is one; E_3fho truncates and culls
     _, engine = qutrit_family_run(label, lambda n: [0, n], {})
-    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) < 1e-12
+    assert abs(engine.W[engine.ids].sum() + engine.truncation_mass + engine.culled_mass - 1.0) < 1e-12
     if label == "E_3fho":
         assert engine.truncation_mass > 1e-8 and engine.culled_mass > 1e-12
 
@@ -505,7 +505,7 @@ def test_exact_books_balance_past_the_truncation_bound():
         engine.run()
     assert engine.truncation_mass > 0.4
     assert set(engine.counts.tolist()) == {0, 1}
-    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) < 1e-12
+    assert abs(engine.W[engine.ids].sum() + engine.truncation_mass + engine.culled_mass - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("label", ["E_3", "E_3fho"])
@@ -520,7 +520,7 @@ def test_exact_curves_independent_of_grid(label):
         assert coarse[name][0] == fine[name][0] and coarse[name][-1] == fine[name][-1]
     assert np.array_equal(c_engine.ids, f_engine.ids)
     assert np.array_equal(c_engine.counts, f_engine.counts)
-    assert np.array_equal(c_engine.weights, f_engine.weights)
+    assert np.array_equal(c_engine.W[c_engine.ids], f_engine.W[f_engine.ids])
     assert c_engine.truncation_mass == f_engine.truncation_mass
     assert c_engine.culled_mass == f_engine.culled_mass
 
@@ -597,10 +597,10 @@ def test_exact_books_balance_at_the_default_horizon():
     # kept + truncated + culled mass is one within rounding that grows with
     # the step count, also where dead edges have been dropped along the way
     cfg, engine = e3_default_run()
-    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) <= 2e-15 * cfg.n_steps
+    assert abs(engine.W[engine.ids].sum() + engine.truncation_mass + engine.culled_mass - 1.0) <= 2e-15 * cfg.n_steps
     cfg, engine = singlet_no_jump_run()
     assert engine.n_edges < 100 < engine.size
-    assert abs(engine.weights.sum() + engine.truncation_mass + engine.culled_mass - 1.0) <= 2e-15 * cfg.n_steps
+    assert abs(engine.W[engine.ids].sum() + engine.truncation_mass + engine.culled_mass - 1.0) <= 2e-15 * cfg.n_steps
 
 
 def test_exact_regained_class_steps_its_stored_edges():
@@ -630,8 +630,9 @@ def test_exact_regained_class_steps_its_stored_edges():
 
 def exact_classes(engine):
     """(states, counts, weights) of an engine's classes, ordered by state key."""
-    order = np.lexsort(trajectories._canonical_keys(engine.states).T)
-    return engine.states[order], engine.counts[order], engine.weights[order]
+    states, weights = engine.table_states[engine.ids], engine.W[engine.ids]
+    order = np.lexsort(trajectories._canonical_keys(states).T)
+    return states[order], engine.counts[order], weights[order]
 
 
 @pytest.mark.parametrize("cap", [1, 7])
