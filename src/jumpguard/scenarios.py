@@ -11,7 +11,7 @@ alpha, the modes it runs (the first is its default), figure, summary and the
 config keys it reads. ``ScenarioConfig`` rejects a mode the preset does not
 run; the command line lists presets from the same table.
 
-Every curve and checkpoint is the average of one per-row observable f(states,
+Every curve and scalar read is the average of one per-row observable f(states,
 counts) -> value per row, defined once below. :func:`_run_curves`, the one caller
 of every driver, hands it unchanged to the driver that :func:`_driver` picks from
 the mode and the feedback policy: exact enumeration weights rows by probability,
@@ -21,7 +21,8 @@ enumeration keeps one row per state id, whatever the jump budget). ``f.reads =
 "states"`` or ``"counts"`` declares that f reads only that argument, and sampler
 reads skip the other. A run steps to the last of its read times (by default the
 configured grid) and reads each at its nearest step: singlet conversion's t* is a run
-that reads (0, t*), and cavity-2x3's check times are extra reads of its curve run.
+that reads (0, t*), a run of no step at alpha 1/2, and cavity-2x3's check times are
+extra reads of its curve run.
 Every exact run takes its jump budget from gamma and its horizon (:func:`_ucfg`); no
 config key sets it.
 ``metadata["truncation_mass"]`` maps its label to its truncated plus culled mass,
@@ -145,7 +146,8 @@ class ScenarioConfig:
         rate = self.gamma  # the largest channel rate of every preset but the thermal cavity's
         if self.scenario == "cavity-thermal":
             rate = _cavity(self, max(self.nbar), THERMAL_CAVITY_DIM)[0].max_rate
-        for t in (self.t_max, *_checkpoints(self)):  # each run resolves its own dt
+        horizons = (self.t_max, _t_star(self)) if self.scenario == "singlet-conversion" else (self.t_max,)
+        for t in horizons:  # each run resolves its own dt
             dt, n_steps = _resolve_steps(self, t)
             if n_steps > 2**53:  # past it, round(t / dt) no longer recovers every step count
                 raise ScenarioError(f"the {n_steps} steps to t = {t:.6g} exceed 2**53")
@@ -194,31 +196,27 @@ class ScenarioResult:
 
 
 def _resolve_steps(cfg: ScenarioConfig, t_max: float | None = None):
-    """Pick (dt, n_steps) so that n_steps * dt == t_max exactly."""
+    """Pick (dt, n_steps) so that n_steps * dt == t_max exactly; a zero horizon takes no step of
+    the configured run's dt, which the step operators still build and rate-check."""
+    if t_max == 0.0:
+        return _resolve_steps(cfg)[0], 0
     t_max = cfg.t_max if t_max is None else t_max
     requested = cfg.dt if cfg.dt is not None else SCENARIOS[cfg.scenario].gamma_dt / cfg.gamma
     n_steps = max(1, int(round(t_max / requested)))
     return t_max / n_steps, n_steps
 
 
-def _checkpoints(cfg: ScenarioConfig) -> list[float]:
-    """Horizons of the checkpoint runs, each resolving its own dt: singlet conversion's t*,
-    e^{-2 gamma t*} = alpha / (1 - alpha) (0, no run, from alpha = 1/2)."""
-    if cfg.scenario != "singlet-conversion":
-        return []
+def _t_star(cfg: ScenarioConfig) -> float:
+    """Singlet conversion's t*, e^{-2 gamma t*} = alpha / (1 - alpha): 0 at alpha = 1/2."""
     alpha = cfg.resolved_alpha
-    return [math.log((1.0 - alpha) / alpha) / (2.0 * cfg.gamma) if alpha < 0.5 else 0.0]
-
-
-def _grid_steps(n_steps: int, grid_points: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, n_steps, grid_points)).astype(int))
+    return math.log((1.0 - alpha) / alpha) / (2.0 * cfg.gamma)
 
 
 def _grid(cfg: ScenarioConfig) -> np.ndarray:
     """The configured grid's times, the last exactly t-max, so that a run to them resolves
     the configured steps and reads each grid step."""
     _, n_steps = _resolve_steps(cfg)
-    return _grid_steps(n_steps, cfg.grid_points) / n_steps * cfg.t_max
+    return np.unique(np.round(np.linspace(0, n_steps, cfg.grid_points)).astype(int)) / n_steps * cfg.t_max
 
 
 def _ucfg(cfg: ScenarioConfig, t_max: float | None = None) -> UnravelingConfig:
@@ -283,8 +281,8 @@ def _run_curves(cfg, metadata, model, psi0, observables, policy=None, mode=None,
     """Averages of per-row observables at ``times`` (default the configured grid), from the
     state vector psi0.
 
-    The run steps to the last of ``times`` on the steps :func:`_ucfg` resolves for it and
-    reads each time at its nearest step; a curve lists its values in the order of ``times``,
+    The run steps to the last of ``times`` on the steps :func:`_ucfg` resolves for it (none
+    when that is 0) and reads each time at its nearest step; a curve lists its values in the order of ``times``,
     each at its step's time. ``observables`` maps label -> (measure, f), f(states, counts)
     giving one value per record row (see the module docstring; by ``f.reads`` a sampler
     passes states None to a count-only run, counts None to a state-only one).
@@ -365,31 +363,25 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     model = build_qubit_pair(gamma)
     layout = model.layout
     psi0 = _two_term(layout, math.sqrt(alpha), (0, 0), math.sqrt(1.0 - alpha), (1, 1))
-    t_star, = _checkpoints(cfg)
+    t_star = _t_star(cfg)
 
     metadata = _metadata()
     no_jump = _jumps(0)
     tag, entropy = _measure(Measure.ENTROPY_OF_ENTANGLEMENT, layout)
     # the no-jump-weighted entropy, over P_NJ the entropy of the conditional no-jump state
     weighted_entropy = (tag, lambda s, c: no_jump(s, c) * entropy(s, c))
-    p_ok, entropy_t_star = 1.0, ent.entanglement_entropy(psi0, layout)  # at t* = 0, without a run
-    if t_star > 0.0:
-        p_ok, weighted = (float(c.values[-1]) for c in _run_curves(cfg, metadata, model, psi0, {
-            "t_star": (_PROB, no_jump), "entropy_t_star": weighted_entropy}, mode="exact", times=(0.0, t_star)))
-        entropy_t_star = weighted / p_ok
+    p_ok, weighted = (float(c.values[-1]) for c in _run_curves(cfg, metadata, model, psi0, {
+        "t_star": (_PROB, no_jump), "entropy_t_star": weighted_entropy}, mode="exact", times=(0.0, t_star)))
     scalars = {"t_star": t_star, "p_ok_analytic": 2.0 * alpha, "p_ok": p_ok,
-               "entropy_at_t_star": entropy_t_star}
+               "entropy_at_t_star": weighted / p_ok}
 
-    if cfg.mode == "sampled" and t_star > 0.0:
+    if cfg.mode == "sampled":
         sampled, = _run_curves(cfg, metadata, model, psi0, {"no_jump": (_PROB, no_jump)}, times=(0.0, t_star))
         scalars["p_ok_sampled"] = float(sampled.values[-1])
         scalars["p_ok_sampled_sigma"] = sigma = float(sampled.sem[-1])
         if sigma == 0.0:  # a Wald SEM reads 0 when every or no trajectory is jump-free
             metadata["warnings"].append(f"p_ok_sampled_sigma is 0 at p_ok_sampled {scalars['p_ok_sampled']:g} "
                                         f"from {cfg.n_samples} samples: a sigma-based check on it is void")
-    elif cfg.mode == "sampled":
-        metadata["warnings"].append("t* is 0 at alpha 1/2: no sampled conversion ran; p_ok_sampled and "
-                                    "p_ok_sampled_sigma are left out")
 
     # curves over the configured horizon (exact engine; cheap for two qubits)
     pnj, entropy_nj = _run_curves(cfg, metadata, model, psi0, {

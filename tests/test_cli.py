@@ -193,6 +193,14 @@ def test_bad_config_exit_code_2(tmp_path, capsys, argv, match):
     assert not (out / "summary.json").exists()
 
 
+def test_zero_step_run_takes_no_rate_check(tmp_path):
+    # t-max resolves 100 steps of 0.01 from the requested 0.0100001; t* is 0 at alpha 1/2, and
+    # its runs take no step of that 0.01, so no horizon rate-checks the requested step
+    rc = main(["run", "singlet-conversion", "--alpha", "0.5", "--dt", "0.0100001", "--t-max", "1",
+               "--grid-points", "3", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+
+
 def test_unknown_config_file_key_exit_code_2(tmp_path, capsys):
     # the cavity-2x3 surfaces have a fixed resolution, which no config key sets; the exact
     # runs' jump budget follows from gamma and the horizon, so older config echoes' max_jumps fails

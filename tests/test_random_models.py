@@ -1,8 +1,10 @@
-"""The samplers against the master equation on seeded random (2, 3) models.
+"""The samplers against the master equation on seeded random models of the layouts
+(2, 3), (2, 2) and (3, 3).
 
 Each model has one or two random complex jump operators per slot, of unit
 spectral norm, at the rates 0.5 and 2 in turn, a random pure initial state,
-random local correction unitaries and three random Hermitian observables O.
+random local correction unitaries and three random Hermitian D x D observables O,
+D the layout's total dimension.
 The sampled <O> must match ``evolve_master`` within 4 SEM plus the samplers'
 first-order allowance C_DT * dt. With feedback the reference model has the
 channels U_k L_k at eta gamma_k plus L_k at (1 - eta) gamma_k. A delay of a
@@ -24,13 +26,16 @@ from jumpguard.trajectories import (
     sample_trajectories,
 )
 
-LAYOUT = make_layout((2, 3))
 RATES = (0.5, 2.0)
 DT, T_MAX, N_SAMPLES = 5e-3, 1.0, 4000
 GRID = [0, 100, 200]
 # the largest |<O>_sampled - <O>_master| / dt over both seeds, all three runs and
 # observables, at t = 0.5 and 1, from 100,000 samples at dt 5e-3 and 2.5e-3, was 1.72
+# on (2, 3); at dt 5e-3 it was 1.36 on (2, 2) and (3, 3)
 C_DT = 2.0
+# (layout, seed) pairs; the (2, 3) cases keep their bare seed ids
+CASES = [pytest.param(make_layout(dims), seed, id=str(seed) if dims == (2, 3) else f"{dims[0]}x{dims[1]}-{seed}")
+         for dims in ((2, 3), (2, 2), (3, 3)) for seed in (1, 2)]
 
 
 def _complex_normal(rng, shape):
@@ -42,26 +47,26 @@ def _unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_case(seed):
+def random_case(layout, seed):
     """(jump operators as (slot, L, rate), psi0, correction unitaries by slot, observables)."""
     rng = np.random.default_rng(seed)
-    dims = LAYOUT.subsystem_dims
+    dims, total = layout.subsystem_dims, layout.total_dim
     ops = [(slot, L / np.linalg.norm(L, 2)) for slot, d in enumerate(dims)
            for L in [_complex_normal(rng, (d, d)) for _ in range(rng.integers(1, 3))]]
     channels = [(slot, L, RATES[i % 2]) for i, (slot, L) in enumerate(ops)]
-    psi0 = normalized(_complex_normal(rng, LAYOUT.total_dim))
+    psi0 = normalized(_complex_normal(rng, total))
     unitaries = {slot: _unitary(rng, d) for slot, d in enumerate(dims)}
-    observables = [(A + A.conj().T) / 2 for A in (_complex_normal(rng, (6, 6)) for _ in range(3))]
+    observables = [(A + A.conj().T) / 2 for A in (_complex_normal(rng, (total, total)) for _ in range(3))]
     return channels, psi0, unitaries, observables
 
 
-def reference_model(channels, unitaries=None, eta=1.0):
+def reference_model(layout, channels, unitaries=None, eta=1.0):
     """L_k at gamma_k; with ``unitaries``, U_k L_k at eta gamma_k and L_k at (1 - eta) gamma_k."""
     if unitaries is None:
-        return OpenSystemModel(LAYOUT, tuple(DecayChannel(*c) for c in channels))
+        return OpenSystemModel(layout, tuple(DecayChannel(*c) for c in channels))
     fed = [DecayChannel(slot, unitaries[slot] @ L, eta * rate) for slot, L, rate in channels]
     lost = [DecayChannel(slot, L, (1.0 - eta) * rate) for slot, L, rate in channels if eta < 1.0]
-    return OpenSystemModel(LAYOUT, tuple(fed + lost))
+    return OpenSystemModel(layout, tuple(fed + lost))
 
 
 def _expectation(O, density):
@@ -71,16 +76,16 @@ def _expectation(O, density):
     return lambda states, counts: np.einsum("ni,ij,nj->n", states.conj(), O, states).real
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("layout, seed", CASES)
 @pytest.mark.parametrize("feedback, eta, density", [
     (False, 1.0, False),
     (True, 1.0, False),
     (True, 0.8, True),
 ], ids=["pure-no-feedback", "pure-feedback", "density-feedback-eta-0.8"])
-def test_sampler_matches_master_equation_on_random_model(seed, feedback, eta, density):
-    channels, psi0, unitaries, observables = random_case(seed)
-    model = reference_model(channels)
-    reference = reference_model(channels, unitaries, eta) if feedback else model
+def test_sampler_matches_master_equation_on_random_model(layout, seed, feedback, eta, density):
+    channels, psi0, unitaries, observables = random_case(layout, seed)
+    model = reference_model(layout, channels)
+    reference = reference_model(layout, channels, unitaries, eta) if feedback else model
     policy = FeedbackPolicy(unitaries, efficiency=eta) if feedback else None
     rho0 = np.outer(psi0, psi0.conj())
     config = UnravelingConfig(dt=DT, t_max=T_MAX, n_samples=N_SAMPLES, rng_seed=seed)
@@ -94,13 +99,14 @@ def test_sampler_matches_master_equation_on_random_model(seed, feedback, eta, de
         assert np.all(error <= 4 * out.sem[i] + C_DT * DT), (i, error, out.sem[i])
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_delayed_feedback_pure_and_density_samplers_agree_on_random_model(seed):
+@pytest.mark.parametrize("layout, seed", CASES)
+def test_delayed_feedback_pure_and_density_samplers_agree_on_random_model(layout, seed):
     # corrections land 3 dt after their jump, so jumps inside the window queue theirs
-    channels, psi0, unitaries, _ = random_case(seed)
-    model = reference_model(channels)
+    channels, psi0, unitaries, _ = random_case(layout, seed)
+    model = reference_model(layout, channels)
     policy = FeedbackPolicy(unitaries, delay=3 * DT)
-    config = UnravelingConfig(dt=DT, t_max=T_MAX, n_samples=200, rng_seed=seed)
+    # 400 records put a jump inside an earlier jump's delay on every layout and seed
+    config = UnravelingConfig(dt=DT, t_max=T_MAX, n_samples=400, rng_seed=seed)
     pure = sample_trajectories(model, psi0, config, policy).records
     density = sample_density_trajectories(model, np.outer(psi0, psi0.conj()), config, policy).records
     gaps = [b.time - a.time for r in pure for a, b in zip(r.events, r.events[1:])]

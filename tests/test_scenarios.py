@@ -93,14 +93,49 @@ def test_singlet_conversion_boundary_alpha():
     assert abs(res.scalars["entropy_at_t_star"] - 1.0) < 1e-12
 
 
-def test_sampled_singlet_at_half_says_no_sampled_conversion_ran():
-    # t* is 0 at alpha 1/2: no sampled conversion runs, and the run says so instead of staying silent
+def test_sampled_singlet_at_half_reads_step_zero():
+    # t* is 0 at alpha 1/2: the t* runs take no step, so every trajectory is jump-free and the
+    # zero SEM is flagged as at any read where all are
     cfg = ScenarioConfig(scenario="singlet-conversion", alpha=0.5, mode="sampled", n_samples=20,
                          t_max=0.1, grid_points=2)
     res = run_scenario(cfg)
-    assert res.scalars["t_star"] == 0.0 and "p_ok_sampled" not in res.scalars
-    assert [w for w in res.metadata["warnings"] if "no sampled conversion ran" in w]
-    assert run_scenario(dataclasses.replace(cfg, mode="exact")).metadata["warnings"] == []
+    assert res.scalars["t_star"] == 0.0
+    assert res.scalars["p_ok_sampled"] == 1.0 and res.scalars["p_ok_sampled_sigma"] == 0.0
+    assert [w for w in res.metadata["warnings"] if "p_ok_sampled_sigma is 0" in w]
+    exact = run_scenario(dataclasses.replace(cfg, mode="exact")).metadata
+    assert exact["warnings"] == []
+    assert exact["classes"]["t_star"] == [1] and exact["truncation_mass"]["t_star"] == 0.0
+
+
+@pytest.mark.parametrize("mode, policy, driver", [
+    ("master", None, "evolve_master"),
+    ("exact", None, "run_exact_grid"),
+    ("sampled", None, "run_sampled_grid"),
+    ("exact", FeedbackPolicy.qutrit_cyclic(efficiency=0.5), "run_density_grid"),
+], ids=["master", "exact", "pure-sampled", "density-sampled"])
+def test_zero_horizon_reads_the_initial_state(monkeypatch, mode, policy, driver):
+    # a run whose last read time is 0 resolves no step and reads f(psi0) at step 0
+    cfg = ScenarioConfig(scenario="qutrit-protection", mode="exact", t_max=0.2, grid_points=3, n_samples=50)
+    layout = make_layout((3, 3))
+    psi0 = normalized(product_basis_state(layout, (1, 2)) + product_basis_state(layout, (2, 1)))
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    horizons, run = [], getattr(scenarios, driver)
+
+    def spy(model, x0, *args):
+        horizons.append(list(args[0]) if driver == "evolve_master" else (args[0].n_steps, list(args[2])))
+        return run(model, x0, *args)
+
+    monkeypatch.setattr(scenarios, driver, spy)
+    metadata = _metadata()
+    curve, = _run_curves(cfg, metadata, model, psi0, {"E": scenarios._measure(ent.Measure.NEGATIVITY, layout)},
+                         policy, mode, times=(0.0,))
+    assert horizons == [[0.0] if driver == "evolve_master" else (0, [0])]
+    assert list(curve.times) == [0.0]
+    assert abs(curve.values[0] - ent.negativity(np.outer(psi0, psi0.conj()), layout)) < 1e-12
+    if driver == "run_exact_grid":
+        assert metadata["classes"] == {"E": [1]} and metadata["truncation_mass"] == {"E": 0.0}
+    if mode == "sampled" or policy is not None:
+        assert curve.sem[0] < 1e-12
 
 
 def test_singlet_conversion_sampled_scalar():
