@@ -82,7 +82,7 @@ def negativity_batch_density(rhos: np.ndarray, layout: SpaceLayout) -> np.ndarra
     nonzero = (flat != 0).any(axis=0)[source] | np.eye(len(source), dtype=bool)
     linked = np.linalg.matrix_power(nonzero | nonzero.T, len(nonzero))  # linked[i, j]: i and j share a block
     blocks = {}  # block size -> the index rows of its blocks
-    for first in np.unique(linked.argmax(axis=1)):
+    for first in np.flatnonzero(linked.argmax(axis=1) == np.arange(len(linked))):  # each block's first index
         blocks.setdefault(np.count_nonzero(linked[first]), []).append(np.flatnonzero(linked[first]))
     eig = np.concatenate([_eigvalsh(flat[:, source[idx[:, :, None], idx[:, None, :]]]).reshape(len(flat), idx.size)
                           for idx in map(np.array, blocks.values())], axis=1)

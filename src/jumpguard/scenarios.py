@@ -9,7 +9,8 @@ the single configured seed.
 Each preset is one :data:`SCENARIOS` entry: runner, default gamma*dt and
 alpha, the modes it runs (the first is its default), figure, summary and the
 config keys it reads. ``ScenarioConfig`` rejects a mode the preset does not
-run; the command line lists presets from the same table.
+run and fills in each default a run reads (mode, alpha, dt, tau); the command
+line lists presets from the same table.
 
 Every curve and scalar read is the average of one per-row observable f(states,
 counts) -> value per row, defined once below. :func:`_run_curves`, the one caller
@@ -72,18 +73,23 @@ THERMAL_CAVITY_MAX_DIM = 8  # the largest thermal ladder, total dimension 16
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Physical and numerical parameters of one scenario run."""
+    """Physical and numerical parameters of one scenario run.
+
+    A field left None holds, once built, the value the run uses: ``mode`` the preset's first
+    mode, ``alpha`` the preset's (None where it takes none), ``dt`` the requested step
+    gamma_dt / gamma, and ``tau`` 0.08 / gamma where the preset reads it. ``replace`` keeps
+    them, so a replaced ``gamma`` keeps the old ``dt`` and ``tau``."""
 
     scenario: str
     gamma: float = 1.0
     alpha: float | None = None
     eta: float = 0.92
-    tau: float | None = None  # None -> 0.08 / gamma
+    tau: float | None = None
     nbar: tuple[float, ...] = (0.0, 0.05, 0.5)
     dt: float | None = None
     t_max: float = 5.0
     grid_points: int = 51
-    mode: str | None = None  # None -> the scenario's first mode
+    mode: str | None = None
     n_samples: int = 10_000
     seed: int = 12345
 
@@ -98,6 +104,11 @@ class ScenarioConfig:
                 raise ScenarioError(f"{key.replace('_', '-')} must be finite, got {value}")
         if self.gamma <= 0:
             raise ScenarioError(f"gamma must be positive, got {self.gamma}")
+        # the defaults a run reads, resolved once; the "8% delay" tau is 8% of the decay time 1/gamma
+        for key, value in (("mode", spec.modes[0]), ("alpha", spec.alpha), ("dt", spec.gamma_dt / self.gamma),
+                           ("tau", 0.08 / self.gamma if "tau" in spec.params else None)):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         if not 0.0 <= self.eta <= 1.0:
             raise ScenarioError(f"eta must lie in [0, 1], got {self.eta}")
         if self.tau is not None and self.tau < 0:
@@ -111,14 +122,12 @@ class ScenarioConfig:
         if self.scenario == "cavity-thermal" and len(set(tags)) < len(tags):
             raise ScenarioError(f"nbar values must be distinct for cavity-thermal, got "
                                 f"{','.join(tags)}")
-        if self.mode is None:
-            object.__setattr__(self, "mode", spec.modes[0])
         if self.mode not in spec.modes:
             modes = " or ".join(f"'{m}'" for m in spec.modes)
             raise ScenarioError(f"mode must be {modes} for {self.scenario}, got '{self.mode}'")
         if self.t_max <= 0:
             raise ScenarioError("t-max must be positive")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt <= 0:
             raise ScenarioError(f"dt must be positive, got {self.dt}")
         if not 0 <= self.seed < 2**64:
             raise ScenarioError(f"seed must lie in [0, 2**64), got {self.seed}")
@@ -130,8 +139,8 @@ class ScenarioConfig:
                                 f"points of {n_steps} steps of dt {dt:g} to t-max {self.t_max:g}")
         if self.n_samples < 1:
             raise ScenarioError("samples must be >= 1")
+        a = self.alpha
         if self.scenario == "singlet-conversion":
-            a = self.resolved_alpha
             if not 0.0 < a <= 0.5:
                 raise ScenarioError(
                     f"alpha must lie in (0, 1/2] for singlet-conversion, got {a}"
@@ -139,10 +148,8 @@ class ScenarioConfig:
             if a < _CULL_FLOOR:  # the no-jump class, of mass 2 alpha, would be culled
                 raise ScenarioError(f"alpha must be >= {_CULL_FLOOR:g} for singlet-conversion, "
                                     f"got {a}")
-        if self.scenario in ("cavity-2x3", "cavity-thermal"):
-            a = self.resolved_alpha
-            if not 0.0 <= a <= 1.0:
-                raise ScenarioError(f"alpha must lie in [0, 1], got {a}")
+        if self.scenario in ("cavity-2x3", "cavity-thermal") and not 0.0 <= a <= 1.0:
+            raise ScenarioError(f"alpha must lie in [0, 1], got {a}")
         rate = self.gamma  # the largest channel rate of every preset but the thermal cavity's
         if self.scenario == "cavity-thermal":
             rate = _cavity(self, max(self.nbar), THERMAL_CAVITY_DIM)[0].max_rate
@@ -154,15 +161,6 @@ class ScenarioConfig:
             if rate * dt > MAX_GAMMA_DT * (1 + 1e-9):
                 raise ScenarioError(f"gamma_max*dt = {rate * dt:.3g} exceeds {MAX_GAMMA_DT} on the {n_steps} "
                                     f"steps to t = {t:.6g}; decrease dt")
-
-    @property
-    def resolved_alpha(self) -> float | None:
-        return self.alpha if self.alpha is not None else SCENARIOS[self.scenario].alpha
-
-    @property
-    def resolved_tau(self) -> float:
-        # "8% delay" read as 8% of the decay time 1/gamma
-        return self.tau if self.tau is not None else 0.08 / self.gamma
 
 
 @dataclass
@@ -196,19 +194,19 @@ class ScenarioResult:
 
 
 def _resolve_steps(cfg: ScenarioConfig, t_max: float | None = None):
-    """Pick (dt, n_steps) so that n_steps * dt == t_max exactly; a zero horizon takes no step of
+    """Pick (dt, n_steps) nearest the requested step ``cfg.dt`` so that n_steps * dt == t_max
+    exactly (default ``cfg.t_max``); each run resolves its own. A zero horizon takes no step of
     the configured run's dt, which the step operators still build and rate-check."""
     if t_max == 0.0:
         return _resolve_steps(cfg)[0], 0
     t_max = cfg.t_max if t_max is None else t_max
-    requested = cfg.dt if cfg.dt is not None else SCENARIOS[cfg.scenario].gamma_dt / cfg.gamma
-    n_steps = max(1, int(round(t_max / requested)))
+    n_steps = max(1, int(round(t_max / cfg.dt)))
     return t_max / n_steps, n_steps
 
 
 def _t_star(cfg: ScenarioConfig) -> float:
     """Singlet conversion's t*, e^{-2 gamma t*} = alpha / (1 - alpha): 0 at alpha = 1/2."""
-    alpha = cfg.resolved_alpha
+    alpha = cfg.alpha
     return math.log((1.0 - alpha) / alpha) / (2.0 * cfg.gamma)
 
 
@@ -216,7 +214,7 @@ def _grid(cfg: ScenarioConfig) -> np.ndarray:
     """The configured grid's times, the last exactly t-max, so that a run to them resolves
     the configured steps and reads each grid step."""
     _, n_steps = _resolve_steps(cfg)
-    return np.unique(np.round(np.linspace(0, n_steps, cfg.grid_points)).astype(int)) / n_steps * cfg.t_max
+    return np.round(np.linspace(0, n_steps, cfg.grid_points)) / n_steps * cfg.t_max
 
 
 def _ucfg(cfg: ScenarioConfig, t_max: float | None = None) -> UnravelingConfig:
@@ -358,7 +356,7 @@ def run_singlet_conversion(cfg: ScenarioConfig) -> ScenarioResult:
     p_ok = 2a. Curves are computed with the exact engine; sampled mode adds
     an empirical success estimate at t*.
     """
-    alpha = cfg.resolved_alpha
+    alpha = cfg.alpha
     gamma = cfg.gamma
     model = build_qubit_pair(gamma)
     layout = model.layout
@@ -433,7 +431,7 @@ def run_qutrit_protection(cfg: ScenarioConfig) -> ScenarioResult:
         ("E_3ho", model_ho, None, False),
         ("E_3fho", model_ho, fb_ideal, False),
     ]
-    tau = cfg.resolved_tau
+    tau = cfg.tau
     for key, value, policy in (("tau", tau, FeedbackPolicy.qutrit_cyclic(delay=tau)),
                                ("eta", cfg.eta, FeedbackPolicy.qutrit_cyclic(efficiency=cfg.eta))):
         if policy.delay > 0.0 or policy.efficiency < 1.0:
@@ -461,7 +459,7 @@ def _cavity(cfg: ScenarioConfig, nbar: float = 0.0,
     layout = make_layout((2, dim))
     channels = tuple(DecayChannel(1, op, rate)
                      for op, rate in thermal_channels(cfg.gamma, ThermalSpec(nbar), dim))
-    alpha = cfg.resolved_alpha
+    alpha = cfg.alpha
     psi0 = _two_term(layout, math.sqrt(alpha), (1, 1), math.sqrt(1.0 - alpha), (0, 2))
     return OpenSystemModel(layout=layout, channels=channels), psi0
 
@@ -512,7 +510,7 @@ def cavity_oj_state(alpha: float, gamma: float, t: float) -> np.ndarray:
 def run_cavity_2x3(cfg: ScenarioConfig) -> ScenarioResult:
     """Atom-cavity 2x3 channel: engine curves against closed forms, plus
     (alpha, t) surfaces for the branch contributions and the 2x3 - 2x2 gap."""
-    alpha = cfg.resolved_alpha
+    alpha = cfg.alpha
     gamma = cfg.gamma
     model, psi0 = _cavity(cfg)
     layout = model.layout
@@ -609,7 +607,7 @@ def run_cavity_thermal(cfg: ScenarioConfig) -> ScenarioResult:
     ladders = [_thermal_ladder(cfg, nbar) for nbar in cfg.nbar]
     metadata = _metadata()
     curves = []
-    scalars: dict[str, float] = {"alpha": cfg.resolved_alpha}
+    scalars: dict[str, float] = {"alpha": cfg.alpha}
     for i, (nbar, (dim, guard)) in enumerate(zip(cfg.nbar, ladders)):
         model, psi0 = _cavity(cfg, nbar, dim)
         tag = f"{nbar:g}"

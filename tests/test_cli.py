@@ -297,6 +297,27 @@ def test_config_echo_reproduces_thermal_run(tmp_path):
         assert (first / name).read_bytes() == (rerun / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["qutrit-protection", "--mode", "exact", "--eta", "1", "--tau", "0"],
+    ["singlet-conversion"],
+], ids=["qutrit-protection", "singlet-conversion"])
+def test_config_echo_reproduces_run_after_preset_defaults_change(tmp_path, monkeypatch, argv):
+    # the echo holds the step and alpha its run used, not the preset's current defaults
+    first, rerun = tmp_path / "a", tmp_path / "b"
+    horizon = ["--t-max", "0.3", "--grid-points", "4"]
+    assert main(["run", *argv, *horizon, "--out-dir", str(first)]) == 0
+    scenario = argv[0]
+    spec = SCENARIOS[scenario]
+    moved = dataclasses.replace(spec, gamma_dt=spec.gamma_dt / 2,
+                                alpha=None if spec.alpha is None else spec.alpha + 0.1)
+    monkeypatch.setitem(SCENARIOS, scenario, moved)
+    assert main(["run", scenario, "--config", str(first / "config_echo.txt"), "--out-dir", str(rerun)]) == 0
+    csvs = sorted(name for name in os.listdir(first) if name.endswith(".csv"))
+    assert csvs
+    for name in csvs + ["config_echo.txt"]:
+        assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("JUMPGUARD_OUT_DIR", str(target))

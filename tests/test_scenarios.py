@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,44 @@ def test_default_mode_is_first_mode_of_scenario():
     for scenario, mode in (("cavity-2x3", "sampled"), ("cavity-thermal", "exact")):
         with pytest.raises(ScenarioError, match="mode"):
             ScenarioConfig(scenario=scenario, mode=mode)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_config_holds_the_defaults_its_run_reads(gamma):
+    # mode and the requested step for every preset, alpha where the preset table has one,
+    # and the "8% delay" tau where the preset reads it
+    for scenario, spec in SCENARIOS.items():
+        cfg = ScenarioConfig(scenario=scenario, gamma=gamma, t_max=0.5, grid_points=2)
+        assert cfg.mode == spec.modes[0]
+        assert cfg.dt == spec.gamma_dt / gamma
+        assert cfg.alpha == spec.alpha
+        assert cfg.tau == (0.08 / gamma if scenario == "qutrit-protection" else None)
+
+
+def test_grid_steps_strictly_increase():
+    # every grid-point count a config accepts reads distinct steps from 0 to t-max
+    for n_steps in (*range(1, 41), 599, 5000):
+        cfg = ScenarioConfig(scenario="bell-monitoring", dt=1e-3, t_max=n_steps * 1e-3, grid_points=2)
+        assert scenarios._resolve_steps(cfg)[1] == n_steps
+        for points in range(2, n_steps + 2):
+            grid = scenarios._grid(dataclasses.replace(cfg, grid_points=points))
+            assert len(grid) == points and grid[0] == 0.0 and grid[-1] == cfg.t_max
+            assert np.all(np.diff(grid) > 0), (n_steps, points)
+        with pytest.raises(ScenarioError, match="grid-points"):
+            dataclasses.replace(cfg, grid_points=n_steps + 2)
+
+
+def test_preset_runs_import_no_masked_arrays(tmp_path):
+    # numpy's np.unique imports numpy.ma on its first plain call; no preset run makes one,
+    # including the master-mode and density-sampler negativities of qutrit-protection
+    code = ("import sys\nfrom jumpguard.scenarios import SCENARIOS, ScenarioConfig, run_scenario\n"
+            "for s, spec in SCENARIOS.items():\n"
+            "    for mode in spec.modes:\n"
+            "        run_scenario(ScenarioConfig(s, mode=mode, t_max=0.2, grid_points=3, n_samples=20))\n"
+            "        assert 'numpy.ma' not in sys.modules, (s, mode)\n")
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                   check=True, capture_output=True)
 
 
 def test_bell_monitoring_curves():
