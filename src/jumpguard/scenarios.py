@@ -97,11 +97,6 @@ class ScenarioConfig:
         spec = SCENARIOS.get(self.scenario)
         if spec is None:
             raise ScenarioError(f"unknown scenario '{self.scenario}'")
-        for key in ("gamma", "alpha", "eta", "tau", "dt", "t_max", "nbar"):
-            value = getattr(self, key)
-            values = value if key == "nbar" else () if value is None else (value,)
-            if not all(math.isfinite(v) for v in values):
-                raise ScenarioError(f"{key.replace('_', '-')} must be finite, got {value}")
         if self.gamma <= 0:
             raise ScenarioError(f"gamma must be positive, got {self.gamma}")
         # the defaults a run reads, resolved once; the "8% delay" tau is 8% of the decay time 1/gamma
@@ -109,6 +104,11 @@ class ScenarioConfig:
                            ("tau", 0.08 / self.gamma if "tau" in spec.params else None)):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
+        for key in ("gamma", "alpha", "eta", "tau", "dt", "t_max", "nbar"):  # a tiny gamma resolves dt, tau to inf
+            value = getattr(self, key)
+            values = value if key == "nbar" else () if value is None else (value,)
+            if not all(math.isfinite(v) for v in values):
+                raise ScenarioError(f"{key.replace('_', '-')} must be finite, got {value}")
         if not 0.0 <= self.eta <= 1.0:
             raise ScenarioError(f"eta must lie in [0, 1], got {self.eta}")
         if self.tau is not None and self.tau < 0:

@@ -24,12 +24,13 @@ discrete jumps. Three drivers are provided.
   probability 1 - |N psi|^2 / |psi|^2 and picks channels by cumulative
   probability in (slot, channel) order. A row moves from event to event (a
   threshold crossing, a due correction, a table's end, the end), its state
-  and survival in between in closed form (see `_Sampler`). Trajectory i's
-  threshold for its waiting period j is a counter-based u(rng_seed, i, j)
-  in (0, 1]: one minus the top 53 bits of a SplitMix64 finalizer of the key
-  derived from (rng_seed, i) plus j. No generator state is carried, so
-  results are reproducible and, to rounding, independent of trajectory order
-  and of the block or batch size; they never depend on the time grid.
+  and survival in between in closed form (see `_Sampler`), its first event
+  on the initial state's one survival curve. Trajectory i's threshold for
+  its waiting period j is a counter-based u(rng_seed, i, j) in (0, 1]: one
+  minus the top 53 bits of a SplitMix64 finalizer of the key derived from
+  (rng_seed, i) plus j. No generator state is carried, so results are
+  reproducible and, to rounding, independent of trajectory order and of
+  the block or batch size; they never depend on the time grid.
 
 * Density-matrix sampling (`sample_density_trajectories`): required when
   detection efficiency eta < 1. The same sampler moves real rows T vec(rho)
@@ -747,12 +748,15 @@ class _Sampler:
     form: V^+ psi scales by e^{-lam k dt/2}, survival sum |c_i|^2 e^{-lam_i k dt}; rho
     takes the tabulated M^k (M can be defective), with survival the running product of
     1 - eta (1 - tr(N rho N^+) / tr rho) (at eta = 1, tr(M^k rho)). A crossing is
-    bisected; (S_before - u) / (S_before - S_after), scaled by the split total, picks
-    the channel; a jumped row is normalized and starts a new period, which corrections
-    keep. u is recomputed from (seed, trajectory, period) where needed, never stored.
-    Rows take one event per round in stretches of ``_TABLE_CAP`` steps, so which rows
-    share a product never depends on the grid; a row reads the stretch's grid steps from
-    its anchor on. A read takes what the row-local, deterministic fn(states, counts) read
+    bisected, a row's first on x0's survival curve, computed once for every row (at most
+    a block's floats long; a row that outlasts it moves to its end). (S_before - u) /
+    (S_before - S_after), scaled by the split total, picks the channel; a jumped row is
+    normalized and starts a new period, which corrections keep. u is recomputed from
+    (seed, trajectory, period) where needed, never stored. Rows take one event per round
+    in stretches of ``_TABLE_CAP`` steps (pure rows that buffer no state: one, [0,
+    n_steps]), so which rows share a product never depends on the grid; a row buffers
+    the stretch's grid steps from its anchor on, and counts come from a log of its jump
+    steps. A read takes what the row-local, deterministic fn(states, counts) read
     (``fn.reads`` "states" or "counts", else both): if none reads states, (None, counts)
     of all rows; else each distinct normalized row as a state, psi = c V^T or rho = x T^*,
     with counts None if none reads counts, else once per (state, count).
@@ -796,6 +800,14 @@ class _Sampler:
             self.no_jump_traces = self.powers @ cut(no_jump)[:, :n].sum(axis=1)
         else:  # log_stay: -lam dt, the log of each eigencomponent's per-step survival
             self.log_stay = -ops.lam[on] * config.dt
+        # x0's survival j = 0..min(n_steps, cap, a block's floats) steps on, as _next has it: each row's first wait
+        j = np.arange(min(config.n_steps, self.cap, _SAMPLE_CHUNK * d) + 1)
+        if self.density:  # two rows of x0: BLAS sums a lone row (gemv) in another order than a block's rows
+            stay = 1.0 - eta * (1.0 - ((x := np.stack([self.x0] * 2)) @ self.no_jump_traces.T) / (x @ self.traces.T))[0]
+            self.curve = np.cumprod(np.concatenate([[1.0], stay[:j.size - 1]]))
+        else:
+            p = np.broadcast_to(self.x0.real ** 2 + self.x0.imag ** 2, (j.size, on.size))
+            self.curve = np.einsum("ij,ij->i", p, np.exp(np.multiply.outer(j, self.log_stay)))
         self.mix = _trajectory_keys(0, 0, self.x0.nbytes // 8 + 1) | np.uint64(1)  # odd hash weights of a key's words
 
     def _weight(self, rows):
@@ -869,6 +881,14 @@ class _Sampler:
         idle = ~found & ((K == 0) | (np.minimum(at + self.cap, due) > self.config.n_steps))
         return np.where(idle, self.config.n_steps + 1, at + k), found, before, survival(k, data)
 
+    def _first(self, u):
+        """_next for rows at x0 with thresholds u, on x0's curve; a row outlasting a cut curve moves to its end."""
+        curve, n_steps, K = self.curve, self.config.n_steps, len(self.curve) - 1
+        found = (K > 0) & (curve[K] < u)
+        k = np.where(found, np.maximum(1, np.searchsorted(-curve, -u, side="right")), K)
+        idle = ~found & (K == 0 or K == n_steps < self.cap)
+        return np.where(idle, n_steps + 1, k), found, np.where(found, curve[k - 1], 1.0), curve[k]
+
     def run(self, grid_steps=(), observables=None, collect_records=False):
         observables = observables or {}
         cfg, ops = self.config, self.ops
@@ -879,9 +899,11 @@ class _Sampler:
         with_states, with_counts = any(r != "counts" for r in marks), any(r != "states" for r in marks)
         records: list[TrajectoryRecord] = []
         block, never = max(1, _SAMPLE_CHUNK * self.d // D), n_steps + 1
-        # stretches of _TABLE_CAP steps, the last ending at or past the last step read
+        # stretches of _TABLE_CAP steps, the last ending at or past the last step read; pure rows
+        # that buffer no state take one, [0, n_steps]
+        span = _TABLE_CAP if self.density or with_states else max(n_steps, 1)
         last = n_steps if collect_records else grid[-1] if grid else -1
-        stops = [min(s, n_steps) for s in range(0, last + _TABLE_CAP, _TABLE_CAP)] if last >= 0 else []
+        stops = [min(s, n_steps) for s in range(0, last + span, span)] if last >= 0 else []
 
         for lo in range(0, n, block):
             m = min(block, n - lo)
@@ -892,19 +914,17 @@ class _Sampler:
             # delayed corrections by jump number j, due in jump order: due step
             # (never: none) and slot; a row's next is at j = applied
             due, due_slot = np.full((1, m), never), np.zeros((1, m), dtype=np.int64)
+            log = np.full((1, m), never)  # by jump number, the jump's step (never: none), if counts are read
             events = [[] for _ in range(m)] if collect_records else None
-            nxt, jump, before, after = self._next(rows, surv, _thresholds(keys, counts), at, due[0])
-            reads, g1 = {}, 0  # grid index -> (rows advanced to it or None, counts); a stretch's g0..g1-1
+            nxt, jump, before, after = self._first(_thresholds(keys, counts))
+            reads, g1 = {}, 0  # grid index -> rows advanced to it; a stretch's g0..g1-1
 
             def read(sel, until):  # the rows sel at the stretch's grid steps from their anchors to until
-                for g in range(g0, g1):
+                for g in range(g0, g1) if with_states else ():  # else no f reads states: none is formed
                     on = sel[(at[sel] <= grid[g]) & (grid[g] < until)]
-                    if g not in reads:  # a grid point's buffers, at its first read
-                        reads[g] = np.empty_like(rows) if with_states else None, np.empty_like(counts)
-                    x, c = reads[g]
-                    c[on] = counts[on]
-                    if with_states:  # else no f reads states: none is formed
-                        x[on] = self._advance(rows[on], grid[g] - at[on])
+                    if g not in reads:  # a grid point's buffer, at its first read
+                        reads[g] = np.empty_like(rows)
+                    reads[g][on] = self._advance(rows[on], grid[g] - at[on])
 
             for stop in stops:  # one event per row and round
                 g0, g1 = g1, np.searchsorted(grid, stop + 1)
@@ -925,9 +945,13 @@ class _Sampler:
                         y = np.einsum("ri,rij->rj", pre, self.jumps[chosen])  # the chosen channel's image only
                         new[hit], s[hit] = self._normalize(y, self._weight(y)), 1.0
                         slots = np.asarray(ops.slots)[chosen]
+                        top = counts[i].max(initial=-1)  # the last jump number taken
                         if ops.queued_feedback:
-                            due, due_slot = _grown(due, counts[i].max() + 2, never), _grown(due_slot, len(due), 0)
+                            due, due_slot = _grown(due, top + 2, never), _grown(due_slot, len(due), 0)
                             due[counts[i], i], due_slot[counts[i], i] = ops.due_step(nxt[i] - 1), slots
+                        if with_counts:
+                            log = _grown(log, top + 1, never)
+                            log[counts[i], i] = nxt[i]
                         if collect_records:
                             for r, t, slot, ch in zip(i.tolist(), ((nxt[i] - 0.5) * cfg.dt).tolist(),
                                                       slots.tolist(), chosen.tolist()):
@@ -943,9 +967,9 @@ class _Sampler:
                     nxt[sel], jump[sel], before[sel], after[sel] = self._next(
                         new, s, _thresholds(keys[sel], counts[sel]), at[sel], due[applied[sel], sel])
                 read(np.arange(m), stop + 1)
-                for g in sorted(reads):  # read at every row
-                    x, c = reads.pop(g)
-                    self._observe(observables, x, c if with_counts else None, acc, g)
+                for g in range(g0, g1):  # read at every row; a jump counts from its step on
+                    counts_g = (log <= grid[g]).sum(axis=0) if with_counts else None
+                    self._observe(observables, reads.pop(g, None), counts_g, acc, g)
 
             if collect_records:
                 final = self._states(self._advance(rows, n_steps - at))

@@ -162,6 +162,9 @@ def test_truncated_checkpoint_exit_code_3(tmp_path, capsys, monkeypatch):
     (["bell-monitoring", "--t-max", "inf"], "t-max must be finite, got inf"),
     (["cavity-thermal", "--nbar", "nan"], "nbar must be finite, got (nan,)"),
     (["cavity-thermal", "--nbar", "0,inf"], "nbar must be finite, got (0.0, inf)"),
+    # a gamma so small that the default tau and dt, 0.08 / gamma and 0.005 / gamma, overflow
+    (["qutrit-protection", "--gamma", "1e-320", "--grid-points", "2", "--mode", "exact", "--eta", "1"],
+     "tau must be finite, got inf"),
     (["cavity-thermal", "--nbar", "0.5,5"], "gamma_max*dt = 0.03 exceeds 0.01"),
     (["qutrit-protection", "--dt", "0.05"], "gamma_max*dt = 0.05 exceeds 0.01"),
     (["bell-monitoring", "--gamma", "20", "--dt", "0.001"], "gamma_max*dt = 0.02 exceeds 0.01"),

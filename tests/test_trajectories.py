@@ -1067,6 +1067,10 @@ def declared(reads, fn):
     return fn_declared
 
 
+def _p0(states, counts):
+    return (counts == 0).astype(float)
+
+
 def _p1(states, counts):
     return (counts == 1).astype(float)
 
@@ -1413,6 +1417,73 @@ def test_crossing_without_a_branch_steps_on(density):
                               thresholds=lambda keys, periods: np.zeros(keys.size))[0][3]
     for rec in records:
         assert np.max(np.abs(rec.state - no_jump)) < 1e-12
+
+
+_FIRST_CASES = [(False, None, 1.0, 4096), (False, FeedbackPolicy.qutrit_cyclic(delay=0.02), 1.0, 4096),
+                (True, None, 1.0, 4096), (True, FeedbackPolicy.qutrit_cyclic(delay=0.02), 1.0, 4096),
+                (True, FeedbackPolicy.qutrit_cyclic(efficiency=0.9), 1.0, 4096),
+                (False, None, 0.0, 4096), (True, None, 0.0, 4096), (False, None, 1.0, 1), (True, None, 1.0, 1)]
+
+
+@pytest.mark.parametrize("density, policy, t_max, chunk", _FIRST_CASES,
+                         ids=["pure", "pure-delay", "density", "density-delay", "density-eta", "pure-K0",
+                              "density-K0", "pure-short", "density-short"])
+def test_first_event_search_equals_next(monkeypatch, density, policy, t_max, chunk):
+    # every row leaves x0 by the one survival curve of x0: its first event is
+    # _next's on m copies of x0, bit for bit; a curve cut short of the run
+    # (at _SAMPLE_CHUNK 1 a block holds d = 9 floats) acts as a due step there
+    monkeypatch.setattr(trajectories, "_SAMPLE_CHUNK", chunk)
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    x0 = np.outer(psi0, psi0.conj()) if density else psi0
+    cfg = UnravelingConfig(dt=5e-3, t_max=t_max, n_samples=10)
+    sampler = trajectories._Sampler(model, x0, x0.ndim, cfg, policy)
+    curve, K = sampler.curve, len(sampler.curve) - 1
+    assert np.all(np.diff(curve) <= 0.0)
+    assert K == (0 if t_max == 0.0 else 9 if chunk == 1 else sampler.cap if density else cfg.n_steps)
+    m = 4000
+    u = trajectories._thresholds(trajectories._trajectory_keys(5, 0, m), np.zeros(m, dtype=np.int64))
+    u[:4] = 1.0, curve[K], curve[K // 2], 1e-300  # an exact tie at the end and half way
+    due = np.full(m, K if K < min(cfg.n_steps, sampler.cap) else cfg.n_steps + 1)
+    rows, zero = np.repeat(sampler.x0[None], m, axis=0), np.zeros(m, dtype=np.int64)
+    expected = sampler._next(rows, np.ones(m), u, zero, due)
+    for got, want in zip(sampler._first(u), expected, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if t_max > 0.0:
+        assert 0 < expected[1].sum() < m
+
+
+@pytest.mark.parametrize("case", ["delayed", "density"])
+def test_count_reads_independent_of_state_reads(case):
+    # a counts-only run takes one stretch on pure rows and reads its counts
+    # from the jump log; an added state read buffers states in stretches of
+    # _TABLE_CAP steps, and no bit of the count curves moves
+    counts_only = {"p0": declared("counts", _p0), "p1": declared("counts", _p1)}
+    alone = grid_read_run(case, counts_only)
+    both = grid_read_run(case, {**counts_only, "neg": declared("states", _neg3)})
+    assert 0.0 < alone.mean["p0"][-1] < 1.0 and alone.mean["p1"].max() > 0.0
+    for label in counts_only:
+        assert alone.mean[label].tobytes() == both.mean[label].tobytes(), label
+        assert alone.sem[label].tobytes() == both.sem[label].tobytes(), label
+
+
+def test_sampler_memory_does_not_grow_with_the_steps_or_grid():
+    # a counts-only run holds no count per grid point and row, and x0's
+    # curve stops at a block's floats: a 1,001-point grid over 2,048 rows
+    # (16 MB of counts) and a run of 10^6 steps (8 MB of curve) stay small
+    model = build_qubit_pair(1.0)
+    obs = {"p0": declared("counts", _p0)}
+    runs = [(UnravelingConfig(dt=1e-3, t_max=1.0, n_samples=2048, rng_seed=3), range(1001)),
+            (UnravelingConfig(dt=1e-3, t_max=1000.0, n_samples=8, rng_seed=3), (0, 10**6))]
+    for cfg, grid in runs:
+        tracemalloc.start()
+        try:
+            curves = run_sampled_grid(model, bell2(), cfg, None, grid, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (cfg.n_steps, peak)
+        assert curves.mean["p0"][-1] < 1.0
 
 
 @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
