@@ -37,7 +37,7 @@ discrete jumps. Three drivers are provided.
   in an orthonormal Hermitian basis T, where a map A acts as the real
   T (A (x) A*) T^+. Recorded jumps update the state projectively and trigger
   feedback; unrecorded jumps fold into the no-record map M = N (x) N* +
-  (1 - eta) sum_k S_k (x) S_k*, which mixes the observer's conditional state.
+  (1 - eta) sum_k B_k (x) B_k*, which mixes the observer's conditional state.
 
 Per step of length dt the no-jump update is the exact exponential
 exp(-1/2 G dt) with G = sum_k gamma_k L_k+ L_k, so the no-jump probability
@@ -247,8 +247,8 @@ class StepOperators:
     Pairs: R_kl = sqrt(gamma_k gamma_l / 2) dt L_l L_k and map
     sqrt(gamma_k gamma_l / 2) dt N_half U L_l U L_k N_half. A pair's mass
     is split off its first jump's single mass. ``split_maps`` are the B_k,
-    ``jump_maps`` the feedback-free single maps for unrecorded jumps, and
-    ``lam`` and ``eigvecs`` G's clipped eigenvalues and eigenvectors.
+    complete with N (N^+ N + sum_k B_k^+ B_k = 1), and ``lam`` and
+    ``eigvecs`` G's clipped eigenvalues and eigenvectors.
     """
 
     def __init__(self, model: OpenSystemModel, dt: float, policy: FeedbackPolicy | None = None):
@@ -291,7 +291,6 @@ class StepOperators:
         self.spawn_roots = np.reshape(roots, (len(roots), d, d))
         self.spawn_maps = np.reshape(maps, (len(maps), d, d))
         self.split_maps = self.spawn_roots[:K]
-        self.jump_maps = [math.sqrt(r * dt) * (half @ L @ half) for r, L in zip(rates, ops)]
 
     @property
     def n_channels(self) -> int:
@@ -733,33 +732,42 @@ def _thresholds(keys: np.ndarray, periods: np.ndarray) -> np.ndarray:
     return 1.0 - (_splitmix64(keys + offset) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def _dispatch(rows, maps, pick):
+    """Each row times maps[pick], one einsum per map: no BLAS, so no row depends on its batch."""
+    out = np.empty_like(rows)
+    for c, A in enumerate(maps):
+        out[pick == c] = np.einsum("ri,ij->rj", rows[pick == c], A)
+    return out
+
+
 class _Sampler:
     """Event-driven norm-threshold Monte Carlo unraveling over blocks of rows.
 
     A row is V^+ psi (V: G's eigenvectors) or T vec(rho) in the Hermitian basis T on its
     support, x0's nonzero coordinates closed under the exact nonzeros of every lifted
     map (no-record, jumps, splits, queued corrections): on the qutrit pair 8 of 9 for
-    psi, 12 of 81 for rho, 18 with delay. A shared map A acts as ``rows @ lift(A)``; one
-    picked per row (M^k by step offset k, the jump by channel, the correction by slot) is
-    one gathered product from a stack, so no row's new state depends on its batch. A row
-    keeps an anchor, its state, step and survival when it last changed, and moves from
-    event to event: its first survival below its threshold u, its next due correction,
-    ``cap`` steps on, or the end. In between the no-jump (no-record) map acts in closed
-    form: V^+ psi scales by e^{-lam k dt/2}, survival sum |c_i|^2 e^{-lam_i k dt}; rho
-    takes the tabulated M^k (M can be defective), with survival the running product of
-    1 - eta (1 - tr(N rho N^+) / tr rho) (at eta = 1, tr(M^k rho)). A crossing is
-    bisected, a row's first on x0's survival curve, computed once for every row (at most
-    a block's floats long; a row that outlasts it moves to its end). (S_before - u) /
-    (S_before - S_after), scaled by the split total, picks the channel; a jumped row is
-    normalized and starts a new period, which corrections keep. u is recomputed from
-    (seed, trajectory, period) where needed, never stored. Rows take one event per round
-    in stretches of ``_TABLE_CAP`` steps (pure rows that buffer no state: one, [0,
-    n_steps]), so which rows share a product never depends on the grid; a row buffers
-    the stretch's grid steps from its anchor on, and counts come from a log of its jump
-    steps. A read takes what the row-local, deterministic fn(states, counts) read
-    (``fn.reads`` "states" or "counts", else both): if none reads states, (None, counts)
-    of all rows; else each distinct normalized row as a state, psi = c V^T or rho = x T^*,
-    with counts None if none reads counts, else once per (state, count).
+    psi, 12 of 81 for rho, 18 with delay. A shared map A acts as ``rows @ lift(A)``, M^k
+    by step offset k as one gathered product from a stack, a jump or queued correction as
+    one product per channel, so no row's new state depends on its batch. Unnormalized
+    between jumps, a row weighs its survival since its last jump: |psi|^2, or tr rho
+    under the no-record map M = N (x) N* + (1 - eta) sum_k B_k (x) B_k*. It keeps an
+    anchor, its state and step when it last changed, and moves from event to event: its
+    first survival below its threshold u, its next due correction, ``cap`` steps on, or
+    the end. In between V^+ psi scales by e^{-lam k dt/2}, rho takes the tabulated M^k
+    (M can be defective), and the survival is one row-wise sum, |c_i|^2 against
+    e^{-lam_i k dt} or x against tr(M^k .). A crossing is bisected, a row's first on x0's
+    survival curve (at most a block's floats long; a row that outlasts it moves to its
+    end). (S_before - u) / (S_before - S_after), scaled by the split total, picks the
+    channel; a jumped row is normalized and starts a new period, which corrections keep.
+    u is recomputed from (seed, trajectory, period), never stored. Rows take one event per
+    round in stretches of ``_TABLE_CAP`` steps (pure rows that buffer no state: one, [0,
+    n_steps]), so which rows share a product never depends on the grid. A block's jump
+    log (step * K + channel by jump number), kept if counts are read, corrections delayed
+    or records collected, gives counts, due steps, corrections and records. A read takes
+    what the row-local, deterministic fn(states, counts) read (``fn.reads`` "states" or
+    "counts", else both): if none reads states, (None, counts) of all rows; else each
+    distinct normalized row as a state, psi = c V^T or rho = x T^*, with counts None if
+    none reads counts, else once per (state, count).
     """
 
     def __init__(self, model, x0, ndim: int, config: UnravelingConfig, policy: FeedbackPolicy | None):
@@ -770,7 +778,7 @@ class _Sampler:
         if not 0 <= config.rng_seed <= _MASK64:
             raise ValueError(f"rng_seed must lie in [0, 2**64), got {config.rng_seed}")
         self.ops = ops = StepOperators(model, config.dt, policy)
-        self.eta = eta = ops.policy.efficiency if ops.policy is not None else 1.0
+        eta = ops.policy.efficiency if ops.policy is not None else 1.0
         self.d = d = model.dim
         self.density = ndim == 2
         if eta < 1.0 and not self.density:
@@ -783,31 +791,24 @@ class _Sampler:
             place = (V := ops.eigvecs).T
             x0, lift = x0 @ V.conj(), lambda A: V.T @ A.T @ V.conj()  # noqa: E731
         jumps, splits = [lift(S) for S in ops.spawn_maps[:ops.n_channels]], [lift(B) for B in ops.split_maps]
-        lifted = {slot: lift(u) for slot, u in ops.unitaries_embedded.items()} if ops.queued_feedback else {}
-        corrections = [lifted.get(slot, np.eye(x0.size)) for slot in range(max(ops.slots) + 1)]  # 1 if never due
-        advance = (no_jump := lift(ops.no_jump)) + (1.0 - eta) * sum(map(lift, ops.jump_maps))
+        corrections = [lift(ops.unitaries_embedded[s]) for s in ops.slots] if ops.queued_feedback else []  # by channel
+        advance = lift(ops.no_jump) + (1.0 - eta) * sum(splits)
         # the support: x0's coordinates closed under the exact nonzeros R of every map that acts, through (1 + R)^D
         reach = np.any([A != 0 for A in (np.eye(x0.size), advance, *jumps, *splits, *corrections)], axis=0)
         self.support = on = np.flatnonzero((x0 != 0) @ np.linalg.matrix_power(reach, x0.size))
         self.x0, self.place, cut = x0[on], place[on], lambda A: A[..., on, :][..., on]  # noqa: E731
-        self.jumps, self.corrections = cut(np.stack(jumps)), cut(np.stack(corrections))  # picked per row
+        self.jumps, self.corrections = cut(np.stack(jumps)), [cut(A) for A in corrections]  # picked per row
         self.splits = np.concatenate([cut(A) for A in splits], axis=1)  # taken by every row: one matrix
         self.cap = min(_TABLE_CAP, config.n_steps) if self.density else config.n_steps + 1
-        if self.density:  # M^k for k <= cap, and per k the rows giving tr, tr(N . N^+) of M^k rho
+        if self.density:  # M^k for k <= cap, and per k the row giving tr(M^k x)
             self.n_diag = n = np.count_nonzero(on < d)  # the support's diagonal coordinates come first
             self.powers = np.stack(list(accumulate([cut(advance)] * self.cap, np.matmul, initial=np.eye(on.size))))
             self.traces = self.powers[:, :, :n].sum(axis=2)
-            self.no_jump_traces = self.powers @ cut(no_jump)[:, :n].sum(axis=1)
         else:  # log_stay: -lam dt, the log of each eigencomponent's per-step survival
             self.log_stay = -ops.lam[on] * config.dt
         # x0's survival j = 0..min(n_steps, cap, a block's floats) steps on, as _next has it: each row's first wait
         j = np.arange(min(config.n_steps, self.cap, _SAMPLE_CHUNK * d) + 1)
-        if self.density:  # two rows of x0: BLAS sums a lone row (gemv) in another order than a block's rows
-            stay = 1.0 - eta * (1.0 - ((x := np.stack([self.x0] * 2)) @ self.no_jump_traces.T) / (x @ self.traces.T))[0]
-            self.curve = np.cumprod(np.concatenate([[1.0], stay[:j.size - 1]]))
-        else:
-            p = np.broadcast_to(self.x0.real ** 2 + self.x0.imag ** 2, (j.size, on.size))
-            self.curve = np.einsum("ij,ij->i", p, np.exp(np.multiply.outer(j, self.log_stay)))
+        self.curve = self._survival(j, np.broadcast_to(self._mass(self.x0), (j.size, on.size)))
         self.mix = _trajectory_keys(0, 0, self.x0.nbytes // 8 + 1) | np.uint64(1)  # odd hash weights of a key's words
 
     def _weight(self, rows):
@@ -857,29 +858,29 @@ class _Sampler:
             return rows * np.exp(0.5 * np.multiply.outer(k, self.log_stay))
         return np.einsum("ri,rij->rj", rows, self.powers[k])  # each row by its own offset's power
 
-    def _next(self, rows, surv, u, at, due):
+    def _mass(self, rows):  # what a row's survival weighs: |c_i|^2, or the density row itself
+        return rows if self.density else rows.real ** 2 + rows.imag ** 2
+
+    def _survival(self, j, mass):
+        """Survival j steps past the anchors, row by row (no row's sum depends on its batch)."""
+        return np.einsum("ij,ij->i", mass, self.traces[j] if self.density else np.exp(j[:, None] * self.log_stay))
+
+    def _next(self, rows, u, at, due):
         """(step, jumps, S_before, S_after) of each row's next event: the first
         step whose survival falls below u, if before its next due correction,
         ``cap`` steps and the end; else the first of those, or past the end."""
         K = np.minimum(np.minimum(due, self.config.n_steps), at + self.cap) - at
-        if self.density:  # the survival 0..cap steps on, surv times the steps' no-record probabilities
-            stay = 1.0 - self.eta * (1.0 - (rows @ self.no_jump_traces.T) / (rows @ self.traces.T))
-            data = np.cumprod(np.column_stack([surv, stay[:, :-1]]), axis=1)
-            survival = lambda j, curve: np.take_along_axis(curve, j[:, None], 1)[:, 0]  # noqa: E731
-        else:  # |c_i|^2, and the survival sum |c_i|^2 e^{-lam_i j dt}
-            data = rows.real ** 2 + rows.imag ** 2
-            survival = lambda j, p: np.einsum("ij,ij->i", p, np.exp(np.multiply.outer(j, self.log_stay)))  # noqa: E731
-        found = (K > 0) & (survival(K, data) < u)
+        found = (K > 0) & (self._survival(K, mass := self._mass(rows)) < u)
         on, k, before = np.flatnonzero(found), K.copy(), np.ones(K.size)
         # bisect the crossing rows: survival(lo) >= u > survival(hi), or lo = 0
-        lo, hi, u_on, data_on = np.zeros(on.size, dtype=np.int64), K[on], u[on], data[on]
+        lo, hi, u_on, mass_on = np.zeros(on.size, dtype=np.int64), K[on], u[on], mass[on]
         for _ in range(int(hi.max(initial=0)).bit_length()):
             mid = (lo + hi) // 2
-            below = survival(mid, data_on) < u_on
+            below = self._survival(mid, mass_on) < u_on
             hi, lo = np.where(below & (mid > lo), mid, hi), np.where(below, lo, mid)
-        k[on], before[on] = hi, survival(hi - 1, data_on)
+        k[on], before[on] = hi, self._survival(hi - 1, mass_on)
         idle = ~found & ((K == 0) | (np.minimum(at + self.cap, due) > self.config.n_steps))
-        return np.where(idle, self.config.n_steps + 1, at + k), found, before, survival(k, data)
+        return np.where(idle, self.config.n_steps + 1, at + k), found, before, self._survival(k, mass)
 
     def _first(self, u):
         """_next for rows at x0 with thresholds u, on x0's curve; a row outlasting a cut curve moves to its end."""
@@ -909,15 +910,13 @@ class _Sampler:
             m = min(block, n - lo)
             keys = _trajectory_keys(cfg.rng_seed, lo, lo + m)
             rows = np.repeat(self.x0[None], m, axis=0)
-            at, counts, applied = (np.zeros(m, dtype=np.int64) for _ in range(3))
-            surv = np.ones(m)  # since the last jump
-            # delayed corrections by jump number j, due in jump order: due step
-            # (never: none) and slot; a row's next is at j = applied
-            due, due_slot = np.full((1, m), never), np.zeros((1, m), dtype=np.int64)
-            log = np.full((1, m), never)  # by jump number, the jump's step (never: none), if counts are read
-            events = [[] for _ in range(m)] if collect_records else None
+            at, counts, applied = (np.zeros(m, dtype=np.int64) for _ in range(3))  # applied: corrections
+            log = np.full((1, m), never * K)  # the jump log: by jump number, step * K + channel (never * K: none)
             nxt, jump, before, after = self._first(_thresholds(keys, counts))
             reads, g1 = {}, 0  # grid index -> rows advanced to it; a stretch's g0..g1-1
+
+            def due(sel):  # the steps at whose start the rows' next corrections land (never: no delay)
+                return ops.due_step(log[applied[sel], sel] // K - 1) if ops.queued_feedback else never
 
             def read(sel, until):  # the rows sel at the stretch's grid steps from their anchors to until
                 for g in range(g0, g1) if with_states else ():  # else no f reads states: none is formed
@@ -930,7 +929,7 @@ class _Sampler:
                 g0, g1 = g1, np.searchsorted(grid, stop + 1)
                 while (sel := np.flatnonzero(nxt <= stop)).size:
                     read(sel, nxt[sel])
-                    old, k, jumped, s = rows[sel], nxt[sel] - at[sel], jump[sel], after[sel]
+                    old, k, jumped = rows[sel], nxt[sel] - at[sel], jump[sel]
                     new, hit = np.empty_like(old), np.flatnonzero(jumped)
                     if hit.size:
                         pre = self._advance(old[hit], k[hit] - 1)
@@ -942,38 +941,31 @@ class _Sampler:
                         hit, pre, cum, i = hit[ok], pre[ok], cum[ok], sel[hit[ok]]
                         drop = (before[i] - _thresholds(keys[i], counts[i])) / (before[i] - after[i])
                         chosen = np.minimum(((drop * cum[:, -1])[:, None] >= cum).sum(axis=1), K - 1)
-                        y = np.einsum("ri,rij->rj", pre, self.jumps[chosen])  # the chosen channel's image only
-                        new[hit], s[hit] = self._normalize(y, self._weight(y)), 1.0
-                        slots = np.asarray(ops.slots)[chosen]
-                        top = counts[i].max(initial=-1)  # the last jump number taken
-                        if ops.queued_feedback:
-                            due, due_slot = _grown(due, top + 2, never), _grown(due_slot, len(due), 0)
-                            due[counts[i], i], due_slot[counts[i], i] = ops.due_step(nxt[i] - 1), slots
-                        if with_counts:
-                            log = _grown(log, top + 1, never)
-                            log[counts[i], i] = nxt[i]
-                        if collect_records:
-                            for r, t, slot, ch in zip(i.tolist(), ((nxt[i] - 0.5) * cfg.dt).tolist(),
-                                                      slots.tolist(), chosen.tolist()):
-                                events[r].append(JumpEvent(time=t, slot=slot, channel=ch))
+                        new[hit] = self._normalize(y := _dispatch(pre, self.jumps, chosen), self._weight(y))
+                        if with_counts or ops.queued_feedback or collect_records:  # the log is read
+                            log = _grown(log, counts[i].max(initial=-1) + 2, never * K)  # one row past the last
+                            log[counts[i], i] = nxt[i] * K + chosen
                         counts[i] += 1
                     rest = np.flatnonzero(~jumped)
                     new[rest], at[sel] = self._advance(old[rest], k[rest]), nxt[sel]
-                    landed = np.flatnonzero(due[applied[sel], sel] == at[sel])  # corrections due there
-                    r = sel[landed]
-                    new[landed] = np.einsum("ri,rij->rj", new[landed], self.corrections[due_slot[applied[r], r]])
-                    applied[r] += 1
-                    rows[sel], surv[sel] = new, s
+                    if ops.queued_feedback:  # the corrections due there
+                        r = sel[landed := np.flatnonzero(due(sel) == at[sel])]
+                        new[landed] = _dispatch(new[landed], self.corrections, log[applied[r], r] % K)
+                        applied[r] += 1
+                    rows[sel] = new
                     nxt[sel], jump[sel], before[sel], after[sel] = self._next(
-                        new, s, _thresholds(keys[sel], counts[sel]), at[sel], due[applied[sel], sel])
+                        new, _thresholds(keys[sel], counts[sel]), at[sel], due(sel))
                 read(np.arange(m), stop + 1)
                 for g in range(g0, g1):  # read at every row; a jump counts from its step on
-                    counts_g = (log <= grid[g]).sum(axis=0) if with_counts else None
+                    counts_g = (log < (grid[g] + 1) * K).sum(axis=0) if with_counts else None
                     self._observe(observables, reads.pop(g, None), counts_g, acc, g)
 
-            if collect_records:
+            if collect_records:  # row r's jumps: step[r, :counts[r]], by channel ch
+                step, ch = np.divmod(log.T, K)
+                times, slots = ((step - 0.5) * cfg.dt).tolist(), np.asarray(ops.slots)[ch].tolist()
                 final = self._states(self._advance(rows, n_steps - at))
-                records += [TrajectoryRecord(tuple(ev), x, 1.0 / n) for ev, x in zip(events, final)]
+                records += [TrajectoryRecord(tuple(map(JumpEvent, t[:c], s[:c], h[:c])), x, 1.0 / n)
+                            for t, s, h, c, x in zip(times, slots, ch.tolist(), counts.tolist(), final)]
 
         mean = {lab: a[0] / n for lab, a in acc.items()}
         sem = {lab: np.sqrt(np.clip(a[1] / n - mean[lab] ** 2, 0.0, None) / n)

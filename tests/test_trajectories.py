@@ -859,7 +859,9 @@ def test_threshold_sets_first_jump(monkeypatch, u):
     # with every threshold fixed at u, a row first jumps at the first step
     # where the product of its per-step no-jump (no-record) probabilities,
     # computed here with the single-step helpers, falls below u, in the
-    # channel that u's place within that step's drop picks
+    # channel that u's place within that step's drop picks; a density row's
+    # per-step probability is the trace kept by the no-record map
+    # N (x) N* + (1 - eta) sum_k B_k (x) B_k*
     monkeypatch.setattr(trajectories, "_thresholds", lambda keys, periods: np.full(keys.size, u))
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     psi0 = code_bell3()
@@ -883,9 +885,9 @@ def test_threshold_sets_first_jump(monkeypatch, u):
     rho, rhos, stays = np.outer(psi0, psi0.conj()), [], []
     for _ in range(cfg.n_steps):
         rhos.append(rho)
-        stays.append(1.0 - eta * (1.0 - np.trace(N @ rho @ N.conj().T).real))
-        rho = N @ rho @ N.conj().T + (1.0 - eta) * sum(S @ rho @ S.conj().T for S in ops.jump_maps)
-        rho = rho / np.trace(rho).real
+        rho = N @ rho @ N.conj().T + (1.0 - eta) * sum(B @ rho @ B.conj().T for B in ops.split_maps)
+        stays.append(np.trace(rho).real)
+        rho = rho / stays[-1]
     expected = _expected_first_jump(
         stays, lambda s: [np.trace(B @ rhos[s] @ B.conj().T).real for B in ops.split_maps], u)
     records = sample_density_trajectories(model, np.outer(psi0, psi0.conj()), cfg, policy).records
@@ -893,9 +895,10 @@ def test_threshold_sets_first_jump(monkeypatch, u):
 
 
 def test_eta_zero_records_no_jump_at_scale():
-    # the no-record map M loses trace at first order in dt, so a threshold on
-    # tr(M^k rho) would record about 12 of these 2,000 rows; the product of
-    # per-step no-record probabilities stays exactly 1 at eta = 0
+    # the split maps are complete, so at eta = 0 the no-record map
+    # M = N (x) N* + sum_k B_k (x) B_k* keeps trace: over 1,000 steps
+    # tr(M^k rho0), a density row's survival, stays within 1e-12 of 1, and
+    # none of 2,000 rows records a jump
     model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
     psi0 = code_bell3()
     rho0 = np.outer(psi0, psi0.conj())
@@ -903,9 +906,10 @@ def test_eta_zero_records_no_jump_at_scale():
     cfg = UnravelingConfig(dt=5e-3, t_max=5.0, n_samples=2000, rng_seed=5)
     ops = trajectories.StepOperators(model, cfg.dt, policy)
     rho = rho0
+    assert cfg.n_steps == 1000
     for _ in range(cfg.n_steps):
-        rho = ops.no_jump @ rho @ ops.no_jump.conj().T + sum(S @ rho @ S.conj().T for S in ops.jump_maps)
-    assert cfg.n_samples * (1.0 - np.trace(rho).real) > 10
+        rho = ops.no_jump @ rho @ ops.no_jump.conj().T + sum(B @ rho @ B.conj().T for B in ops.split_maps)
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
     out = run_density_grid(model, rho0, cfg, policy, [cfg.n_steps],
                            {"jumps": lambda rhos, counts: counts.astype(float)})
     assert out.mean["jumps"][0] == 0.0
@@ -1190,6 +1194,61 @@ def test_density_advance_independent_of_batch():
     assert np.array_equal(together, alone)
 
 
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_survival_independent_of_batch(density):
+    # a row's survival is summed row by row, never by BLAS, so _next on a
+    # lone row equals its row of _next on a 500-row block, bit for bit:
+    # crossing step, jump flag and the survivals around it
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    x0 = np.outer(psi0, psi0.conj()) if density else psi0
+    policy = FeedbackPolicy.qutrit_cyclic(efficiency=0.9) if density else None
+    cfg = UnravelingConfig(dt=5e-3, t_max=1.0, n_samples=4)
+    sampler = trajectories._Sampler(model, x0, x0.ndim, cfg, policy)
+    rng = np.random.default_rng(47)
+    rows = rng.normal(size=(500, sampler.x0.size)) + (0.0 if density else 1j * rng.normal(size=(500, sampler.x0.size)))
+    if density:  # a positive trace
+        rows[:, :sampler.n_diag] = np.abs(rows[:, :sampler.n_diag]) + 0.1
+    at = rng.integers(0, cfg.n_steps, size=500)
+    due = np.minimum(at + rng.integers(1, 80, size=500), cfg.n_steps + 1)
+    u = rng.random(500) * sampler._weight(rows)
+    together = sampler._next(rows, u, at, due)
+    alone = [sampler._next(rows[i:i + 1], u[i:i + 1], at[i:i + 1], due[i:i + 1]) for i in range(500)]
+    for j, got in enumerate(together):
+        assert np.array_equal(got, np.concatenate([a[j] for a in alone])), j
+    assert 0 < together[1].sum() < 500
+
+
+def test_density_survival_is_the_trace_across_reanchors():
+    # a density row's trace is its survival since its last jump: a row that
+    # never crosses re-anchors every cap steps, and over 1,000 steps its
+    # survival k steps on equals tr(M^k rho0), M = N (x) N* + (1 - eta)
+    # sum_k B_k (x) B_k*, stepped here one 9 x 9 product at a time
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    psi0 = code_bell3()
+    rho = np.outer(psi0, psi0.conj())
+    eta = 0.9
+    policy = FeedbackPolicy.qutrit_cyclic(efficiency=eta)
+    cfg = UnravelingConfig(dt=5e-3, t_max=5.0, n_samples=1)
+    sampler = trajectories._Sampler(model, rho, 2, cfg, policy)
+    ops, never = sampler.ops, cfg.n_steps + 1
+    expected = [1.0]
+    for _ in range(cfg.n_steps):
+        rho = ops.no_jump @ rho @ ops.no_jump.conj().T + (1.0 - eta) * sum(B @ rho @ B.conj().T for B in ops.split_maps)
+        expected.append(np.trace(rho).real)
+    row, at, got, anchors = sampler.x0[None], np.zeros(1, dtype=np.int64), [1.0], 0
+    while at[0] < cfg.n_steps:
+        nxt, found, _, after = sampler._next(row, np.zeros(1), at, np.array([never]))
+        end = min(int(nxt[0]), cfg.n_steps)
+        k = np.arange(1, end - at[0] + 1)
+        got += sampler._survival(k, np.repeat(sampler._mass(row), k.size, axis=0)).tolist()
+        assert not found.any() and after[0] == got[-1]
+        row, at, anchors = sampler._advance(row, np.array([end]) - at), np.array([end]), anchors + 1
+    assert len(got) == cfg.n_steps + 1 == 1001 and anchors >= cfg.n_steps // trajectories._TABLE_CAP
+    assert np.max(np.abs(np.array(got) - expected)) < 1e-12
+    assert expected[-1] < 0.5
+
+
 def test_density_rows_stay_on_their_support():
     # the support closes x0's coordinates under the exact nonzeros of every
     # map that can act, so along whole trajectories of the 81-coordinate
@@ -1261,9 +1320,9 @@ def test_density_rows_without_structure_keep_every_coordinate():
 def _per_step_chain(model, x0, cfg, policy, grid, thresholds=trajectories._thresholds):
     """Each trajectory of the samplers by the per-step law, as an explicit chain.
 
-    Every step maps the unnormalized state by the no-jump (no-record) map;
-    the survival is its norm or trace, or at eta < 1 the running product of
-    per-step no-record probabilities; the row jumps where it falls below
+    Every step maps the unnormalized state by the no-jump map, or by the
+    no-record map N (x) N* + (1 - eta) sum_k B_k (x) B_k* on density
+    states; the survival is its norm or trace; the row jumps where it falls below
     its threshold, in the channel that (S_before - u) / (S_before - S_after)
     picks, each decided with more than 1e-12 to spare. Returns per row its
     events as (step, channel), its survival after every step, its normalized
@@ -1287,8 +1346,8 @@ def _per_step_chain(model, x0, cfg, policy, grid, thresholds=trajectories._thres
                 reads.append(x / (size(x) if density else math.sqrt(size(x))))
             if step == cfg.n_steps:
                 break
-            nxt = act(ops.no_jump, x) + (1.0 - eta) * sum((act(S, x) for S in ops.jump_maps), 0.0 * x)
-            after = size(nxt) if eta == 1.0 else survival * (1.0 - eta * (1.0 - size(act(ops.no_jump, x)) / size(x)))
+            nxt = act(ops.no_jump, x) + (1.0 - eta) * sum((act(B, x) for B in ops.split_maps), 0.0 * x)
+            after = size(nxt)
             assert abs(after - u) > 1e-12
             if after < u:
                 cum = np.cumsum([size(act(B, x)) for B in ops.split_maps])
@@ -1334,7 +1393,7 @@ def test_event_loop_matches_per_step_chain(density, eta, delay):
     steps = np.arange(1, n + 1)
     no_jumps = _per_step_chain(model, x0, cfg, policy, list(range(n + 1)),
                                thresholds=lambda keys, periods: np.zeros(keys.size))[0]
-    nxt, jumped, _, survival = sampler._next(rows, np.ones(n), np.zeros(n), zero, steps)
+    nxt, jumped, _, survival = sampler._next(rows, np.zeros(n), zero, steps)
     assert not jumped.any() and np.array_equal(nxt, steps)
     assert np.max(np.abs(survival - no_jumps[1][:n])) < 1e-12
     states = sampler._states(sampler._advance(rows, steps))
@@ -1446,7 +1505,7 @@ def test_first_event_search_equals_next(monkeypatch, density, policy, t_max, chu
     u[:4] = 1.0, curve[K], curve[K // 2], 1e-300  # an exact tie at the end and half way
     due = np.full(m, K if K < min(cfg.n_steps, sampler.cap) else cfg.n_steps + 1)
     rows, zero = np.repeat(sampler.x0[None], m, axis=0), np.zeros(m, dtype=np.int64)
-    expected = sampler._next(rows, np.ones(m), u, zero, due)
+    expected = sampler._next(rows, u, zero, due)
     for got, want in zip(sampler._first(u), expected, strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     if t_max > 0.0:
@@ -1484,6 +1543,25 @@ def test_sampler_memory_does_not_grow_with_the_steps_or_grid():
             tracemalloc.stop()
         assert peak < 8 * 2**20, (cfg.n_steps, peak)
         assert curves.mean["p0"][-1] < 1.0
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.02], ids=["ideal", "delayed"])
+def test_jump_dispatch_gathers_no_matrix_per_row(delay):
+    # a jump, and a queued correction, takes one product per channel over
+    # the rows that pick it, not a D x D matrix gathered per row: 4,096
+    # pure qutrit rows to gamma t = 5 stay below 6 MB traced (a gathered
+    # stack took 7.7 MB, 8.8 MB with delay)
+    model = build_qutrit_pair(CascadeSpec.degenerate(1.0))
+    cfg = UnravelingConfig(dt=5e-3, t_max=5.0, n_samples=4096, rng_seed=3)
+    policy = FeedbackPolicy.qutrit_cyclic(delay=delay)
+    tracemalloc.start()
+    try:
+        curves = run_sampled_grid(model, code_bell3(), cfg, policy, [cfg.n_steps], {"p0": declared("counts", _p0)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+    assert curves.mean["p0"][-1] < 1.0
 
 
 @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
